@@ -65,8 +65,6 @@ from .cycles import (
 from .decomposition import (
     Decomposition,
     DecompositionError,
-    NonIntegralSolutionError,
-    SingularBasisError,
     brute_force_decompose,
     decompose,
 )

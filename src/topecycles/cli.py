@@ -98,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cycle", required=True, metavar="FILE|canonical")
     p.add_argument("--expect-hypercube", action="store_true", help="compare against 2*C(t,j) and fail on mismatch")
     p.add_argument("--list-topes", action="store_true", help="include the topes of each size class")
-    p.add_argument("--jobs", type=int, default=1)
     _output_options(p, tsv=True)
     p.set_defaults(func=_cmd_census)
 
@@ -228,7 +227,7 @@ def _cmd_verify_ds(args) -> int:
 def _cmd_census(args) -> int:
     t, topes = io.tope_set_from_doc(io.load_doc(args.topes))
     cycle = _load_cycle_arg(args.cycle, t)
-    result = census(topes, cycle, list_topes=args.list_topes, jobs=args.jobs)
+    result = census(topes, cycle, list_topes=args.list_topes)
     expected = match = None
     if args.expect_hypercube:
         expected = {j: 2 * comb(t, j) for j in range(1, t + 1, 2)}

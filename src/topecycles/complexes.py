@@ -10,7 +10,7 @@ from typing import Iterable, Sequence
 
 from .core import check_sign_vector
 from .cycles import SymmetricCycle
-from .decomposition import decompose
+from .decomposition import DecompositionError, decompose
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,8 @@ def _lambda_facet_masks(tope: Sequence[int], cycle: SymmetricCycle) -> list[int]
     facets = sorted({_agreement_mask(T, q) for q in members})
     for a in facets:
         for b in facets:
-            assert a == b or (a & b != a and a & b != b), "facet family is not an antichain: broken decomposition"
+            if a != b and a & b in (a, b):
+                raise DecompositionError("facet family is not an antichain: broken decomposition")
     return facets
 
 

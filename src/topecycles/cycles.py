@@ -4,7 +4,7 @@ depth-first search, and maximal-positive-part vertices."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .core import (
@@ -31,10 +31,27 @@ class CycleError(ValueError):
 
 @dataclass(frozen=True)
 class SymmetricCycle:
-    """2t topes R^0..R^(2t-1): consecutive steps flip one element and R^(k+t) = -R^k."""
+    """2t topes R^0..R^(2t-1): consecutive steps flip one element and R^(k+t) = -R^k.
+
+    Construction checks every invariant of ``validate_cycle`` (except tope-set
+    membership, which needs a tope set) and that t is half the vertex count,
+    raising CycleError on any violation, so every instance is a genuine
+    symmetric cycle.  ``flips`` is the derived flip order e_1..e_t: step k
+    (R^(k-1) -> R^k) flips element e_k, a 1-based ground-set element.
+    """
 
     t: int
     vertices: tuple[SignVector, ...]
+    flips: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        verts = [tuple(v) for v in self.vertices]
+        if self.t != len(verts) // 2:
+            raise CycleError([Violation("shape", (), f"t={self.t} is not half the vertex count {len(verts)}")])
+        violations = _invariant_violations(verts)
+        if violations:
+            raise CycleError(violations)
+        object.__setattr__(self, "flips", tuple(_flipped_element(verts[k], verts[k + 1]) for k in range(self.t)))
 
     def __iter__(self):
         return iter(self.vertices)
@@ -51,6 +68,13 @@ def validate_cycle(vertices: Iterable[Sequence[int]], tope_set: Iterable[Sequenc
     the report names the first violated invariant and its index.
     """
     verts = [tuple(v) for v in vertices]
+    out = _invariant_violations(verts)
+    if tope_set is not None and not (out and out[0].kind == "shape"):
+        out += _membership_violations(verts, tope_set)
+    return out
+
+
+def _invariant_violations(verts: list[SignVector]) -> list[Violation]:
     n = len(verts)
     if n < 4 or n % 2:
         return [Violation("shape", (), f"vertex count {n} is not an even number >= 4")]
@@ -74,24 +98,37 @@ def validate_cycle(vertices: Iterable[Sequence[int]], tope_set: Iterable[Sequenc
         if verts[k + t] != negate(verts[k]):
             out.append(Violation("antipodal", (k,), f"antipodal symmetry fails at k={k}"))
     if adjacency_ok:
-        flips = sorted(e for k in range(t) for e in separation_set(verts[k], verts[k + 1]))
+        flips = sorted(_flipped_element(verts[k], verts[k + 1]) for k in range(t))
         if flips != list(range(1, t + 1)):
             out.append(Violation("flip_permutation", (), "first-half flips are not a permutation of the ground set"))
-    if tope_set is not None:
-        members = {tuple(v) for v in tope_set}
-        for k, v in enumerate(verts):
-            if v not in members:
-                out.append(Violation("membership", (k,), f"vertex {k} ({sign_vector_str(v)}) is not in the tope set"))
     return out
 
 
+def _membership_violations(verts: Sequence[SignVector], tope_set: Iterable[Sequence[int]]) -> list[Violation]:
+    members = {tuple(v) for v in tope_set}
+    return [
+        Violation("membership", (k,), f"vertex {k} ({sign_vector_str(v)}) is not in the tope set")
+        for k, v in enumerate(verts)
+        if v not in members
+    ]
+
+
+def _flipped_element(a: SignVector, b: SignVector) -> int:
+    """The element on which two adjacent topes differ."""
+    (e,) = separation_set(a, b)
+    return e
+
+
 def symmetric_cycle(vertices: Iterable[Sequence[int]], tope_set: Iterable[Sequence[int]] | None = None) -> SymmetricCycle:
-    """Validate and wrap a vertex sequence; raises CycleError on any violation."""
+    """Wrap a vertex sequence, additionally requiring membership in the tope set
+    when one is given; raises CycleError on any violation."""
     verts = tuple(tuple(v) for v in vertices)
-    violations = validate_cycle(verts, tope_set)
-    if violations:
-        raise CycleError(violations)
-    return SymmetricCycle(len(verts) // 2, verts)
+    cycle = SymmetricCycle(len(verts) // 2, verts)
+    if tope_set is not None:
+        violations = _membership_violations(verts, tope_set)
+        if violations:
+            raise CycleError(violations)
+    return cycle
 
 
 def canonical_hypercube_cycle(t: int) -> SymmetricCycle:

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -14,15 +13,8 @@ from .cycles import SymmetricCycle
 
 
 class DecompositionError(ValueError):
-    """The vertex sequence cannot decompose topes; it is not a genuine symmetric cycle."""
-
-
-class SingularBasisError(DecompositionError):
-    pass
-
-
-class NonIntegralSolutionError(DecompositionError):
-    pass
+    """A decomposition broke an invariant that holds for every symmetric cycle:
+    it signals a bug, not bad input."""
 
 
 @dataclass(frozen=True)
@@ -40,53 +32,25 @@ class Decomposition:
         return len(self.members)
 
 
-@lru_cache(maxsize=64)
-def _basis_inverse(cycle: SymmetricCycle) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse of the t x t matrix whose columns are the first t cycle vertices.
-
-    Gauss-Jordan with partial pivoting on absolute rational value.  Any
-    sequence satisfying the cycle invariants has a nonsingular first half
-    (sign-normalizing rows and reordering by flip step leaves a staircase
-    matrix), so SingularBasisError can only signal malformed input.
-    """
-    t = cycle.t
-    a = [
-        [Fraction(cycle.vertices[i][e]) for i in range(t)]
-        + [Fraction(1 if i == e else 0) for i in range(t)]
-        for e in range(t)
-    ]
-    for col in range(t):
-        pivot = max(range(col, t), key=lambda r: abs(a[r][col]))
-        if a[pivot][col] == 0:
-            raise SingularBasisError("first-half cycle vertices are linearly dependent")
-        a[col], a[pivot] = a[pivot], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(t):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[t:]) for row in a)
-
-
 def decompose(tope: Sequence[int], cycle: SymmetricCycle) -> Decomposition:
-    """Solve for the unique representation of the tope over the cycle's first-half
-    basis and assemble the member set it selects."""
+    """The unique representation of the tope over the cycle's first half, and
+    the member set it selects, in O(t) integer steps.
+
+    In flip order e_1..e_t, vertex R^k reads -R^0 on e_1..e_k and R^0 on the
+    rest, so with x_j = T(e_j) * R^0(e_j) the coefficients are
+    c_0 = (x_1 + x_t) / 2 and c_j = (x_(j+1) - x_j) / 2 for j = 1..t-1.
+    Each lies in {-1, 0, 1}, and the nonzero ones (the members) are odd in
+    number.
+    """
     T = tuple(tope)
     check_sign_vector(T)
     if len(T) != cycle.t:
         raise DimensionError(f"tope length {len(T)} does not match cycle ground set t={cycle.t}")
-    inv = _basis_inverse(cycle)
-    coeffs = []
-    for i in range(cycle.t):
-        c = sum(inv[i][e] * T[e] for e in range(cycle.t))
-        if c not in (-1, 0, 1):
-            raise NonIntegralSolutionError(
-                f"coefficient {c} outside {{-1,0,1}}: vertex sequence is not a symmetric cycle of a simple oriented matroid"
-            )
-        coeffs.append(int(c))
+    r0 = cycle.vertices[0]
+    x = [T[e - 1] * r0[e - 1] for e in cycle.flips]
+    coeffs = ((x[0] + x[-1]) // 2,) + tuple((b - a) // 2 for a, b in zip(x, x[1:]))
     idx = sorted(i if c > 0 else i + cycle.t for i, c in enumerate(coeffs) if c)
-    return Decomposition(T, cycle, tuple(coeffs), tuple(cycle.vertices[i] for i in idx))
+    return Decomposition(T, cycle, coeffs, tuple(cycle.vertices[i] for i in idx))
 
 
 @lru_cache(maxsize=8)

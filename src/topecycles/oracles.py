@@ -4,7 +4,6 @@ per-tope decomposition census."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -20,7 +19,7 @@ from .arrangements import (
 )
 from .core import SignVector, sign_vector_str
 from .cycles import SymmetricCycle
-from .decomposition import DecompositionError, decompose
+from .decomposition import decompose
 
 
 class FullSystemFeasibleError(ValueError):
@@ -103,30 +102,14 @@ def census(
     topes: Iterable[Sequence[int]],
     cycle: SymmetricCycle,
     list_topes: bool = False,
-    jobs: int = 1,
 ) -> CensusResult:
     """Decompose every tope against the cycle and tally by member count.
 
-    Topes are processed in lexicographic order; per-tope work is pure, so
-    jobs > 1 fans the sweep out over a thread pool with an order-preserving
-    merge.
-    """
-    ordered = sorted({tuple(v) for v in topes}, key=sign_vector_str)
-
-    def size_of(tope: SignVector) -> int:
-        try:
-            return decompose(tope, cycle).size
-        except DecompositionError as exc:
-            raise type(exc)(f"tope {sign_vector_str(tope)}: {exc}") from exc
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            sizes = list(pool.map(size_of, ordered))
-    else:
-        sizes = [size_of(tope) for tope in ordered]
+    Topes are processed in lexicographic order."""
     histogram: dict[int, int] = {}
     by_size: dict[int, list[SignVector]] = {}
-    for tope, size in zip(ordered, sizes):
+    for tope in sorted({tuple(v) for v in topes}, key=sign_vector_str):
+        size = decompose(tope, cycle).size
         histogram[size] = histogram.get(size, 0) + 1
         if list_topes:
             by_size.setdefault(size, []).append(tope)

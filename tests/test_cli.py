@@ -102,7 +102,7 @@ def test_census_list_topes_and_jobs(capsys, tmp_path):
     topes = tmp_path / "topes.json"
     run(capsys, "gen", "hypercube", "--t", "5", "--output", str(topes))
     code, doc = run_json(
-        capsys, "census", "--topes", str(topes), "--cycle", "canonical", "--list-topes", "--jobs", "2"
+        capsys, "census", "--topes", str(topes), "--cycle", "canonical", "--list-topes"
     )
     assert code == 0
     assert doc["topes"]["5"] == ["+-+-+", "-+-+-"]

@@ -135,3 +135,16 @@ def test_reorientation_total_cyclicity_predicate():
     assert is_reorientation_totally_cyclic(T5, C5)
     assert not is_reorientation_totally_cyclic(C5.vertices[0], C5)
     assert not is_reorientation_totally_cyclic(negate(C5.vertices[3]), C5)
+
+
+def test_broken_decomposition_raises_not_asserts(monkeypatch):
+    # members whose agreement masks are nested cannot come from a genuine decomposition
+    import topecycles.complexes as complexes
+    from topecycles.decomposition import Decomposition, DecompositionError
+
+    cycle = canonical_hypercube_cycle(3)
+    tope = (1, 1, 1)
+    members = (cycle.vertices[0], cycle.vertices[1])
+    monkeypatch.setattr(complexes, "decompose", lambda T, c: Decomposition(tuple(T), c, (1, 1, 0), members))
+    with pytest.raises(DecompositionError):
+        lambda_facets(tope, cycle)

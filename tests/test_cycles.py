@@ -77,6 +77,29 @@ def test_symmetric_cycle_factory_raises():
         symmetric_cycle([(1, 1), (1, -1), (-1, -1)])
 
 
+def test_symmetric_cycle_factory_checks_membership():
+    cycle = canonical_hypercube_cycle(3)
+    pool = [v for v in hypercube_topes(3) if v != (1, 1, 1)]
+    with pytest.raises(CycleError) as excinfo:
+        symmetric_cycle(cycle.vertices, pool)
+    assert [(v.kind, v.where) for v in excinfo.value.violations] == [("membership", (0,))]
+    assert symmetric_cycle(cycle.vertices, hypercube_topes(3)) == cycle
+
+
+def test_construction_validates_and_records_flip_order():
+    cycle = canonical_hypercube_cycle(4)
+    assert cycle.flips == (1, 2, 3, 4)
+    rotated = SymmetricCycle(4, cycle.vertices[3:] + cycle.vertices[:3])
+    assert rotated.flips == (4, 1, 2, 3)
+    with pytest.raises(CycleError) as excinfo:
+        SymmetricCycle(3, cycle.vertices)
+    assert excinfo.value.violations[0].kind == "shape"
+    vertices = [parse_sign_vector(s) for s in ["+++", "-++", "--+", "+-+", "+--", "++-"]]
+    with pytest.raises(CycleError) as excinfo:
+        SymmetricCycle(3, tuple(vertices))
+    assert excinfo.value.violations == validate_cycle(vertices)
+
+
 def test_find_in_hypercube_from_all_plus():
     topes = hypercube_topes(4)
     cycle = find_symmetric_cycle(topes, start=all_plus(4))

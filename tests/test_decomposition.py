@@ -1,16 +1,13 @@
+from functools import cache
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from topecycles.arrangements import enumerate_topes, rank2_fan
+from topecycles.arrangements import enumerate_topes, hypercube_topes, moment_curve, rank2_fan, totally_cyclic_fan
 from topecycles.core import DimensionError, all_plus, as_tope, negate, parse_sign_vector, sum_topes
-from topecycles.cycles import SymmetricCycle, canonical_hypercube_cycle, find_symmetric_cycle
-from topecycles.decomposition import (
-    NonIntegralSolutionError,
-    SingularBasisError,
-    brute_force_decompose,
-    decompose,
-)
+from topecycles.cycles import CycleError, SymmetricCycle, canonical_hypercube_cycle, find_symmetric_cycle
+from topecycles.decomposition import brute_force_decompose, decompose
 
 
 def sign_vectors(t):
@@ -51,19 +48,17 @@ def test_decompose_input_validation():
         decompose((1, 0, 1), cycle)
 
 
-def test_singular_basis_error_on_synthetic_input():
-    # bypasses validation: the first half is linearly dependent
-    bad = SymmetricCycle(2, ((1, 1), (-1, -1), (-1, -1), (1, 1)))
-    with pytest.raises(SingularBasisError):
-        decompose((1, -1), bad)
+def test_dependent_first_half_rejected_at_construction():
+    # the first half is linearly dependent, so no decomposition could exist
+    with pytest.raises(CycleError):
+        SymmetricCycle(2, ((1, 1), (-1, -1), (-1, -1), (1, 1)))
 
 
-def test_non_integral_solution_error_on_synthetic_input():
-    # Hadamard-style first half: invertible, but solutions land in (1/2)Z
+def test_hadamard_first_half_rejected_at_construction():
+    # Hadamard-style first half: invertible, but solutions would land in (1/2)Z
     half = ((1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1))
-    bad = SymmetricCycle(4, half + tuple(negate(v) for v in half))
-    with pytest.raises(NonIntegralSolutionError):
-        decompose((1, 1, 1, -1), bad)
+    with pytest.raises(CycleError):
+        SymmetricCycle(4, half + tuple(negate(v) for v in half))
 
 
 @settings(max_examples=60)
@@ -111,3 +106,32 @@ def test_brute_force_always_contains_solver_answer():
 def test_brute_force_guard():
     with pytest.raises(ValueError):
         brute_force_decompose(all_plus(9), canonical_hypercube_cycle(9))
+
+
+@cache
+def _tope_set(kind, t):
+    if kind == "hypercube":
+        return tuple(hypercube_topes(t))
+    if kind == "moment_curve":
+        return tuple(enumerate_topes(moment_curve(t, 3)))
+    return tuple(enumerate_topes(totally_cyclic_fan(t)))
+
+
+@st.composite
+def topes_and_cycles(draw):
+    kind = draw(st.sampled_from(("hypercube", "moment_curve", "totally_cyclic_fan")))
+    t = draw(st.integers({"hypercube": 2, "moment_curve": 4, "totally_cyclic_fan": 5}[kind], 6))
+    topes = _tope_set(kind, t)
+    cycle = find_symmetric_cycle(topes, seed=draw(st.integers(0, 10**6)))
+    return draw(st.sampled_from(topes)), cycle
+
+
+@settings(max_examples=150, deadline=None)
+@given(topes_and_cycles())
+def test_closed_form_matches_brute_force_oracle(case):
+    tope, cycle = case
+    d = decompose(tope, cycle)
+    assert set(d.coeffs) <= {-1, 0, 1}
+    assert d.size % 2 == 1
+    minimal = [members for members, flag in brute_force_decompose(tope, cycle) if flag]
+    assert minimal == [d.members]

@@ -13,8 +13,7 @@ from topecycles.arrangements import (
 )
 from topecycles.complexes import delta_face_masks, long_f_vector
 from topecycles.core import sign_vector_str
-from topecycles.cycles import canonical_hypercube_cycle, find_symmetric_cycle
-from topecycles.decomposition import DecompositionError
+from topecycles.cycles import CycleError, SymmetricCycle, canonical_hypercube_cycle, find_symmetric_cycle
 from topecycles.oracles import (
     FullSystemFeasibleError,
     census,
@@ -155,19 +154,11 @@ def test_census_topes_sorted_lexicographically():
         assert keys == sorted(keys)
 
 
-def test_census_jobs_match_serial():
-    topes = hypercube_topes(5)
-    cycle = canonical_hypercube_cycle(5)
-    assert census(topes, cycle, jobs=3) == census(topes, cycle)
-
-
-def test_census_propagates_decomposition_error_with_tope():
-    from topecycles.cycles import SymmetricCycle
-
-    bad = SymmetricCycle(2, ((1, 1), (-1, -1), (-1, -1), (1, 1)))
-    with pytest.raises(DecompositionError) as excinfo:
-        census(hypercube_topes(2), bad)
-    assert "tope" in str(excinfo.value)
+def test_census_cycle_rejected_at_construction():
+    # a malformed cycle never reaches census: construction names the violations
+    with pytest.raises(CycleError) as excinfo:
+        SymmetricCycle(2, ((1, 1), (-1, -1), (-1, -1), (1, 1)))
+    assert {v.kind for v in excinfo.value.violations} >= {"distinct", "adjacency"}
 
 
 def test_census_histogram_independent_of_cycle_for_spread_fan():
