@@ -26,10 +26,7 @@ from .arrangements import (
     validate_simple,
 )
 from .complexes import (
-    FacetFamily,
     delta_face_masks,
-    delta_faces,
-    faces_of,
     is_reorientation_totally_cyclic,
     lambda_face_masks,
     lambda_facets,

@@ -2,24 +2,26 @@
 
 Exit codes: 0 success, 1 usage or I/O error, 2 input validation failure,
 3 verification failure (a violated identity, a census mismatch, or
-non-coinciding complexes)."""
+non-coinciding complexes).  An internal error such as DecompositionError is
+a bug, not bad input, and propagates as a traceback."""
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from math import comb
 from typing import Callable, Sequence
 
 from . import io
-from .arrangements import ArrangementError, enumerate_topes, generate
+from .arrangements import enumerate_topes, generate
 from .complexes import delta_face_masks, lambda_face_masks, long_f_vector
-from .core import DimensionError, parse_sign_vector
-from .cycles import CycleError, canonical_hypercube_cycle, find_symmetric_cycle, validate_cycle
-from .decomposition import DecompositionError, decompose
+from .core import parse_sign_vector
+from .cycles import canonical_hypercube_cycle, find_symmetric_cycle, validate_cycle
+from .decomposition import decompose
 from .dehn_sommerville import check_ds
-from .oracles import FullSystemFeasibleError, census, nu_counts
+from .oracles import census, nu_counts
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -36,6 +38,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="topecycles", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -269,31 +272,13 @@ def _nu_tsv(doc: dict) -> str:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"topecycles: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, io.SchemaError, OSError, json.JSONDecodeError) as exc:
         print(f"topecycles: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except io.SchemaError as exc:
-        print(f"topecycles: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"topecycles: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (
-        ArrangementError,
-        CycleError,
-        DecompositionError,
-        FullSystemFeasibleError,
-        DimensionError,
-        ValueError,
-    ) as exc:
+    except ValueError as exc:
         print(f"topecycles: error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

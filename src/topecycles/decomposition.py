@@ -12,7 +12,7 @@ from .core import DimensionError, IntVector, SignVector, check_sign_vector, sign
 from .cycles import SymmetricCycle
 
 
-class DecompositionError(ValueError):
+class DecompositionError(RuntimeError):
     """A decomposition broke an invariant that holds for every symmetric cycle:
     it signals a bug, not bad input."""
 

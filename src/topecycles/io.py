@@ -13,7 +13,7 @@ from typing import Any
 
 from .arrangements import Arrangement, make_arrangement
 from .core import SignVector, parse_sign_vector, sign_vector_str
-from .cycles import SymmetricCycle, normalize_cycle, symmetric_cycle
+from .cycles import SymmetricCycle, normalize_cycle
 from .decomposition import Decomposition
 from .dehn_sommerville import DSReport
 from .oracles import CensusResult
@@ -113,7 +113,8 @@ def cycle_vertices_from_doc(doc: dict) -> list[SignVector]:
 
 
 def cycle_from_doc(doc: dict) -> SymmetricCycle:
-    return symmetric_cycle(cycle_vertices_from_doc(doc))
+    """The cycle over the declared t; a vertex count other than 2t raises CycleError."""
+    return SymmetricCycle(_field(doc, "t", int), tuple(cycle_vertices_from_doc(doc)))
 
 
 def decomposition_to_doc(d: Decomposition) -> dict:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from topecycles.cli import main
 
 
@@ -155,6 +157,19 @@ def test_invalid_inputs_exit_2(capsys, tmp_path):
     assert main(["topes", "--arrangement", str(bad_arr)]) == 2
     assert main(["gen", "moment_curve", "--t", "3", "--r", "9"]) == 2
     assert main(["decompose", "--tope", "+0+", "--cycle", "canonical"]) == 2
+
+
+def test_internal_error_propagates_instead_of_exit_2(monkeypatch):
+    # a broken decomposition is a bug, not invalid input, so main must not map it to exit 2
+    import topecycles.complexes as complexes
+    from topecycles.cycles import canonical_hypercube_cycle
+    from topecycles.decomposition import Decomposition, DecompositionError
+
+    cycle = canonical_hypercube_cycle(3)
+    members = (cycle.vertices[0], cycle.vertices[1])
+    monkeypatch.setattr(complexes, "decompose", lambda T, c: Decomposition(tuple(T), c, (1, 1, 0), members))
+    with pytest.raises(DecompositionError):
+        main(["fvector", "--tope", "+++", "--cycle", "canonical"])
 
 
 def test_malformed_json_exits_1(capsys, tmp_path):

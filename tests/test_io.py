@@ -70,6 +70,10 @@ def test_cycle_doc_validation_failure_raises_cycle_error():
     doc = {"t": 2, "vertices": ["++", "--", "-+", "+-"]}
     with pytest.raises(CycleError):
         io.cycle_from_doc(doc)
+    # the error names the declared t, not one inferred from the vertex count
+    doc = {"t": 2, "vertices": ["++", "-+", "--", "+-", "++", "-+"]}
+    with pytest.raises(CycleError, match="t=2 is not half the vertex count 6"):
+        io.cycle_from_doc(doc)
 
 
 def test_decomposition_doc():
