@@ -11,7 +11,7 @@ from .arrangements import (
     Arrangement,
     ArrangementError,
     RationalVector,
-    ccw_sorted_rays,
+    ccw_half_turn_counts,
     cross2,
     enumerate_topes,
     generate,
@@ -27,7 +27,6 @@ from .arrangements import (
 )
 from .complexes import (
     delta_face_masks,
-    is_reorientation_totally_cyclic,
     lambda_face_masks,
     lambda_facets,
     long_f_vector,
@@ -42,7 +41,6 @@ from .core import (
     flip,
     is_adjacent,
     negate,
-    negative_part,
     parse_sign_vector,
     positive_part,
     separation_set,

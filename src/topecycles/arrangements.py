@@ -6,7 +6,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -124,9 +123,8 @@ def strict_feasible(vectors: Sequence[Sequence], signs: Sequence[int] | None = N
 def rank2_feasible(vectors: Sequence[Sequence]) -> bool:
     """Do all the planar vectors fit strictly inside some open half-plane?
 
-    Exact circular test: sort the distinct primitive directions
-    counterclockwise; feasibility is an angular gap exceeding pi, which for
-    consecutive sorted rays shows up as a negative cross product.
+    They do exactly when some distinct primitive direction, the most
+    clockwise one, sees every other direction inside its open half-turn.
     """
     dirs = set()
     for v in vectors:
@@ -136,33 +134,18 @@ def rank2_feasible(vectors: Sequence[Sequence]) -> bool:
         if not any(d):
             raise ValueError("zero vector in rank-2 feasibility test")
         dirs.add(d)
-    if len(dirs) <= 1:
-        return True
-    ring = ccw_sorted_rays(dirs)
-    n = len(ring)
-    return any(cross2(ring[i], ring[(i + 1) % n]) < 0 for i in range(n))
+    return len(dirs) <= 1 or len(dirs) - 1 in ccw_half_turn_counts(list(dirs))
 
 
 def cross2(u: Sequence, v: Sequence):
     return u[0] * v[1] - u[1] * v[0]
 
 
-def _half(d: Sequence) -> int:
-    x, y = d
-    return 0 if y > 0 or (y == 0 and x > 0) else 1
-
-
-def _ray_order(u, v) -> int:
-    hu, hv = _half(u), _half(v)
-    if hu != hv:
-        return hu - hv
-    c = cross2(u, v)
-    return 0 if c == 0 else (-1 if c > 0 else 1)
-
-
-def ccw_sorted_rays(dirs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Rays sorted counterclockwise starting from the positive x-axis."""
-    return sorted(dirs, key=cmp_to_key(_ray_order))
+def ccw_half_turn_counts(dirs: Sequence[Sequence]) -> list[int]:
+    """For each d in dirs, #{a in dirs : cross2(d, a) > 0}: the vectors strictly
+    inside the open half-turn counterclockwise of d (parallel and antiparallel
+    ones lie on its boundary and do not count)."""
+    return [sum(1 for a in dirs if cross2(d, a) > 0) for d in dirs]
 
 
 def enumerate_topes(arr: Arrangement) -> list[SignVector]:

@@ -50,14 +50,6 @@ def long_f_vector(face_masks: Iterable[int], t: int) -> tuple[int, ...]:
     return tuple(f)
 
 
-def is_reorientation_totally_cyclic(tope: Sequence[int], cycle: SymmetricCycle) -> bool:
-    """Whether reorienting the cycle's rank-2 tope set against the tope leaves no
-    all-plus tope.  Simple rank-2 tope sets are either acyclic or totally
-    cyclic, and the reorientation is acyclic exactly when the tope is a cycle
-    vertex, so this reduces to a membership test."""
-    return tuple(tope) not in cycle.vertices
-
-
 def _agreement_mask(a: Sequence[int], b: Sequence[int]) -> int:
     m = 0
     for i, (x, y) in enumerate(zip(a, b)):

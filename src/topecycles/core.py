@@ -67,11 +67,6 @@ def positive_part(v: Sequence[int]) -> frozenset[int]:
     return frozenset(e for e, x in enumerate(v, start=1) if x > 0)
 
 
-def negative_part(v: Sequence[int]) -> frozenset[int]:
-    """Elements where the vector is -1."""
-    return frozenset(e for e, x in enumerate(v, start=1) if x < 0)
-
-
 def separation_set(a: Sequence[int], b: Sequence[int]) -> frozenset[int]:
     """Elements on which two topes disagree."""
     _same_length(a, b)

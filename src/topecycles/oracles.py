@@ -1,23 +1,22 @@
-"""Independent brute-force counts tying the geometry to the combinatorics:
-feasible-subsystem counts, the two-per-open-half-plane condition, and the
-per-tope decomposition census."""
+"""Independent counts tying the geometry to the combinatorics: feasible-subsystem
+counts and the two-per-open-half-plane condition, both read off the rank-2
+half-turn counts, and the per-tope decomposition census."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from math import comb
 from typing import Iterable, Sequence
 
 from .arrangements import (
     ArrangementError,
-    ccw_sorted_rays,
+    ccw_half_turn_counts,
     make_arrangement,
     primitive_vector,
-    rank2_feasible,
     validate_simple,
 )
-from .core import SignVector, sign_vector_str
+from .core import DimensionError, SignVector, sign_vector_str
 from .cycles import SymmetricCycle
 from .decomposition import decompose
 
@@ -43,58 +42,47 @@ class CensusResult:
 def nu_counts(vectors: Sequence[Sequence]) -> tuple[int, ...]:
     """nu_j = number of strictly feasible cardinality-j subsystems of an
     infeasible planar system, for j = 0..t (nu_0 = 1: the empty system is
-    feasible by convention)."""
+    feasible by convention).
+
+    A feasible subsystem has exactly one most clockwise member d, and its
+    other j - 1 members are any of the k vectors inside d's open half-turn,
+    so nu_j sums comb(k, j - 1) over the half-turn counts k.
+    """
     arr = make_arrangement(vectors)
     if arr.dim != 2:
         raise ValueError("subsystem counts are defined for rank-2 (dim 2) systems")
     violations = validate_simple(arr)
     if violations:
         raise ArrangementError(violations)
-    if rank2_feasible(arr.normals):
+    counts = ccw_half_turn_counts(arr.normals)
+    nu = (1,) + tuple(sum(comb(k, j - 1) for k in counts) for j in range(1, arr.t + 1))
+    if nu[-1]:
         raise FullSystemFeasibleError("the full system is feasible; counts apply to infeasible systems")
-    t = arr.t
-    nu = [1] + [0] * t
-    for j in range(1, t + 1):
-        for picked in combinations(arr.normals, j):
-            if rank2_feasible(picked):
-                nu[j] += 1
-    return tuple(nu)
+    return nu
 
 
 def check_halfplane_condition(vectors: Sequence[Sequence]) -> HalfplaneCheck:
     """Does every open half-plane through the origin contain at least two of the vectors?
 
-    The count is piecewise constant as the half-plane's inner normal sweeps
-    the circle, changing only at the 2t critical directions orthogonal to an
-    input vector.  Evaluating one representative inside each arc between
-    consecutive criticals (their sum: arcs span less than pi) and at each
-    critical direction itself (where boundary vectors stop counting) covers
-    every possible count.
+    An emptiest open half-plane can be turned, without gaining a vector,
+    until some input vector d lies on its boundary with the half-plane on
+    d's counterclockwise side.  So the least count, with multiplicity, is
+    the least half-turn count over the inputs, and the inner normal
+    (-d_y, d_x) of the minimising d is a witness.
     """
-    dirs = [primitive_vector(v) for v in vectors]
-    if any(not any(d) for d in dirs):
-        raise ValueError("zero vector in half-plane check")
+    dirs = []
+    for v in vectors:
+        if len(v) != 2:
+            raise DimensionError("half-plane check needs 2-dimensional vectors")
+        d = primitive_vector(v)
+        if not any(d):
+            raise ValueError("zero vector in half-plane check")
+        dirs.append(d)
     if not dirs:
         return HalfplaneCheck(False, 0, (Fraction(1), Fraction(0)))
-    criticals = set()
-    for x, y in dirs:
-        criticals.add(primitive_vector((-y, x)))
-        criticals.add(primitive_vector((y, -x)))
-    ring = ccw_sorted_rays(criticals)
-    candidates = list(ring)
-    n = len(ring)
-    if n > 2:
-        for i in range(n):
-            a, b = ring[i], ring[(i + 1) % n]
-            candidates.append((a[0] + b[0], a[1] + b[1]))
-    best_count = None
-    best_u = None
-    for u in candidates:
-        count = sum(1 for d in dirs if d[0] * u[0] + d[1] * u[1] > 0)
-        if best_count is None or count < best_count:
-            best_count, best_u = count, u
+    best_count, (x, y) = min(zip(ccw_half_turn_counts(dirs), dirs))
     holds = best_count >= 2
-    witness = None if holds else (Fraction(best_u[0]), Fraction(best_u[1]))
+    witness = None if holds else (Fraction(-y), Fraction(x))
     return HalfplaneCheck(holds, best_count, witness)
 
 

@@ -11,7 +11,6 @@ from topecycles.arrangements import (
 )
 from topecycles.complexes import (
     delta_face_masks,
-    is_reorientation_totally_cyclic,
     lambda_face_masks,
     lambda_facets,
     long_f_vector,
@@ -121,12 +120,6 @@ def test_geometric_acyclicity_cross_check():
                 ]
                 geometric = rank2_feasible(picked) if picked else True
                 assert geometric == (subset_mask in faces), (tope, subset_mask)
-
-
-def test_reorientation_total_cyclicity_predicate():
-    assert is_reorientation_totally_cyclic(T5, C5)
-    assert not is_reorientation_totally_cyclic(C5.vertices[0], C5)
-    assert not is_reorientation_totally_cyclic(negate(C5.vertices[3]), C5)
 
 
 def test_broken_decomposition_raises_not_asserts(monkeypatch):

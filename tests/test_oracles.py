@@ -1,18 +1,24 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from topecycles.arrangements import (
     ArrangementError,
     enumerate_topes,
     hypercube_topes,
+    make_arrangement,
     rank2_fan,
+    strict_feasible,
     totally_cyclic_fan,
+    validate_simple,
 )
 from topecycles.complexes import delta_face_masks, long_f_vector
-from topecycles.core import sign_vector_str
+from topecycles.core import DimensionError, sign_vector_str
 from topecycles.cycles import CycleError, SymmetricCycle, canonical_hypercube_cycle, find_symmetric_cycle
 from topecycles.oracles import (
     FullSystemFeasibleError,
@@ -33,6 +39,54 @@ def sampled_min_count(vectors, samples=360):
         count = sum(1 for v in vectors if v[0] * u[0] + v[1] * u[1] > 0)
         best = count if best is None else min(best, count)
     return best
+
+
+def open_count(vectors, u):
+    """How many of the vectors lie strictly inside the open half-plane with inner normal u."""
+    return sum(1 for v in vectors if v[0] * u[0] + v[1] * u[1] > 0)
+
+
+def perpendicular_min_count(vectors):
+    """Exact oracle: an emptiest open half-plane can be turned onto an input
+    vector without gaining one, so the least open count over both directions
+    perpendicular to every input vector is the least count overall."""
+    return min(open_count(vectors, u) for x, y in vectors for u in ((-y, x), (y, -x)))
+
+
+planar = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(any)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(planar, min_size=1, max_size=8))
+def test_nu_counts_match_fourier_motzkin_subsystem_oracle(normals):
+    # the 2^t subsystem loop survives only here, over Fourier-Motzkin feasibility
+    assume(not validate_simple(make_arrangement(normals)))
+    if strict_feasible(normals):
+        with pytest.raises(FullSystemFeasibleError):
+            nu_counts(normals)
+        return
+    nu = nu_counts(normals)
+    assert len(nu) == len(normals) + 1
+    for j, count in enumerate(nu):
+        assert count == sum(strict_feasible(p) for p in combinations(normals, j)), j
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(any), min_size=1, max_size=4),
+    st.lists(st.tuples(st.integers(0, 3), st.sampled_from((-2, -1, 1, 2, 3))), min_size=1, max_size=8),
+)
+def test_halfplane_min_count_matches_perpendicular_oracle(pool, picks):
+    # scaled copies of a small pool: duplicates, parallel and antiparallel vectors are common
+    vectors = [(k * pool[i % len(pool)][0], k * pool[i % len(pool)][1]) for i, k in picks]
+    check = check_halfplane_condition(vectors)
+    assert check.min_count == perpendicular_min_count(vectors)
+    assert check.holds == (check.min_count >= 2)
+    if check.holds:
+        assert check.witness is None
+    else:
+        assert all(isinstance(c, Fraction) for c in check.witness)
+        assert open_count(vectors, check.witness) == check.min_count
 
 
 def test_nu_trivial_rows():
@@ -104,8 +158,8 @@ def test_halfplane_fan_fails_with_witness():
 
 
 def test_halfplane_minimum_attained_at_critical_direction():
-    # boundary vectors stop counting at their own critical direction: the
-    # sweep must evaluate the criticals, not just the open arcs between them
+    # the minimum needs an input vector on the half-plane's boundary, where
+    # it stops counting; no half-plane that avoids the inputs' lines reaches it
     vectors = [(1, 0), (0, 1), (0, -1)]
     check = check_halfplane_condition(vectors)
     assert not check.holds
@@ -122,6 +176,13 @@ def test_halfplane_collinear_vectors():
 def test_halfplane_rejects_zero_vector():
     with pytest.raises(ValueError):
         check_halfplane_condition([(0, 0), (1, 0)])
+
+
+def test_halfplane_rejects_non_planar_vectors():
+    with pytest.raises(DimensionError):
+        check_halfplane_condition([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    with pytest.raises(DimensionError):
+        check_halfplane_condition([(1,), (-2,)])
 
 
 def test_halfplane_witness_is_exact_rational():
