@@ -12,7 +12,6 @@ from .arrangements import (
     ArrangementError,
     RationalVector,
     ccw_half_turn_counts,
-    cross2,
     enumerate_topes,
     generate,
     hypercube_topes,
@@ -20,7 +19,6 @@ from .arrangements import (
     moment_curve,
     primitive_vector,
     rank2_fan,
-    rank2_feasible,
     strict_feasible,
     totally_cyclic_fan,
     validate_simple,
@@ -33,26 +31,20 @@ from .complexes import (
 )
 from .core import (
     DimensionError,
-    IntVector,
     SignVector,
     Violation,
     all_plus,
-    as_tope,
     flip,
-    is_adjacent,
     negate,
     parse_sign_vector,
-    positive_part,
     separation_set,
     sign_vector_str,
-    sum_topes,
 )
 from .cycles import (
     CycleError,
     SymmetricCycle,
     canonical_hypercube_cycle,
     find_symmetric_cycle,
-    maxpos_vertices,
     normalize_cycle,
     symmetric_cycle,
     validate_cycle,
@@ -60,7 +52,6 @@ from .cycles import (
 from .decomposition import (
     Decomposition,
     DecompositionError,
-    brute_force_decompose,
     decompose,
 )
 from .dehn_sommerville import (

@@ -120,32 +120,15 @@ def strict_feasible(vectors: Sequence[Sequence], signs: Sequence[int] | None = N
     return True
 
 
-def rank2_feasible(vectors: Sequence[Sequence]) -> bool:
-    """Do all the planar vectors fit strictly inside some open half-plane?
-
-    They do exactly when some distinct primitive direction, the most
-    clockwise one, sees every other direction inside its open half-turn.
-    """
-    dirs = set()
-    for v in vectors:
-        if len(v) != 2:
-            raise DimensionError("rank-2 test needs 2-dimensional vectors")
-        d = primitive_vector(v)
-        if not any(d):
-            raise ValueError("zero vector in rank-2 feasibility test")
-        dirs.add(d)
-    return len(dirs) <= 1 or len(dirs) - 1 in ccw_half_turn_counts(list(dirs))
-
-
-def cross2(u: Sequence, v: Sequence):
+def _cross2(u: Sequence, v: Sequence):
     return u[0] * v[1] - u[1] * v[0]
 
 
 def ccw_half_turn_counts(dirs: Sequence[Sequence]) -> list[int]:
-    """For each d in dirs, #{a in dirs : cross2(d, a) > 0}: the vectors strictly
+    """For each d in dirs, #{a in dirs : d_x a_y - d_y a_x > 0}: the vectors strictly
     inside the open half-turn counterclockwise of d (parallel and antiparallel
     ones lie on its boundary and do not count)."""
-    return [sum(1 for a in dirs if cross2(d, a) > 0) for d in dirs]
+    return [sum(1 for a in dirs if _cross2(d, a) > 0) for d in dirs]
 
 
 def enumerate_topes(arr: Arrangement) -> list[SignVector]:
@@ -158,22 +141,10 @@ def enumerate_topes(arr: Arrangement) -> list[SignVector]:
     violations = validate_simple(arr)
     if violations:
         raise ArrangementError(violations)
-    out: list[SignVector] = []
-    prefix: list[int] = []
-
-    def grow() -> None:
-        k = len(prefix)
-        if k == arr.t:
-            out.append(tuple(prefix))
-            return
-        for s in (1, -1):
-            prefix.append(s)
-            if strict_feasible(arr.normals[: k + 1], prefix):
-                grow()
-            prefix.pop()
-
-    grow()
-    return out
+    topes: list[SignVector] = [()]
+    for k in range(arr.t):
+        topes = [T + (s,) for T in topes for s in (1, -1) if strict_feasible(arr.normals[: k + 1], T + (s,))]
+    return topes
 
 
 def hypercube_topes(t: int) -> list[SignVector]:

@@ -207,7 +207,7 @@ def _cmd_fvector(args) -> int:
         delta = delta_face_masks(tope, cycle)
         f = long_f_vector(lam, cycle.t)
         doc = io.fvector_to_doc(cycle.t, f, method="both", coincide=lam == delta)
-    _write(args, doc, _fvector_tsv)
+    _write(args, doc, functools.partial(_vector_tsv, "f"))
     if doc.get("coincide") is False:
         return EXIT_VERIFY
     return EXIT_OK
@@ -242,7 +242,7 @@ def _cmd_census(args) -> int:
 def _cmd_nu(args) -> int:
     arr = io.arrangement_from_doc(io.load_doc(args.arrangement))
     counts = nu_counts(arr.normals)
-    _write(args, {"t": arr.t, "nu": list(counts)}, _nu_tsv)
+    _write(args, {"t": arr.t, "nu": list(counts)}, functools.partial(_vector_tsv, "nu"))
     return EXIT_OK
 
 
@@ -261,13 +261,8 @@ def _census_tsv(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fvector_tsv(doc: dict) -> str:
-    lines = ["j\tf"] + [f"{j}\t{x}" for j, x in enumerate(doc["f"])]
-    return "\n".join(lines) + "\n"
-
-
-def _nu_tsv(doc: dict) -> str:
-    lines = ["j\tnu"] + [f"{j}\t{x}" for j, x in enumerate(doc["nu"])]
+def _vector_tsv(key: str, doc: dict) -> str:
+    lines = [f"j\t{key}"] + [f"{j}\t{x}" for j, x in enumerate(doc[key])]
     return "\n".join(lines) + "\n"
 
 

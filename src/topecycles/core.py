@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 SignVector = tuple[int, ...]
-IntVector = tuple[int, ...]
 
 _SIGN_OF = {"+": 1, "-": -1}
+_SIGNS = frozenset((1, -1))
 
 
 class DimensionError(ValueError):
@@ -39,7 +39,7 @@ def sign_vector_str(v: Sequence[int]) -> str:
 
 
 def check_sign_vector(v: Sequence[int], t: int | None = None) -> None:
-    if any(x not in (1, -1) for x in v):
+    if not _SIGNS.issuperset(v):
         raise ValueError(f"not a sign vector: {tuple(v)!r}")
     if t is not None and len(v) != t:
         raise DimensionError(f"sign vector has length {len(v)}, expected {t}")
@@ -62,45 +62,8 @@ def flip(v: Sequence[int], e: int) -> SignVector:
     return tuple(-x if i == e - 1 else x for i, x in enumerate(v))
 
 
-def positive_part(v: Sequence[int]) -> frozenset[int]:
-    """Elements where the vector is +1."""
-    return frozenset(e for e, x in enumerate(v, start=1) if x > 0)
-
-
 def separation_set(a: Sequence[int], b: Sequence[int]) -> frozenset[int]:
     """Elements on which two topes disagree."""
-    _same_length(a, b)
-    return frozenset(e for e, (x, y) in enumerate(zip(a, b), start=1) if x != y)
-
-
-def sum_topes(vectors: Iterable[Sequence[int]]) -> IntVector:
-    """Coordinate-wise integer sum of a non-empty collection of sign vectors."""
-    it = iter(vectors)
-    try:
-        total = list(next(it))
-    except StopIteration:
-        raise ValueError("sum_topes needs a non-empty collection") from None
-    for v in it:
-        if len(v) != len(total):
-            raise DimensionError(f"length mismatch: {len(v)} vs {len(total)}")
-        for i, x in enumerate(v):
-            total[i] += x
-    return tuple(total)
-
-
-def as_tope(v: Sequence[int]) -> SignVector | None:
-    """The vector itself if every entry is +1 or -1, else None (not a tope)."""
-    if all(x == 1 or x == -1 for x in v):
-        return tuple(v)
-    return None
-
-
-def is_adjacent(a: Sequence[int], b: Sequence[int]) -> bool:
-    """Tope-graph edge test: the topes differ on exactly one element."""
-    _same_length(a, b)
-    return sum(1 for x, y in zip(a, b) if x != y) == 1
-
-
-def _same_length(a: Sequence[int], b: Sequence[int]) -> None:
     if len(a) != len(b):
         raise DimensionError(f"length mismatch: {len(a)} vs {len(b)}")
+    return frozenset(e for e, (x, y) in enumerate(zip(a, b), start=1) if x != y)

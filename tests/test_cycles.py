@@ -7,12 +7,13 @@ from topecycles.cycles import (
     SymmetricCycle,
     canonical_hypercube_cycle,
     find_symmetric_cycle,
-    maxpos_vertices,
     normalize_cycle,
     symmetric_cycle,
     validate_cycle,
 )
 from topecycles.decomposition import decompose
+
+from reference import maxpos_vertices
 
 
 def strs(vertices):
@@ -56,6 +57,19 @@ def test_validate_duplicate_vertices():
     vertices = [parse_sign_vector(s) for s in ["+++", "-++", "+++", "---", "+--", "---"]]
     kinds = {v.kind for v in validate_cycle(vertices)}
     assert "distinct" in kinds
+
+
+def test_validate_reports_every_violation_in_order():
+    def report(strings):
+        return [(v.kind, v.where) for v in validate_cycle([parse_sign_vector(x) for x in strings])]
+
+    assert report(["+++", "-++", "+++", "---", "+--", "---"]) == [
+        ("distinct", (0, 2)),
+        ("distinct", (3, 5)),
+        ("adjacency", (2,)),
+        ("adjacency", (5,)),
+    ]
+    assert report(["+++", "-++", "--+", "+-+", "+--", "++-"]) == [("antipodal", (0,)), ("flip_permutation", ())]
 
 
 def test_validate_shape():
@@ -124,6 +138,19 @@ def test_find_not_found_is_none():
 def test_find_requires_negation_closure():
     with pytest.raises(ValueError):
         find_symmetric_cycle([(1, 1), (1, -1)])
+
+
+@pytest.mark.parametrize(
+    "pool",
+    [[(1, 2), (-1, -2), (2, 1), (-2, -1)], [(1, 0), (-1, 0), (0, 1), (0, -1)]],
+)
+def test_find_rejects_vectors_that_are_not_sign_vectors(pool):
+    with pytest.raises(ValueError) as excinfo:
+        find_symmetric_cycle(pool)
+    assert not isinstance(excinfo.value, CycleError)
+    message = str(excinfo.value)
+    assert "not a sign vector" in message
+    assert any(repr(v) in message for v in pool)
 
 
 def test_find_requires_start_in_pool():
