@@ -6,10 +6,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from typing import Iterable, Sequence
 
-from .core import DimensionError, SignVector, Violation
+from .core import DimensionError, SignVector, Violation, negate
 
 RationalVector = tuple[Fraction, ...]
 
@@ -45,62 +45,52 @@ def make_arrangement(rows: Iterable[Sequence]) -> Arrangement:
 
 
 def validate_simple(arr: Arrangement) -> list[Violation]:
-    """Check for loops (zero normals) and (anti)parallel pairs; empty list means ok."""
-    out = []
-    for e, n in enumerate(arr.normals, start=1):
-        if not any(n):
-            out.append(Violation("loop", (e,), f"normal {e} is the zero vector"))
+    """Check for loops (zero normals) and (anti)parallel pairs; empty list means ok.
+
+    Two nonzero normals are parallel exactly when their primitive integer rows
+    are equal, and antiparallel exactly when one row is the other negated."""
+    rows = [primitive_vector(n) for n in arr.normals]
+    out = [Violation("loop", (e,), f"normal {e} is the zero vector") for e, r in enumerate(rows, start=1) if not any(r)]
     if out:
         return out
-    for e in range(arr.t):
-        for f in range(e + 1, arr.t):
-            u, v = arr.normals[e], arr.normals[f]
-            if _dependent(u, v):
-                kind = "parallel" if _same_direction(u, v) else "antiparallel"
-                out.append(Violation(kind, (e + 1, f + 1), f"normals {e + 1} and {f + 1} are {kind}"))
+    for (e, u), (f, v) in combinations(enumerate(rows, start=1), 2):
+        kind = "parallel" if u == v else "antiparallel" if u == negate(v) else None
+        if kind:
+            out.append(Violation(kind, (e, f), f"normals {e} and {f} are {kind}"))
     return out
 
 
-def _dependent(u: RationalVector, v: RationalVector) -> bool:
-    return all(u[i] * v[j] == u[j] * v[i] for i in range(len(u)) for j in range(i + 1, len(u)))
+def primitive_vector(row: Sequence[int | Fraction]) -> tuple[int, ...]:
+    """Scale a vector of ints and Fractions to coprime integers, preserving its direction.
 
-
-def _same_direction(u: RationalVector, v: RationalVector) -> bool:
-    k = next(i for i, c in enumerate(u) if c)
-    return (u[k] > 0) == (v[k] > 0)
-
-
-def primitive_vector(row: Sequence) -> tuple[int, ...]:
-    """Scale a rational vector to coprime integers, preserving its direction."""
-    fr = [Fraction(c) for c in row]
-    if not any(fr):
-        return (0,) * len(fr)
-    scale = math.lcm(*(c.denominator for c in fr))
-    ints = [int(c * scale) for c in fr]
+    Rationals become integers here, read off each coordinate's numerator and
+    denominator; any other coordinate type (a float, say) raises TypeError."""
+    for c in row:
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"coordinates must be ints or Fractions, got {c!r}")
+    scale = math.lcm(*[c.denominator for c in row])
+    ints = [c.numerator * (scale // c.denominator) for c in row]
     g = math.gcd(*ints)
-    return tuple(c // g for c in ints)
+    return tuple([c // g for c in ints]) if g > 1 else tuple(ints)
 
 
-def strict_feasible(vectors: Sequence[Sequence], signs: Sequence[int] | None = None) -> bool:
-    """Decide whether some x satisfies sign_e * <a_e, x> > 0 for every e.
+def strict_feasible(vectors: Sequence[Sequence[int | Fraction]]) -> bool:
+    """Decide whether some x satisfies <a, x> > 0 for every row a.  To test a
+    sign vector sigma against normals a_e, pass the signed rows sigma_e * a_e.
 
-    Exact Fourier-Motzkin elimination on the homogeneous strict system: each
-    round eliminates the leading coordinate by combining opposite-sign rows
-    with positive multipliers (which preserves strictness), and an all-zero
-    derived row reads 0 > 0 and certifies infeasibility.  An emptied system
-    is feasible; the empty collection is vacuously feasible.
+    Rows hold ints or Fractions and each becomes its primitive integer row on
+    entry, so all later arithmetic is on integers.  Exact Fourier-Motzkin
+    elimination on the homogeneous strict system: each round eliminates the
+    leading coordinate by combining opposite-sign rows with positive
+    multipliers (which preserves strictness), and an all-zero derived row
+    reads 0 > 0 and certifies infeasibility.  An emptied system is feasible;
+    the empty collection is vacuously feasible.
     """
-    if signs is not None and len(signs) != len(vectors):
-        raise DimensionError(f"{len(signs)} signs for {len(vectors)} vectors")
     work: set[tuple[int, ...]] = set()
-    width = None
-    for i, v in enumerate(vectors):
-        if width is None:
-            width = len(v)
-        elif len(v) != width:
+    for v in vectors:
+        if len(v) != len(vectors[0]):
             raise DimensionError("vectors of mixed dimension")
-        s = 1 if signs is None else signs[i]
-        row = primitive_vector([s * Fraction(c) for c in v])
+        row = primitive_vector(v)
         if not any(row):
             return False
         work.add(row)
@@ -120,15 +110,11 @@ def strict_feasible(vectors: Sequence[Sequence], signs: Sequence[int] | None = N
     return True
 
 
-def _cross2(u: Sequence, v: Sequence):
-    return u[0] * v[1] - u[1] * v[0]
-
-
 def ccw_half_turn_counts(dirs: Sequence[Sequence]) -> list[int]:
     """For each d in dirs, #{a in dirs : d_x a_y - d_y a_x > 0}: the vectors strictly
     inside the open half-turn counterclockwise of d (parallel and antiparallel
     ones lie on its boundary and do not count)."""
-    return [sum(1 for a in dirs if _cross2(d, a) > 0) for d in dirs]
+    return [sum(1 for a in dirs if d[0] * a[1] - d[1] * a[0] > 0) for d in dirs]
 
 
 def enumerate_topes(arr: Arrangement) -> list[SignVector]:
@@ -136,14 +122,22 @@ def enumerate_topes(arr: Arrangement) -> list[SignVector]:
 
     Incremental sign-prefix tree: a prefix survives iff the strict subsystem
     of its first k hyperplanes is feasible, so infeasible subtrees are pruned
-    wholesale instead of scanning all 2^t sign vectors.
+    wholesale instead of scanning all 2^t sign vectors.  The rational normals
+    become primitive integer rows once, up front; each child costs one
+    ``strict_feasible`` call on its signed rows.
     """
     violations = validate_simple(arr)
     if violations:
         raise ArrangementError(violations)
+    rows = [primitive_vector(n) for n in arr.normals]
     topes: list[SignVector] = [()]
-    for k in range(arr.t):
-        topes = [T + (s,) for T in topes for s in (1, -1) if strict_feasible(arr.normals[: k + 1], T + (s,))]
+    for _ in range(arr.t):
+        topes = [
+            child
+            for T in topes
+            for child in (T + (1,), T + (-1,))
+            if strict_feasible([a if s > 0 else negate(a) for a, s in zip(rows, child)])
+        ]
     return topes
 
 
@@ -190,10 +184,8 @@ def totally_cyclic_fan(t: int) -> Arrangement:
     violations = validate_simple(arr)
     if violations:
         raise ArrangementError(violations)
-    from .oracles import check_halfplane_condition  # oracles imports this module
-
-    result = check_halfplane_condition(arr.normals)
-    if not result.holds:
+    # the least half-turn count is the least open half-plane count (see oracles.check_halfplane_condition)
+    if min(ccw_half_turn_counts(rows)) < 2:
         raise ArrangementError(
             [Violation("halfplane", (), "generated fan leaves an open half-plane with fewer than two vectors")]
         )

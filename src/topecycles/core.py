@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import neg
 from typing import Sequence
 
 SignVector = tuple[int, ...]
@@ -52,7 +53,7 @@ def all_plus(t: int) -> SignVector:
 
 
 def negate(v: Sequence[int]) -> SignVector:
-    return tuple(-x for x in v)
+    return tuple(map(neg, v))
 
 
 def flip(v: Sequence[int], e: int) -> SignVector:

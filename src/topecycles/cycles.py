@@ -154,18 +154,25 @@ def find_symmetric_cycle(
     step, so equal seeds give equal cycles.  Returns None when the search is
     exhausted -- a result, not an error.
     """
-    pool = sorted({tuple(v) for v in topes}, key=sign_vector_str)
-    if not pool:
+    members: set[SignVector] = set()
+    unpaired: set[SignVector] = set()  # the members whose negation is not a member
+    t = None
+    for v in map(tuple, topes):
+        if v not in members:
+            if t is None:
+                t = len(v)
+            check_sign_vector(v, t)
+            members.add(v)
+            if (w := negate(v)) in unpaired:
+                unpaired.remove(w)
+            else:
+                unpaired.add(v)
+    if t is None:
         return None
-    t = len(pool[0])
-    for v in pool:
-        check_sign_vector(v, t)
     if t < 2:
         raise ValueError("ground set must have t >= 2")
-    members = frozenset(pool)
-    for v in pool:
-        if negate(v) not in members:
-            raise ValueError(f"tope set is not closed under negation: missing -{sign_vector_str(v)}")
+    if unpaired:  # max() names the first of them in '+'-before-'-' order
+        raise ValueError(f"tope set is not closed under negation: missing -{sign_vector_str(max(unpaired))}")
     order = list(range(1, t + 1))
     random.Random(seed).shuffle(order)
     if start is not None:
@@ -174,7 +181,7 @@ def find_symmetric_cycle(
             raise ValueError(f"start tope {sign_vector_str(w0)} is not in the tope set")
         starts = [w0]
     else:
-        starts = pool
+        starts = sorted(members, reverse=True)  # lexicographic with '+' before '-'
     for w0 in starts:
         path = [w0]
         if _extend_path(path, set(), order, members, t):
@@ -183,7 +190,7 @@ def find_symmetric_cycle(
     return None
 
 
-def _extend_path(path: list[SignVector], used: set[int], order: list[int], members: frozenset, t: int) -> bool:
+def _extend_path(path: list[SignVector], used: set[int], order: list[int], members: set[SignVector], t: int) -> bool:
     if len(used) == t:
         return True
     cur = path[-1]
@@ -206,9 +213,8 @@ def normalize_cycle(cycle: SymmetricCycle) -> SymmetricCycle:
     followed by the smaller of its two neighbors."""
     verts = cycle.vertices
     n = len(verts)
-    keys = [sign_vector_str(v) for v in verts]
-    i = min(range(n), key=keys.__getitem__)
-    if keys[(i + 1) % n] <= keys[(i - 1) % n]:
+    i = max(range(n), key=verts.__getitem__)  # for +/-1 vectors, '+' < '-' is descending tuple order
+    if verts[(i + 1) % n] >= verts[(i - 1) % n]:
         rotated = [verts[(i + k) % n] for k in range(n)]
     else:
         rotated = [verts[(i - k) % n] for k in range(n)]

@@ -16,7 +16,7 @@ from .arrangements import (
     primitive_vector,
     validate_simple,
 )
-from .core import DimensionError, SignVector, sign_vector_str
+from .core import DimensionError, SignVector
 from .cycles import SymmetricCycle
 from .decomposition import decompose
 
@@ -54,7 +54,7 @@ def nu_counts(vectors: Sequence[Sequence]) -> tuple[int, ...]:
     violations = validate_simple(arr)
     if violations:
         raise ArrangementError(violations)
-    counts = ccw_half_turn_counts(arr.normals)
+    counts = ccw_half_turn_counts([primitive_vector(n) for n in arr.normals])
     nu = (1,) + tuple(sum(comb(k, j - 1) for k in counts) for j in range(1, arr.t + 1))
     if nu[-1]:
         raise FullSystemFeasibleError("the full system is feasible; counts apply to infeasible systems")
@@ -93,10 +93,10 @@ def census(
 ) -> CensusResult:
     """Decompose every tope against the cycle and tally by member count.
 
-    Topes are processed in lexicographic order."""
+    Topes are processed in lexicographic order, '+' before '-' (descending tuples)."""
     histogram: dict[int, int] = {}
     by_size: dict[int, list[SignVector]] = {}
-    for tope in sorted({tuple(v) for v in topes}, key=sign_vector_str):
+    for tope in sorted({tuple(v) for v in topes}, reverse=True):
         size = decompose(tope, cycle).size
         histogram[size] = histogram.get(size, 0) + 1
         if list_topes:

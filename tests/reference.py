@@ -1,16 +1,21 @@
 """Reference implementations that the tests compare the package against,
 kept out of the package: the decomposition by enumerating all 2^(2t) vertex
-subsets, the decomposition of all-plus by maximal positive parts, and rank-2
-feasibility by the half-turn count of the distinct directions."""
+subsets, the decomposition of all-plus by maximal positive parts, rank-2
+feasibility by the half-turn count of the distinct directions, primitive
+rows through Fraction arithmetic, (anti)parallel normals by 2x2 minors, and
+the chamber count of a rank-3 arrangement by Zaslavsky's theorem."""
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
+from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from typing import Sequence
 
 from topecycles.arrangements import ccw_half_turn_counts, primitive_vector
-from topecycles.core import DimensionError, SignVector, check_sign_vector, sign_vector_str
+from topecycles.core import DimensionError, SignVector, Violation, check_sign_vector, sign_vector_str
 from topecycles.cycles import SymmetricCycle
 
 
@@ -80,3 +85,47 @@ def rank2_feasible(vectors: Sequence[Sequence]) -> bool:
             raise ValueError("zero vector in rank-2 feasibility test")
         dirs.add(d)
     return len(dirs) <= 1 or len(dirs) - 1 in ccw_half_turn_counts(list(dirs))
+
+
+def primitive_vector_by_fractions(row: Sequence) -> tuple[int, ...]:
+    """Coprime integers with the row's direction, computed over Fractions."""
+    fr = [Fraction(c) for c in row]
+    if not any(fr):
+        return (0,) * len(fr)
+    scale = math.lcm(*(c.denominator for c in fr))
+    ints = [int(c * scale) for c in fr]
+    g = math.gcd(*ints)
+    return tuple(c // g for c in ints)
+
+
+def _dependent(u: Sequence, v: Sequence) -> bool:
+    return all(u[i] * v[j] == u[j] * v[i] for i in range(len(u)) for j in range(i + 1, len(u)))
+
+
+def validate_simple_by_minors(normals: Sequence[Sequence]) -> list[Violation]:
+    """The loops, else the (anti)parallel pairs in (e, f) order: two nonzero
+    normals are dependent when every 2x2 minor vanishes, and parallel when
+    their first nonzero coordinates have the same sign."""
+    out = [Violation("loop", (e,), f"normal {e} is the zero vector") for e, n in enumerate(normals, start=1) if not any(n)]
+    if out:
+        return out
+    for (e, u), (f, v) in combinations(enumerate(normals, start=1), 2):
+        if _dependent(u, v):
+            k = next(i for i, c in enumerate(u) if c)
+            kind = "parallel" if (u[k] > 0) == (v[k] > 0) else "antiparallel"
+            out.append(Violation(kind, (e, f), f"normals {e} and {f} are {kind}"))
+    return out
+
+
+def zaslavsky_rank3_chambers(normals: Sequence[Sequence[int]]) -> int:
+    """Chambers of a simple central arrangement of integer normals in R^3:
+    2 + 2 * sum over the distinct lines L = a_e x a_f of (m_L - 1), where m_L
+    counts the normals orthogonal to L (Zaslavsky 1975)."""
+    lines = set()
+    for (a1, a2, a3), (b1, b2, b3) in combinations(normals, 2):
+        line = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+        g = math.gcd(*line)
+        if next(c for c in line if c) < 0:
+            g = -g
+        lines.add(tuple(c // g for c in line))
+    return 2 + 2 * sum(sum(1 for a in normals if sum(x * y for x, y in zip(a, L)) == 0) - 1 for L in lines)

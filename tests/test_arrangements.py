@@ -2,6 +2,8 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topecycles.arrangements import (
     ArrangementError,
@@ -19,7 +21,23 @@ from topecycles.arrangements import (
 from topecycles.core import negate, sign_vector_str
 from topecycles.oracles import check_halfplane_condition
 
-from reference import rank2_feasible
+from reference import (
+    primitive_vector_by_fractions,
+    rank2_feasible,
+    validate_simple_by_minors,
+    zaslavsky_rank3_chambers,
+)
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+nonzero_rationals = rationals.filter(bool)
+simple_rank3 = st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=1, max_size=7).filter(
+    lambda rows: not validate_simple(make_arrangement(rows))
+)
+
+
+def signed(rows, sigma):
+    """The rows sigma_e * a_e, whose strict feasibility says sigma is a tope."""
+    return [tuple(s * c for c in a) for a, s in zip(rows, sigma)]
 
 
 def test_validate_simple_ok():
@@ -50,6 +68,34 @@ def test_primitive_vector():
     assert primitive_vector((0, 0)) == (0, 0)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.integers(-60, 60), st.fractions(min_value=-20, max_value=20, max_denominator=12)), max_size=5))
+def test_primitive_vector_matches_fraction_oracle(row):
+    assert primitive_vector(row) == primitive_vector_by_fractions(row)
+
+
+def test_exact_coordinates_only():
+    # a float reaches no decision: the integer rows are made only from ints and Fractions
+    with pytest.raises(TypeError):
+        primitive_vector((0.5, 1))
+    with pytest.raises(TypeError):
+        strict_feasible([(1, 0), (0.5, 1)])
+    with pytest.raises(TypeError):
+        check_halfplane_condition([(1, 0), (0, 1.0)])
+    assert make_arrangement([(0.5, 1)]).normals == ((Fraction(1, 2), Fraction(1)),)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 3).flatmap(lambda d: st.lists(st.tuples(*[rationals] * d), min_size=1, max_size=4)),
+    st.lists(st.tuples(st.integers(0, 3), nonzero_rationals), min_size=1, max_size=7),
+)
+def test_validate_simple_matches_minors_oracle(pool, picks):
+    # scaled copies of a small pool: parallel and antiparallel pairs (and loops) are common
+    normals = [tuple(k * c for c in pool[i % len(pool)]) for i, k in picks]
+    assert validate_simple(make_arrangement(normals)) == validate_simple_by_minors(normals)
+
+
 def test_strict_feasible_single_vector():
     assert strict_feasible([(1, 0)])
 
@@ -64,8 +110,8 @@ def test_strict_feasible_positive_spanning_triple():
 
 
 def test_strict_feasible_with_signs():
-    assert strict_feasible([(1, 0), (0, 1)], signs=(1, -1))
-    assert not strict_feasible([(1, 0), (1, 0)], signs=(1, -1))
+    assert strict_feasible(signed([(1, 0), (0, 1)], (1, -1)))
+    assert not strict_feasible(signed([(1, 0), (1, 0)], (1, -1)))
 
 
 def test_strict_feasible_three_dimensional():
@@ -98,7 +144,7 @@ def test_enumerate_topes_rank2_fan():
     assert topes == sorted(topes, key=sign_vector_str)
     for sigma in topes:
         assert tuple(negate(sigma)) in topes
-        assert strict_feasible(rank2_fan(3).normals, sigma)
+        assert strict_feasible(signed(rank2_fan(3).normals, sigma))
 
 
 def test_enumerate_topes_rank2_count_is_2t():
@@ -110,8 +156,22 @@ def test_enumerate_topes_moment_curve_vs_exhaustive_scan():
     arr = moment_curve(4, 3)
     topes = enumerate_topes(arr)
     assert len(topes) == 14  # 2 * (C(3,0) + C(3,1) + C(3,2))
-    scan = [s for s in product((1, -1), repeat=4) if strict_feasible(arr.normals, s)]
+    scan = [s for s in product((1, -1), repeat=4) if strict_feasible(signed(arr.normals, s))]
     assert topes == scan
+
+
+@settings(max_examples=150, deadline=None)
+@given(simple_rank3)
+def test_enumerate_topes_count_matches_zaslavsky_rank3(rows):
+    # the only check of chamber enumeration above rank 2 that does not rest on strict_feasible
+    assert len(enumerate_topes(make_arrangement(rows))) == zaslavsky_rank3_chambers(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(simple_rank3, st.lists(st.fractions(min_value=0, max_value=9, max_denominator=7).filter(bool), min_size=7, max_size=7))
+def test_enumerate_topes_invariant_under_positive_rescaling(rows, scales):
+    scaled = [tuple(k * c for c in row) for k, row in zip(scales, rows)]
+    assert enumerate_topes(make_arrangement(scaled)) == enumerate_topes(make_arrangement(rows))
 
 
 def test_enumerate_topes_rejects_non_simple():
