@@ -1,16 +1,15 @@
 """Decompositions of topes over symmetric cycles in tope graphs.
 
-Given a tope set (from an exact rational central arrangement or given
-explicitly) and a symmetric cycle in its tope graph, the package computes the
-unique inclusion-minimal subset of cycle vertices summing to any tope, builds
-the two simplicial complexes that subset carries, and verifies the exact
-Dehn-Sommerville type identities their long f-vectors satisfy.  All decisions
-use exact integer/rational arithmetic."""
+Given a tope set (from an exact rational simple central arrangement, which is
+validated on construction, or given explicitly) and a symmetric cycle in its
+tope graph, the package computes the unique inclusion-minimal subset of cycle
+vertices summing to any tope, builds the two simplicial complexes that subset
+carries, and verifies the exact Dehn-Sommerville type identities their long
+f-vectors satisfy.  All decisions use exact integer/rational arithmetic."""
 
 from .arrangements import (
     Arrangement,
     ArrangementError,
-    RationalVector,
     ccw_half_turn_counts,
     enumerate_topes,
     generate,
@@ -59,7 +58,6 @@ from .dehn_sommerville import (
     SpecialCaseNote,
     check_alternating_sum,
     check_ds,
-    check_recurrence,
     ds_polynomial_sides,
     special_cases,
 )

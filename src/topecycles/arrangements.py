@@ -1,17 +1,16 @@
-"""Central hyperplane arrangements over exact rationals: validation, strict
-feasibility, chamber enumeration, and instance generators."""
+"""Central hyperplane arrangements over exact rationals: simple arrangements
+validated on construction, strict feasibility, chamber enumeration, and
+instance generators."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .core import DimensionError, SignVector, Violation, negate
-
-RationalVector = tuple[Fraction, ...]
 
 
 class ArrangementError(ValueError):
@@ -24,40 +23,60 @@ class ArrangementError(ValueError):
 
 @dataclass(frozen=True)
 class Arrangement:
-    """t central hyperplanes in R^dim given by exact rational normals (elements are 1-based)."""
+    """A simple central arrangement: t hyperplanes in R^dim with exact normals
+    of ints and Fractions (elements are 1-based).
 
-    t: int
-    dim: int
-    normals: tuple[RationalVector, ...]
+    Construction raises DimensionError on mixed dimensions and
+    ArrangementError on any ``validate_simple`` violation, so every instance
+    is simple.  ``normals`` keep the caller's values; the derived ``rows``
+    are their primitive integer rows (any other coordinate raises TypeError).
+    """
+
+    normals: tuple[tuple[int | Fraction, ...], ...]
+    rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.t != len(self.normals):
-            raise DimensionError(f"t={self.t} but {len(self.normals)} normals given")
+        if not self.normals:
+            raise ValueError("an arrangement needs at least one normal")
         if any(len(n) != self.dim for n in self.normals):
             raise DimensionError(f"every normal must have dimension {self.dim}")
+        violations, rows = _check_simple(self.normals)
+        if violations:
+            raise ArrangementError(violations)
+        object.__setattr__(self, "rows", rows)
+
+    @property
+    def t(self) -> int:
+        return len(self.normals)
+
+    @property
+    def dim(self) -> int:
+        return len(self.normals[0])
 
 
-def make_arrangement(rows: Iterable[Sequence]) -> Arrangement:
-    normals = tuple(tuple(Fraction(c) for c in row) for row in rows)
-    if not normals:
-        raise ValueError("an arrangement needs at least one normal")
-    return Arrangement(len(normals), len(normals[0]), normals)
+def make_arrangement(normals: Iterable[Sequence[int | Fraction]]) -> Arrangement:
+    return Arrangement(tuple(tuple(n) for n in normals))
 
 
-def validate_simple(arr: Arrangement) -> list[Violation]:
+def validate_simple(normals: Iterable[Sequence[int | Fraction]]) -> list[Violation]:
     """Check for loops (zero normals) and (anti)parallel pairs; empty list means ok.
 
     Two nonzero normals are parallel exactly when their primitive integer rows
     are equal, and antiparallel exactly when one row is the other negated."""
-    rows = [primitive_vector(n) for n in arr.normals]
+    return _check_simple(normals)[0]
+
+
+def _check_simple(normals: Iterable[Sequence[int | Fraction]]) -> tuple[list[Violation], tuple[tuple[int, ...], ...]]:
+    """The violations in report order and the primitive integer rows they are read off."""
+    rows = tuple(primitive_vector(n) for n in normals)
     out = [Violation("loop", (e,), f"normal {e} is the zero vector") for e, r in enumerate(rows, start=1) if not any(r)]
     if out:
-        return out
+        return out, rows
     for (e, u), (f, v) in combinations(enumerate(rows, start=1), 2):
         kind = "parallel" if u == v else "antiparallel" if u == negate(v) else None
         if kind:
             out.append(Violation(kind, (e, f), f"normals {e} and {f} are {kind}"))
-    return out
+    return out, rows
 
 
 def primitive_vector(row: Sequence[int | Fraction]) -> tuple[int, ...]:
@@ -122,21 +141,16 @@ def enumerate_topes(arr: Arrangement) -> list[SignVector]:
 
     Incremental sign-prefix tree: a prefix survives iff the strict subsystem
     of its first k hyperplanes is feasible, so infeasible subtrees are pruned
-    wholesale instead of scanning all 2^t sign vectors.  The rational normals
-    become primitive integer rows once, up front; each child costs one
-    ``strict_feasible`` call on its signed rows.
+    wholesale instead of scanning all 2^t sign vectors.  Each child costs
+    one ``strict_feasible`` call on its signed integer rows ``arr.rows``.
     """
-    violations = validate_simple(arr)
-    if violations:
-        raise ArrangementError(violations)
-    rows = [primitive_vector(n) for n in arr.normals]
     topes: list[SignVector] = [()]
     for _ in range(arr.t):
         topes = [
             child
             for T in topes
             for child in (T + (1,), T + (-1,))
-            if strict_feasible([a if s > 0 else negate(a) for a, s in zip(rows, child)])
+            if strict_feasible([a if s > 0 else negate(a) for a, s in zip(arr.rows, child)])
         ]
     return topes
 
@@ -169,9 +183,9 @@ def totally_cyclic_fan(t: int) -> Arrangement:
 
     Integer coordinates come from rounding evenly spread directions (a small
     per-index stagger keeps antipodal collisions away for even t); the
-    rounding is only a construction heuristic.  Simplicity and the
-    two-per-half-plane condition are then verified exactly, and failure
-    raises instead of returning an unusable instance.
+    rounding is only a construction heuristic.  Simplicity (on construction)
+    and the two-per-half-plane condition are then verified exactly, and
+    failure raises instead of returning an unusable instance.
     """
     if t < 5:
         raise ValueError("t must be >= 5")
@@ -181,11 +195,8 @@ def totally_cyclic_fan(t: int) -> Arrangement:
         theta = 2 * math.pi * k / t + math.pi * k / (4 * t * t)
         rows.append((round(radius * math.cos(theta)), round(radius * math.sin(theta))))
     arr = make_arrangement(rows)
-    violations = validate_simple(arr)
-    if violations:
-        raise ArrangementError(violations)
     # the least half-turn count is the least open half-plane count (see oracles.check_halfplane_condition)
-    if min(ccw_half_turn_counts(rows)) < 2:
+    if min(ccw_half_turn_counts(arr.rows)) < 2:
         raise ArrangementError(
             [Violation("halfplane", (), "generated fan leaves an open half-plane with fewer than two vectors")]
         )

@@ -177,6 +177,7 @@ def find_symmetric_cycle(
     random.Random(seed).shuffle(order)
     if start is not None:
         w0 = tuple(start)
+        check_sign_vector(w0, t)
         if w0 not in members:
             raise ValueError(f"start tope {sign_vector_str(w0)} is not in the tope set")
         starts = [w0]

@@ -1,7 +1,7 @@
 """Exact verification of the Dehn-Sommerville type identities satisfied by
 long f-vectors: boundary rows, a palindromic polynomial identity checked at
-the coefficient level, a row recurrence, an alternating sum, and closed-form
-spot checks for t in {5, 6, 7}."""
+the coefficient level, the row recurrence read off that identity's
+residual, an alternating sum, and closed-form spot checks for t in {5, 6, 7}."""
 
 from __future__ import annotations
 
@@ -65,35 +65,28 @@ def ds_polynomial_sides(f: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, .
 def check_ds(f: Sequence[int]) -> DSReport:
     """Full report on one long f-vector: boundary rows f_j = C(t,j) for j <= 2
     and f_{t-1} = f_t = 0, the coefficient-level polynomial residual, the row
-    recurrence, the alternating sum, and any special-case notes."""
+    recurrence, the alternating sum, and any special-case notes.
+
+    The row recurrence for 3 <= j <= t-2,
+
+        C(t,j) - f_j  ==  - sum_{i=3..j} (-1)^i C(t-i, j-i) (C(t,i) - f_i),
+
+    is the coefficient of x^(t-j) in the polynomial identity, multiplied by
+    (-1)^j, so row j holds exactly when that residual coefficient is zero.
+    It is empty (vacuously true) when t < 5."""
     t = _t_of(f)
     boundary = all(f[j] == comb(t, j) for j in range(min(2, t) + 1))
     boundary = boundary and f[t] == 0 and f[t - 1] == 0
     lhs, rhs = ds_polynomial_sides(f)
+    residual = tuple(a - b for a, b in zip(lhs, rhs))
     return DSReport(
         t=t,
         boundary_ok=boundary,
-        polynomial_residual=tuple(a - b for a, b in zip(lhs, rhs)),
-        recurrence_ok=check_recurrence(f),
+        polynomial_residual=residual,
+        recurrence_ok={j: residual[t - j] == 0 for j in range(3, t - 1)},
         alternating_sum=check_alternating_sum(f),
         special_case_notes=tuple(special_cases(f)),
     )
-
-
-def check_recurrence(f: Sequence[int]) -> dict[int, bool]:
-    """Row recurrence for each 3 <= j <= t-2:
-
-        C(t,j) - f_j  ==  - sum_{i=3..j} (-1)^i C(t-i, j-i) (C(t,i) - f_i).
-
-    Empty (vacuously true) when t < 5.
-    """
-    t = _t_of(f)
-    out: dict[int, bool] = {}
-    for j in range(3, t - 1):
-        lhs = comb(t, j) - f[j]
-        rhs = -sum((-1) ** i * comb(t - i, j - i) * (comb(t, i) - f[i]) for i in range(3, j + 1))
-        out[j] = lhs == rhs
-    return out
 
 
 def check_alternating_sum(f: Sequence[int]) -> int:

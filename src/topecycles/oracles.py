@@ -1,6 +1,7 @@
 """Independent counts tying the geometry to the combinatorics: feasible-subsystem
-counts and the two-per-open-half-plane condition, both read off the rank-2
-half-turn counts, and the per-tope decomposition census."""
+counts of a simple planar arrangement, read off the half-turn counts of its
+integer rows, the two-per-open-half-plane condition on any planar vectors,
+and the per-tope decomposition census."""
 
 from __future__ import annotations
 
@@ -9,13 +10,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
-from .arrangements import (
-    ArrangementError,
-    ccw_half_turn_counts,
-    make_arrangement,
-    primitive_vector,
-    validate_simple,
-)
+from .arrangements import ccw_half_turn_counts, make_arrangement, primitive_vector
 from .core import DimensionError, SignVector
 from .cycles import SymmetricCycle
 from .decomposition import decompose
@@ -46,15 +41,13 @@ def nu_counts(vectors: Sequence[Sequence]) -> tuple[int, ...]:
 
     A feasible subsystem has exactly one most clockwise member d, and its
     other j - 1 members are any of the k vectors inside d's open half-turn,
-    so nu_j sums comb(k, j - 1) over the half-turn counts k.
+    so nu_j sums comb(k, j - 1) over the half-turn counts k.  The vectors
+    must form a simple arrangement (see ``make_arrangement``).
     """
     arr = make_arrangement(vectors)
     if arr.dim != 2:
         raise ValueError("subsystem counts are defined for rank-2 (dim 2) systems")
-    violations = validate_simple(arr)
-    if violations:
-        raise ArrangementError(violations)
-    counts = ccw_half_turn_counts([primitive_vector(n) for n in arr.normals])
+    counts = ccw_half_turn_counts(arr.rows)
     nu = (1,) + tuple(sum(comb(k, j - 1) for k in counts) for j in range(1, arr.t + 1))
     if nu[-1]:
         raise FullSystemFeasibleError("the full system is feasible; counts apply to infeasible systems")

@@ -2,8 +2,9 @@
 kept out of the package: the decomposition by enumerating all 2^(2t) vertex
 subsets, the decomposition of all-plus by maximal positive parts, rank-2
 feasibility by the half-turn count of the distinct directions, primitive
-rows through Fraction arithmetic, (anti)parallel normals by 2x2 minors, and
-the chamber count of a rank-3 arrangement by Zaslavsky's theorem."""
+rows through Fraction arithmetic, (anti)parallel normals by 2x2 minors, the
+chamber count of a rank-3 arrangement by Zaslavsky's theorem, and the
+Dehn-Sommerville row recurrence summed row by row."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 from typing import Sequence
 
 from topecycles.arrangements import ccw_half_turn_counts, primitive_vector
@@ -129,3 +131,19 @@ def zaslavsky_rank3_chambers(normals: Sequence[Sequence[int]]) -> int:
             g = -g
         lines.add(tuple(c // g for c in line))
     return 2 + 2 * sum(sum(1 for a in normals if sum(x * y for x, y in zip(a, L)) == 0) - 1 for L in lines)
+
+
+def check_recurrence(f: Sequence[int]) -> dict[int, bool]:
+    """Row recurrence for each 3 <= j <= t-2, where t = len(f) - 1:
+
+        C(t,j) - f_j  ==  - sum_{i=3..j} (-1)^i C(t-i, j-i) (C(t,i) - f_i).
+
+    Empty (vacuously true) when t < 5.
+    """
+    t = len(f) - 1
+    out: dict[int, bool] = {}
+    for j in range(3, t - 1):
+        lhs = comb(t, j) - f[j]
+        rhs = -sum((-1) ** i * comb(t - i, j - i) * (comb(t, i) - f[i]) for i in range(3, j + 1))
+        out[j] = lhs == rhs
+    return out

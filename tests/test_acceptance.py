@@ -19,10 +19,10 @@ from topecycles.complexes import delta_face_masks, lambda_face_masks, long_f_vec
 from topecycles.core import all_plus, negate, parse_sign_vector, sign_vector_str
 from topecycles.cycles import SymmetricCycle, canonical_hypercube_cycle, find_symmetric_cycle
 from topecycles.decomposition import decompose
-from topecycles.dehn_sommerville import check_alternating_sum, check_ds, check_recurrence
+from topecycles.dehn_sommerville import check_alternating_sum, check_ds
 from topecycles.oracles import check_halfplane_condition, nu_counts
 
-from reference import brute_force_decompose, maxpos_vertices
+from reference import brute_force_decompose, check_recurrence, maxpos_vertices
 
 
 @dataclass

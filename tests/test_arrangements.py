@@ -31,7 +31,7 @@ from reference import (
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 nonzero_rationals = rationals.filter(bool)
 simple_rank3 = st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=1, max_size=7).filter(
-    lambda rows: not validate_simple(make_arrangement(rows))
+    lambda rows: not validate_simple(rows)
 )
 
 
@@ -41,24 +41,24 @@ def signed(rows, sigma):
 
 
 def test_validate_simple_ok():
-    assert validate_simple(make_arrangement([(1, 0), (0, 1), (1, 1)])) == []
+    assert validate_simple([(1, 0), (0, 1), (1, 1)]) == []
 
 
 def test_validate_simple_parallel_pair():
-    violations = validate_simple(make_arrangement([(1, 0), (2, 0)]))
+    violations = validate_simple([(1, 0), (2, 0)])
     assert len(violations) == 1
     assert violations[0].kind == "parallel"
     assert violations[0].where == (1, 2)
 
 
 def test_validate_simple_antiparallel_pair():
-    violations = validate_simple(make_arrangement([(1, 1), (-1, -1)]))
+    violations = validate_simple([(1, 1), (-1, -1)])
     assert violations[0].kind == "antiparallel"
     assert violations[0].where == (1, 2)
 
 
 def test_validate_simple_zero_normal():
-    violations = validate_simple(make_arrangement([(0, 0), (1, 1)]))
+    violations = validate_simple([(0, 0), (1, 1)])
     assert violations[0].kind == "loop"
 
 
@@ -82,7 +82,8 @@ def test_exact_coordinates_only():
         strict_feasible([(1, 0), (0.5, 1)])
     with pytest.raises(TypeError):
         check_halfplane_condition([(1, 0), (0, 1.0)])
-    assert make_arrangement([(0.5, 1)]).normals == ((Fraction(1, 2), Fraction(1)),)
+    with pytest.raises(TypeError):
+        make_arrangement([(0.5, 1)])
 
 
 @settings(max_examples=200, deadline=None)
@@ -93,7 +94,14 @@ def test_exact_coordinates_only():
 def test_validate_simple_matches_minors_oracle(pool, picks):
     # scaled copies of a small pool: parallel and antiparallel pairs (and loops) are common
     normals = [tuple(k * c for c in pool[i % len(pool)]) for i, k in picks]
-    assert validate_simple(make_arrangement(normals)) == validate_simple_by_minors(normals)
+    expected = validate_simple_by_minors(normals)
+    assert validate_simple(normals) == expected
+    if expected:
+        with pytest.raises(ArrangementError) as excinfo:
+            make_arrangement(normals)
+        assert excinfo.value.violations == expected
+    else:
+        assert make_arrangement(normals).rows == tuple(map(primitive_vector_by_fractions, normals))
 
 
 def test_strict_feasible_single_vector():
@@ -197,7 +205,7 @@ def test_moment_curve_normals():
 def test_totally_cyclic_fan_is_verified():
     for t in (5, 6, 8, 11):
         arr = totally_cyclic_fan(t)
-        assert validate_simple(arr) == []
+        assert validate_simple(arr.normals) == []
         assert check_halfplane_condition(arr.normals).holds
 
 

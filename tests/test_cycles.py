@@ -1,7 +1,7 @@
 import pytest
 
 from topecycles.arrangements import enumerate_topes, hypercube_topes, rank2_fan
-from topecycles.core import all_plus, parse_sign_vector, sign_vector_str
+from topecycles.core import DimensionError, all_plus, parse_sign_vector, sign_vector_str
 from topecycles.cycles import (
     CycleError,
     SymmetricCycle,
@@ -151,6 +151,12 @@ def test_find_rejects_vectors_that_are_not_sign_vectors(pool):
     message = str(excinfo.value)
     assert "not a sign vector" in message
     assert any(repr(v) in message for v in pool)
+    # a start vector is checked before the tope-set membership test
+    with pytest.raises(ValueError) as excinfo:
+        find_symmetric_cycle(hypercube_topes(2), start=(1, 0))
+    assert "not a sign vector" in str(excinfo.value) and repr((1, 0)) in str(excinfo.value)
+    with pytest.raises(DimensionError):
+        find_symmetric_cycle(hypercube_topes(2), start=(1, 1, 1))
 
 
 def test_find_requires_start_in_pool():

@@ -1,12 +1,15 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topecycles.dehn_sommerville import (
     check_alternating_sum,
     check_ds,
-    check_recurrence,
     ds_polynomial_sides,
     special_cases,
 )
+
+from reference import check_recurrence
 
 F5 = (1, 5, 10, 5, 0, 0)
 F6 = (1, 6, 15, 12, 3, 0, 0)
@@ -68,20 +71,27 @@ def test_coefficient_expansion_agrees_with_pointwise_evaluation():
 
 def test_recurrence_t5_j3():
     # 10 - 5 == -(-1)^3 * C(2,0) * (10 - 5)
-    assert check_recurrence(F5) == {3: True}
+    assert check_ds(F5).recurrence_ok == {3: True}
 
 
 def test_recurrence_t6_j4():
     # 15 - 3 == 12 == -[(-1)^3 C(3,1)(20-12) + (-1)^4 C(2,0)(15-3)] == 24 - 12
-    assert check_recurrence(F6) == {3: True, 4: True}
+    assert check_ds(F6).recurrence_ok == {3: True, 4: True}
 
 
 def test_recurrence_vacuous_below_t5():
-    assert check_recurrence((1, 4, 6, 4, 0)) == {}
+    assert check_ds((1, 4, 6, 4, 0)).recurrence_ok == {}
 
 
 def test_recurrence_detects_broken_row():
-    assert check_recurrence((1, 6, 15, 12, 4, 0, 0)) == {3: True, 4: False}
+    assert check_ds((1, 6, 15, 12, 4, 0, 0)).recurrence_ok == {3: True, 4: False}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 14).flatmap(lambda t: st.lists(st.integers(-40, 4000), min_size=t + 1, max_size=t + 1)))
+def test_recurrence_matches_row_by_row_oracle(f):
+    # most random rows break the recurrence, so both True and False entries are compared
+    assert check_ds(f).recurrence_ok == check_recurrence(f)
 
 
 def test_alternating_sum_examples():
