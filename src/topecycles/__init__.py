@@ -18,7 +18,6 @@ from .arrangements import (
     moment_curve,
     primitive_vector,
     rank2_fan,
-    strict_feasible,
     totally_cyclic_fan,
     validate_simple,
 )

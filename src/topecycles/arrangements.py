@@ -1,6 +1,6 @@
 """Central hyperplane arrangements over exact rationals: simple arrangements
-validated on construction, strict feasibility, chamber enumeration, and
-instance generators."""
+validated on construction, chamber enumeration by deletion-restriction with
+certified integer witnesses, and instance generators."""
 
 from __future__ import annotations
 
@@ -8,9 +8,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
+from operator import mul
 from typing import Iterable, Sequence
 
-from .core import DimensionError, SignVector, Violation, negate
+from .core import DimensionError, SignVector, Violation, negate, sign_vector_str
 
 
 class ArrangementError(ValueError):
@@ -88,45 +89,13 @@ def primitive_vector(row: Sequence[int | Fraction]) -> tuple[int, ...]:
         if not isinstance(c, (int, Fraction)):
             raise TypeError(f"coordinates must be ints or Fractions, got {c!r}")
     scale = math.lcm(*[c.denominator for c in row])
-    ints = [c.numerator * (scale // c.denominator) for c in row]
-    g = math.gcd(*ints)
-    return tuple([c // g for c in ints]) if g > 1 else tuple(ints)
+    return _primitive([c.numerator * (scale // c.denominator) for c in row])
 
 
-def strict_feasible(vectors: Sequence[Sequence[int | Fraction]]) -> bool:
-    """Decide whether some x satisfies <a, x> > 0 for every row a.  To test a
-    sign vector sigma against normals a_e, pass the signed rows sigma_e * a_e.
-
-    Rows hold ints or Fractions and each becomes its primitive integer row on
-    entry, so all later arithmetic is on integers.  Exact Fourier-Motzkin
-    elimination on the homogeneous strict system: each round eliminates the
-    leading coordinate by combining opposite-sign rows with positive
-    multipliers (which preserves strictness), and an all-zero derived row
-    reads 0 > 0 and certifies infeasibility.  An emptied system is feasible;
-    the empty collection is vacuously feasible.
-    """
-    work: set[tuple[int, ...]] = set()
-    for v in vectors:
-        if len(v) != len(vectors[0]):
-            raise DimensionError("vectors of mixed dimension")
-        row = primitive_vector(v)
-        if not any(row):
-            return False
-        work.add(row)
-    while work:
-        zero, pos, neg = [], [], []
-        for row in work:
-            (zero if row[0] == 0 else pos if row[0] > 0 else neg).append(row)
-        nxt = {r[1:] for r in zero}
-        if pos and neg:
-            for p in pos:
-                for n in neg:
-                    comb = tuple(p[0] * n[k] - n[0] * p[k] for k in range(1, len(p)))
-                    if not any(comb):
-                        return False
-                    nxt.add(primitive_vector(comb))
-        work = nxt
-    return True
+def _primitive(v: list[int]) -> tuple[int, ...]:
+    """The integer vector divided by the gcd of its entries."""
+    g = math.gcd(*v)
+    return tuple([c // g for c in v]) if g > 1 else tuple(v)
 
 
 def ccw_half_turn_counts(dirs: Sequence[Sequence]) -> list[int]:
@@ -139,20 +108,67 @@ def ccw_half_turn_counts(dirs: Sequence[Sequence]) -> list[int]:
 def enumerate_topes(arr: Arrangement) -> list[SignVector]:
     """All chamber sign vectors, in lexicographic order with '+' before '-'.
 
-    Incremental sign-prefix tree: a prefix survives iff the strict subsystem
-    of its first k hyperplanes is feasible, so infeasible subtrees are pruned
-    wholesale instead of scanning all 2^t sign vectors.  Each child costs
-    one ``strict_feasible`` call on its signed integer rows ``arr.rows``.
+    Deletion-restriction (Zaslavsky): the sign prefix grows one hyperplane
+    at a time, and a cell of the first k-1 hyperplanes is split by H_k
+    exactly when it meets H_k in a chamber of their restriction to H_k, one
+    recursive call one dimension lower.  Every cell carries an exact integer
+    interior point; at the end each tope is certified by substituting its
+    point into every row of ``arr.rows``, and a failure (a bug, not bad
+    input) raises RuntimeError.  No feasibility test is run.
     """
-    topes: list[SignVector] = [()]
-    for _ in range(arr.t):
-        topes = [
-            child
-            for T in topes
-            for child in (T + (1,), T + (-1,))
-            if strict_feasible([a if s > 0 else negate(a) for a, s in zip(arr.rows, child)])
-        ]
-    return topes
+    cells = _chambers(arr.rows, arr.dim)
+    for sigma, x in cells:
+        if any(_dot(a, x) * s <= 0 for a, s in zip(arr.rows, sigma)):
+            raise RuntimeError(f"witness {x} does not certify tope {sign_vector_str(sigma)}")
+    return [sigma for sigma, _ in cells]
+
+
+def _dot(a: Sequence[int], x: Sequence[int]) -> int:
+    return sum(map(mul, a, x))
+
+
+def _chambers(rows: Sequence[tuple[int, ...]], dim: int) -> list[tuple[SignVector, tuple[int, ...]]]:
+    """Each chamber of the central arrangement of the nonzero primitive integer
+    rows in Z^dim, as (sign vector, integer interior point), in the order of
+    ``enumerate_topes``.  Rows may repeat up to sign: a repeat copies the sign
+    of its first occurrence (negated if antiparallel) and splits nothing.
+
+    The dimension is explicit because it cannot be read off an empty row list."""
+    cells: list[tuple[SignVector, tuple[int, ...]]] = [((), (0,) * dim)]
+    first: dict[tuple[int, ...], tuple[int, int]] = {}  # row -> (index of its first occurrence, +1 or -1)
+    for k, a in enumerate(rows):
+        if a in first:
+            i, s = first[a]
+            cells = [(sigma + (s * sigma[i],), x) for sigma, x in cells]
+            continue
+        first[a], first[negate(a)] = (k, 1), (k, -1)
+        earlier = rows[:k]
+        # H_k in the coordinates other than a pivot j: b restricts to
+        # sign(a_j) * (a_j * b_l - b_j * a_l) for l != j
+        j = next(l for l, c in enumerate(a) if c)
+        p = abs(a[j])
+        sj = 1 if a[j] > 0 else -1
+        others = [l for l in range(dim) if l != j]
+        restricted = [_primitive([p * b[l] - sj * b[j] * a[l] for l in others]) for b in earlier]
+        splits = dict(_chambers(restricted, dim - 1))
+        along = [_dot(b, a) for b in earlier]
+        nxt: list[tuple[SignVector, tuple[int, ...]]] = []
+        for sigma, x in cells:
+            z = splits.get(sigma)
+            if z is None:  # the cell misses H_k, so its point's side is the whole cell's
+                nxt.append((sigma + ((1 if _dot(a, x) > 0 else -1),), x))
+                continue
+            # lift z to y in H_k, then step off it by a_k on either side, far
+            # enough inside the cell that no earlier row changes sign
+            y = [0] * dim
+            for l, c in zip(others, z):
+                y[l] = p * c
+            y[j] = -sj * _dot([a[l] for l in others], z)
+            n = 1 + max((abs(ab) // abs(_dot(b, y)) for b, ab in zip(earlier, along)), default=0)
+            nxt.append((sigma + (1,), _primitive([n * c + d for c, d in zip(y, a)])))
+            nxt.append((sigma + (-1,), _primitive([n * c - d for c, d in zip(y, a)])))
+        cells = nxt
+    return cells
 
 
 def hypercube_topes(t: int) -> list[SignVector]:

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 usage or I/O error, 2 input validation failure,
 3 verification failure (a violated identity, a census mismatch, or
-non-coinciding complexes).  An internal error such as DecompositionError is
-a bug, not bad input, and propagates as a traceback."""
+non-coinciding complexes), 4 internal error.  An internal error, such as a
+DecompositionError or a chamber whose integer witness fails its check, is a
+bug, not bad input: its traceback goes to stderr and the exit code is 4."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+import traceback
 from math import comb
 from typing import Callable, Sequence
 
@@ -27,6 +29,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVALID = 2
 EXIT_VERIFY = 3
+EXIT_INTERNAL = 4
 
 
 class _UsageError(Exception):
@@ -276,6 +279,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"topecycles: error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except Exception:  # anything else is a bug in the package, never bad input
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Reference implementations that the tests compare the package against,
 kept out of the package: the decomposition by enumerating all 2^(2t) vertex
 subsets, the decomposition of all-plus by maximal positive parts, rank-2
-feasibility by the half-turn count of the distinct directions, primitive
-rows through Fraction arithmetic, (anti)parallel normals by 2x2 minors, the
+feasibility by the half-turn count of the distinct directions, strict
+feasibility in any dimension by Fourier-Motzkin elimination, primitive rows
+through Fraction arithmetic, (anti)parallel normals by 2x2 minors, the
 chamber count of a rank-3 arrangement by Zaslavsky's theorem, and the
 Dehn-Sommerville row recurrence summed row by row."""
 
@@ -87,6 +88,42 @@ def rank2_feasible(vectors: Sequence[Sequence]) -> bool:
             raise ValueError("zero vector in rank-2 feasibility test")
         dirs.add(d)
     return len(dirs) <= 1 or len(dirs) - 1 in ccw_half_turn_counts(list(dirs))
+
+
+def strict_feasible(vectors: Sequence[Sequence[int | Fraction]]) -> bool:
+    """Decide whether some x satisfies <a, x> > 0 for every row a.  To test a
+    sign vector sigma against normals a_e, pass the signed rows sigma_e * a_e.
+
+    Rows hold ints or Fractions and each becomes its primitive integer row on
+    entry, so all later arithmetic is on integers.  Exact Fourier-Motzkin
+    elimination on the homogeneous strict system: each round eliminates the
+    leading coordinate by combining opposite-sign rows with positive
+    multipliers (which preserves strictness), and an all-zero derived row
+    reads 0 > 0 and certifies infeasibility.  An emptied system is feasible;
+    the empty collection is vacuously feasible.
+    """
+    work: set[tuple[int, ...]] = set()
+    for v in vectors:
+        if len(v) != len(vectors[0]):
+            raise DimensionError("vectors of mixed dimension")
+        row = primitive_vector(v)
+        if not any(row):
+            return False
+        work.add(row)
+    while work:
+        zero, pos, neg = [], [], []
+        for row in work:
+            (zero if row[0] == 0 else pos if row[0] > 0 else neg).append(row)
+        nxt = {r[1:] for r in zero}
+        if pos and neg:
+            for p in pos:
+                for n in neg:
+                    comb = tuple(p[0] * n[k] - n[0] * p[k] for k in range(1, len(p)))
+                    if not any(comb):
+                        return False
+                    nxt.add(primitive_vector(comb))
+        work = nxt
+    return True
 
 
 def primitive_vector_by_fractions(row: Sequence) -> tuple[int, ...]:

@@ -1,10 +1,12 @@
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import topecycles.arrangements as arrangements
 from topecycles.arrangements import (
     ArrangementError,
     enumerate_topes,
@@ -14,7 +16,6 @@ from topecycles.arrangements import (
     moment_curve,
     primitive_vector,
     rank2_fan,
-    strict_feasible,
     totally_cyclic_fan,
     validate_simple,
 )
@@ -24,6 +25,7 @@ from topecycles.oracles import check_halfplane_condition
 from reference import (
     primitive_vector_by_fractions,
     rank2_feasible,
+    strict_feasible,
     validate_simple_by_minors,
     zaslavsky_rank3_chambers,
 )
@@ -168,10 +170,42 @@ def test_enumerate_topes_moment_curve_vs_exhaustive_scan():
     assert topes == scan
 
 
+simple_small = st.integers(1, 4).flatmap(
+    lambda d: st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=1, max_size=6)
+).filter(lambda rows: not validate_simple(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(simple_small)
+@example([(0, 0, 1)])
+@example([(1, 0, 0), (0, 0, 1)])
+@example([(3,)])
+def test_enumerate_topes_matches_fourier_motzkin_scan(rows):
+    # small entries make many restricted rows coincide up to sign, so the copy-a-sign path runs
+    scan = [s for s in product((1, -1), repeat=len(rows)) if strict_feasible(signed(rows, s))]
+    assert enumerate_topes(make_arrangement(rows)) == scan
+
+
+def test_enumerate_topes_generic_count_law():
+    # a generic arrangement of t hyperplanes in R^r has 2 * sum_{i<r} C(t-1, i) chambers
+    for t, r in ((9, 5), (12, 4), (10, 6), (8, 8)):
+        assert len(enumerate_topes(moment_curve(t, r))) == 2 * sum(comb(t - 1, i) for i in range(r)), (t, r)
+    assert len(enumerate_topes(totally_cyclic_fan(40))) == 80
+
+
+def test_enumerate_topes_witness_failure_is_an_internal_error(monkeypatch):
+    # a witness on a hyperplane certifies no chamber; that is a bug in the enumeration, not bad input
+    arr = rank2_fan(2)
+    monkeypatch.setattr(arrangements, "_chambers", lambda rows, dim: [((1, 1), (1, 0)), ((1, -1), (1, -1))])
+    with pytest.raises(RuntimeError) as excinfo:
+        enumerate_topes(arr)
+    assert not isinstance(excinfo.value, ValueError)
+
+
 @settings(max_examples=150, deadline=None)
 @given(simple_rank3)
 def test_enumerate_topes_count_matches_zaslavsky_rank3(rows):
-    # the only check of chamber enumeration above rank 2 that does not rest on strict_feasible
+    # a check of chamber enumeration above rank 2 that does not rest on Fourier-Motzkin
     assert len(enumerate_topes(make_arrangement(rows))) == zaslavsky_rank3_chambers(rows)
 
 

@@ -1,7 +1,5 @@
 import json
 
-import pytest
-
 from topecycles.cli import main
 
 
@@ -159,8 +157,8 @@ def test_invalid_inputs_exit_2(capsys, tmp_path):
     assert main(["decompose", "--tope", "+0+", "--cycle", "canonical"]) == 2
 
 
-def test_internal_error_propagates_instead_of_exit_2(monkeypatch):
-    # a broken decomposition is a bug, not invalid input, so main must not map it to exit 2
+def test_internal_error_propagates_instead_of_exit_2(monkeypatch, capsys):
+    # a broken decomposition is a bug, not invalid input: exit 4 with the traceback, never exit 2
     import topecycles.complexes as complexes
     from topecycles.cycles import canonical_hypercube_cycle
     from topecycles.decomposition import Decomposition, DecompositionError
@@ -168,8 +166,9 @@ def test_internal_error_propagates_instead_of_exit_2(monkeypatch):
     cycle = canonical_hypercube_cycle(3)
     members = (cycle.vertices[0], cycle.vertices[1])
     monkeypatch.setattr(complexes, "decompose", lambda T, c: Decomposition(tuple(T), c, (1, 1, 0), members))
-    with pytest.raises(DecompositionError):
-        main(["fvector", "--tope", "+++", "--cycle", "canonical"])
+    assert main(["fvector", "--tope", "+++", "--cycle", "canonical"]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err and DecompositionError.__name__ in err
 
 
 def test_malformed_json_exits_1(capsys, tmp_path):

@@ -12,7 +12,6 @@ from topecycles.arrangements import (
     enumerate_topes,
     hypercube_topes,
     rank2_fan,
-    strict_feasible,
     totally_cyclic_fan,
     validate_simple,
 )
@@ -25,6 +24,8 @@ from topecycles.oracles import (
     check_halfplane_condition,
     nu_counts,
 )
+
+from reference import strict_feasible
 
 SPREAD5 = [(1, 0), (0, 1), (-1, 1), (-1, -1), (1, -2)]
 
