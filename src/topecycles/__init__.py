@@ -22,6 +22,7 @@ from .arrangements import (
     validate_simple,
 )
 from .complexes import (
+    FaceComplex,
     delta_face_masks,
     lambda_face_masks,
     lambda_facets,

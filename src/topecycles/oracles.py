@@ -7,10 +7,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Iterable, Sequence
 
 from .arrangements import ccw_half_turn_counts, make_arrangement, primitive_vector
+from .complexes import _face_counts
 from .core import DimensionError, SignVector
 from .cycles import SymmetricCycle
 from .decomposition import decompose
@@ -41,14 +41,15 @@ def nu_counts(vectors: Sequence[Sequence]) -> tuple[int, ...]:
 
     A feasible subsystem has exactly one most clockwise member d, and its
     other j - 1 members are any of the k vectors inside d's open half-turn,
-    so nu_j sums comb(k, j - 1) over the half-turn counts k.  The vectors
-    must form a simple arrangement (see ``make_arrangement``).
+    so nu_j sums comb(k, j - 1) over the half-turn counts k: the sum the
+    delta f-vector takes over its k_j, which is why nu equals it.  The
+    vectors must form a simple arrangement (see ``make_arrangement``).
     """
     arr = make_arrangement(vectors)
     if arr.dim != 2:
         raise ValueError("subsystem counts are defined for rank-2 (dim 2) systems")
     counts = ccw_half_turn_counts(arr.rows)
-    nu = (1,) + tuple(sum(comb(k, j - 1) for k in counts) for j in range(1, arr.t + 1))
+    nu = _face_counts(counts, arr.t)
     if nu[-1]:
         raise FullSystemFeasibleError("the full system is feasible; counts apply to infeasible systems")
     return nu

@@ -4,8 +4,9 @@ subsets, the decomposition of all-plus by maximal positive parts, rank-2
 feasibility by the half-turn count of the distinct directions, strict
 feasibility in any dimension by Fourier-Motzkin elimination, primitive rows
 through Fraction arithmetic, (anti)parallel normals by 2x2 minors, the
-chamber count of a rank-3 arrangement by Zaslavsky's theorem, and the
-Dehn-Sommerville row recurrence summed row by row."""
+chamber count of a rank-3 arrangement by Zaslavsky's theorem, the
+Dehn-Sommerville row recurrence summed row by row, and long f-vectors by
+counting listed faces."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from topecycles.arrangements import ccw_half_turn_counts, primitive_vector
 from topecycles.core import DimensionError, SignVector, Violation, check_sign_vector, sign_vector_str
@@ -184,3 +185,11 @@ def check_recurrence(f: Sequence[int]) -> dict[int, bool]:
         rhs = -sum((-1) ** i * comb(t - i, j - i) * (comb(t, i) - f[i]) for i in range(3, j + 1))
         out[j] = lhs == rhs
     return out
+
+
+def count_faces_by_size(face_masks: Iterable[int], t: int) -> tuple[int, ...]:
+    """Face counts by cardinality, f_0..f_t, over a listed family of face bitmasks."""
+    f = [0] * (t + 1)
+    for m in face_masks:
+        f[m.bit_count()] += 1
+    return tuple(f)

@@ -171,6 +171,20 @@ def test_internal_error_propagates_instead_of_exit_2(monkeypatch, capsys):
     assert "Traceback" in err and DecompositionError.__name__ in err
 
 
+def test_fvector_both_mismatch_is_internal_error(monkeypatch, capsys):
+    # Lambda facets that form an antichain other than Delta's facets are a bug: exit 4, not exit 3
+    import topecycles.complexes as complexes
+    from topecycles.cycles import canonical_hypercube_cycle
+    from topecycles.decomposition import Decomposition, DecompositionError
+
+    cycle = canonical_hypercube_cycle(5)
+    members = complexes.decompose((1, -1, 1, -1, 1), cycle).members[:3]
+    monkeypatch.setattr(complexes, "decompose", lambda T, c: Decomposition(tuple(T), c, (0,) * c.t, members))
+    assert main(["fvector", "--tope", "+-+-+", "--cycle", "canonical", "--method", "both"]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err and DecompositionError.__name__ in err
+
+
 def test_malformed_json_exits_1(capsys, tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,19 +7,22 @@ from hypothesis import strategies as st
 from topecycles.arrangements import (
     enumerate_topes,
     hypercube_topes,
+    moment_curve,
     rank2_fan,
     totally_cyclic_fan,
 )
 from topecycles.complexes import (
+    FaceComplex,
     delta_face_masks,
     lambda_face_masks,
     lambda_facets,
     long_f_vector,
 )
-from topecycles.core import all_plus, negate, parse_sign_vector
+from topecycles.core import DimensionError, all_plus, negate, parse_sign_vector
 from topecycles.cycles import canonical_hypercube_cycle, find_symmetric_cycle
+from topecycles.decomposition import Decomposition, DecompositionError
 
-from reference import rank2_feasible
+from reference import count_faces_by_size, rank2_feasible
 
 T5 = parse_sign_vector("+-+-+")
 C5 = canonical_hypercube_cycle(5)
@@ -82,21 +87,43 @@ def test_lambda_delta_coincide_on_fan_cycle():
         assert lambda_face_masks(tope, cycle) == delta_face_masks(tope, cycle)
 
 
-def test_long_f_vector_full_simplex():
-    assert long_f_vector(range(32), 5) == (1, 5, 10, 10, 5, 1)
+def test_count_faces_by_size_full_simplex():
+    assert count_faces_by_size(range(32), 5) == (1, 5, 10, 10, 5, 1)
 
 
 def test_long_f_vector_t5_fixture():
     assert long_f_vector(lambda_face_masks(T5, C5), 5) == (1, 5, 10, 5, 0, 0)
 
 
-def test_long_f_vector_trivial_family():
-    assert long_f_vector({0}, 5) == (1, 0, 0, 0, 0, 0)
+def test_count_faces_by_size_trivial_family():
+    assert count_faces_by_size({0}, 5) == (1, 0, 0, 0, 0, 0)
 
 
 def test_long_f_vector_of_lambda_and_delta_masks():
     assert long_f_vector(lambda_face_masks(T5, C5), 5) == (1, 5, 10, 5, 0, 0)
     assert long_f_vector(delta_face_masks(T5, C5), 5) == (1, 5, 10, 5, 0, 0)
+
+
+def test_long_f_vector_rejects_another_ground_set():
+    with pytest.raises(DimensionError):
+        long_f_vector(delta_face_masks(T5, C5), 6)
+
+
+def test_face_complex_equality():
+    # complexes compare by ground set and facets, and against a plain set by faces
+    delta = delta_face_masks(T5, C5)
+    assert delta == lambda_face_masks(T5, C5) == set(delta)
+    assert delta != set(delta) - {0}
+    assert delta - {0} == set(delta) - {0}
+    assert delta != FaceComplex(6, delta.facets, delta.f_vector + (0,))
+
+
+def test_masks_outside_the_ground_set_are_not_faces():
+    full = delta_face_masks(C5.vertices[0], C5)
+    assert mask(1, 2, 3, 4, 5) in full
+    for m in (1 << 5, mask(1, 6), (1 << 5) - 1 + (1 << 40), -1, -mask(1)):
+        assert m not in full
+    assert "x" not in full
 
 
 def test_boundary_rows_when_decomposition_is_large():
@@ -126,7 +153,6 @@ def test_geometric_acyclicity_cross_check():
 def test_broken_decomposition_raises_not_asserts(monkeypatch):
     # members whose agreement masks are nested cannot come from a genuine decomposition
     import topecycles.complexes as complexes
-    from topecycles.decomposition import Decomposition, DecompositionError
 
     cycle = canonical_hypercube_cycle(3)
     tope = (1, 1, 1)
@@ -134,6 +160,17 @@ def test_broken_decomposition_raises_not_asserts(monkeypatch):
     monkeypatch.setattr(complexes, "decompose", lambda T, c: Decomposition(tuple(T), c, (1, 1, 0), members))
     with pytest.raises(DecompositionError):
         lambda_facets(tope, cycle)
+
+
+def test_lambda_facets_other_than_delta_facets_raise(monkeypatch):
+    # three of the five members: their agreement masks are an antichain, but not Delta's facets
+    import topecycles.complexes as complexes
+
+    members = complexes.decompose(T5, C5).members[:3]
+    monkeypatch.setattr(complexes, "decompose", lambda T, c: Decomposition(tuple(T), c, (0,) * c.t, members))
+    assert len(lambda_facets(T5, C5)) == 3
+    with pytest.raises(DecompositionError):
+        lambda_face_masks(T5, C5)
 
 
 @st.composite
@@ -144,13 +181,30 @@ def hypercube_topes_and_cycles(draw):
     return tope, cycle
 
 
-@settings(max_examples=80, deadline=None)
-@given(hypercube_topes_and_cycles())
+@functools.cache
+def moment_curve_topes(t, r):
+    return enumerate_topes(moment_curve(t, r))
+
+
+@st.composite
+def moment_curve_topes_and_cycles(draw):
+    topes = moment_curve_topes(*draw(st.sampled_from(((6, 3), (7, 4), (6, 5)))))
+    cycle = find_symmetric_cycle(topes, seed=draw(st.integers(0, 10**6)))
+    return draw(st.sampled_from(topes)), cycle
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(hypercube_topes_and_cycles(), moment_curve_topes_and_cycles()))
 def test_closures_match_full_scan_oracle(case):
-    # the 2^t scans below are the definitions the submask walk must reproduce
+    # the 2^t scans below are the definitions the closed forms must reproduce
     tope, cycle = case
     t = cycle.t
     facets = lambda_facets(tope, cycle)
-    assert lambda_face_masks(tope, cycle) == {a for a in range(1 << t) if any(a & ~f == 0 for f in facets)}
     agreements = [sum(1 << i for i in range(t) if tope[i] == q[i]) for q in cycle.vertices]
-    assert delta_face_masks(tope, cycle) == {a for a in range(1 << t) if any(a & ~g == 0 for g in agreements)}
+    for complex_, generators in ((lambda_face_masks(tope, cycle), facets), (delta_face_masks(tope, cycle), agreements)):
+        scan = {a for a in range(1 << t) if any(a & ~g == 0 for g in generators)}
+        assert complex_ == scan
+        assert long_f_vector(complex_, t) == count_faces_by_size(scan, t)
+        assert len(complex_) == len(scan)
+        assert [m in complex_ for m in range(1 << t)] == [m in scan for m in range(1 << t)]
+        assert set(complex_) == scan
