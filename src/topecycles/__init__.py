@@ -25,7 +25,6 @@ from .complexes import (
     FaceComplex,
     delta_face_masks,
     lambda_face_masks,
-    lambda_facets,
     long_f_vector,
 )
 from .core import (

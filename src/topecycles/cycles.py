@@ -184,29 +184,35 @@ def find_symmetric_cycle(
     else:
         starts = sorted(members, reverse=True)  # lexicographic with '+' before '-'
     for w0 in starts:
-        path = [w0]
-        if _extend_path(path, set(), order, members, t):
-            half = path[:t]
+        half = _half_cycle(w0, order, members, t)
+        if half is not None:
             return SymmetricCycle(t, tuple(half + [negate(v) for v in half]))
     return None
 
 
-def _extend_path(path: list[SignVector], used: set[int], order: list[int], members: set[SignVector], t: int) -> bool:
-    if len(used) == t:
-        return True
-    cur = path[-1]
-    for e in order:
-        if e in used:
-            continue
-        nxt = flip(cur, e)
-        if nxt in members:
-            path.append(nxt)
-            used.add(e)
-            if _extend_path(path, used, order, members, t):
-                return True
+def _half_cycle(w0: SignVector, order: list[int], members: set[SignVector], t: int) -> list[SignVector] | None:
+    """R^0..R^(t-1) of the first path from w0 that flips every element once
+    inside the member set, trying elements in ``order`` at each step, or None.
+
+    The depth-first search keeps an explicit stack of the elements still to
+    try at each step, so its depth t is not bounded by the recursion limit."""
+    path = [w0]
+    flipped: dict[int, None] = {}  # insertion-ordered, so popitem() undoes the last step
+    untried = [iter(order)]
+    while len(flipped) < t:
+        for e in untried[-1]:
+            if e not in flipped and (nxt := flip(path[-1], e)) in members:
+                path.append(nxt)
+                flipped[e] = None
+                untried.append(iter(order))
+                break
+        else:
+            untried.pop()
+            if not flipped:
+                return None
             path.pop()
-            used.remove(e)
-    return False
+            flipped.popitem()
+    return path[:t]
 
 
 def normalize_cycle(cycle: SymmetricCycle) -> SymmetricCycle:

@@ -39,12 +39,19 @@ def decompose(tope: Sequence[int], cycle: SymmetricCycle) -> Decomposition:
     Each lies in {-1, 0, 1}, and the nonzero ones (the members) are odd in
     number.
     """
+    T, x = _flip_order_signs(tope, cycle)
+    coeffs = ((x[0] + x[-1]) // 2,) + tuple((b - a) // 2 for a, b in zip(x, x[1:]))
+    idx = sorted(i if c > 0 else i + cycle.t for i, c in enumerate(coeffs) if c)
+    return Decomposition(T, cycle, coeffs, tuple(cycle.vertices[i] for i in idx))
+
+
+def _flip_order_signs(tope: Sequence[int], cycle: SymmetricCycle) -> tuple[SignVector, list[int]]:
+    """The tope as a tuple, and x_j = T(e_j) * R^0(e_j) in the cycle's flip
+    order e_1..e_t.  Raises ValueError if the tope is not a sign vector and
+    DimensionError if its length is not the cycle's t."""
     T = tuple(tope)
     check_sign_vector(T)
     if len(T) != cycle.t:
         raise DimensionError(f"tope length {len(T)} does not match cycle ground set t={cycle.t}")
     r0 = cycle.vertices[0]
-    x = [T[e - 1] * r0[e - 1] for e in cycle.flips]
-    coeffs = ((x[0] + x[-1]) // 2,) + tuple((b - a) // 2 for a, b in zip(x, x[1:]))
-    idx = sorted(i if c > 0 else i + cycle.t for i, c in enumerate(coeffs) if c)
-    return Decomposition(T, cycle, coeffs, tuple(cycle.vertices[i] for i in idx))
+    return T, [T[e - 1] * r0[e - 1] for e in cycle.flips]

@@ -47,18 +47,17 @@ def ds_polynomial_sides(f: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, .
         sum_{j=3..t} (C(t,j) - f_j) (x-1)^(t-j)
             ==  - sum_{j=3..t} (-1)^j (C(t,j) - f_j) x^(t-j).
 
-    Both sides have degree at most t-3, hence t-2 coefficients.
+    Both sides have degree at most t-3, hence t-2 coefficients.  The left
+    side is built by Horner steps, lhs <- lhs * (x-1) + d_j for j = 3..t.
     """
     t = _t_of(f)
-    width = max(t - 2, 0)
-    lhs = [0] * width
-    rhs = [0] * width
+    lhs: list[int] = []
+    rhs = [0] * max(t - 2, 0)
     for j in range(3, t + 1):
         d = comb(t, j) - f[j]
-        n = t - j
-        for i in range(n + 1):
-            lhs[i] += d * comb(n, i) * (-1) ** (n - i)
-        rhs[n] -= d * (-1) ** j
+        lhs = [xl - l for xl, l in zip([0] + lhs, lhs + [0])]  # x * lhs - lhs
+        lhs[0] += d
+        rhs[t - j] -= d * (-1) ** j
     return tuple(lhs), tuple(rhs)
 
 

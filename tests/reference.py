@@ -5,12 +5,15 @@ feasibility by the half-turn count of the distinct directions, strict
 feasibility in any dimension by Fourier-Motzkin elimination, primitive rows
 through Fraction arithmetic, (anti)parallel normals by 2x2 minors, the
 chamber count of a rank-3 arrangement by Zaslavsky's theorem, the
-Dehn-Sommerville row recurrence summed row by row, and long f-vectors by
-counting listed faces."""
+Dehn-Sommerville row recurrence summed row by row, the left side of the
+Dehn-Sommerville polynomial identity expanded by binomials, long f-vectors
+by counting listed faces, the faces of a complex listed from its facets, and
+the depth-first search for a symmetric cycle by recursion."""
 
 from __future__ import annotations
 
 import math
+import random
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
@@ -19,7 +22,15 @@ from math import comb
 from typing import Iterable, Sequence
 
 from topecycles.arrangements import ccw_half_turn_counts, primitive_vector
-from topecycles.core import DimensionError, SignVector, Violation, check_sign_vector, sign_vector_str
+from topecycles.core import (
+    DimensionError,
+    SignVector,
+    Violation,
+    check_sign_vector,
+    flip,
+    negate,
+    sign_vector_str,
+)
 from topecycles.cycles import SymmetricCycle
 
 
@@ -187,9 +198,78 @@ def check_recurrence(f: Sequence[int]) -> dict[int, bool]:
     return out
 
 
+def ds_polynomial_sides_by_binomials(f: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Degree-ascending coefficients of both sides of the polynomial identity
+
+        sum_{j=3..t} (C(t,j) - f_j) (x-1)^(t-j)
+            ==  - sum_{j=3..t} (-1)^j (C(t,j) - f_j) x^(t-j),
+
+    each power of (x-1) expanded by the binomial theorem."""
+    t = len(f) - 1
+    width = max(t - 2, 0)
+    lhs = [0] * width
+    rhs = [0] * width
+    for j in range(3, t + 1):
+        d = comb(t, j) - f[j]
+        n = t - j
+        for i in range(n + 1):
+            lhs[i] += d * comb(n, i) * (-1) ** (n - i)
+        rhs[n] -= d * (-1) ** j
+    return tuple(lhs), tuple(rhs)
+
+
 def count_faces_by_size(face_masks: Iterable[int], t: int) -> tuple[int, ...]:
     """Face counts by cardinality, f_0..f_t, over a listed family of face bitmasks."""
     f = [0] * (t + 1)
     for m in face_masks:
         f[m.bit_count()] += 1
     return tuple(f)
+
+
+def downward_closure(facets: Iterable[int]) -> set[int]:
+    """Every submask of every facet, the empty face included; (s - 1) & f is
+    the next smaller submask of f after s."""
+    out = {0}
+    for f in facets:
+        s = f
+        while s:
+            out.add(s)
+            s = (s - 1) & f
+    return out
+
+
+def find_symmetric_cycle_recursively(
+    topes: Iterable[Sequence[int]], start: Sequence[int] | None = None, seed: int = 0
+) -> SymmetricCycle | None:
+    """The depth-first search for a symmetric cycle with one recursive call
+    per step, trying elements in the seed's shuffled order; its depth is
+    bounded by the recursion limit.  Takes a negation-closed tope set."""
+    members = {tuple(v) for v in topes}
+    t = len(next(iter(members)))
+    order = list(range(1, t + 1))
+    random.Random(seed).shuffle(order)
+    starts = [tuple(start)] if start is not None else sorted(members, reverse=True)
+    for w0 in starts:
+        path = [w0]
+        if _extend_path(path, set(), order, members, t):
+            half = path[:t]
+            return SymmetricCycle(t, tuple(half + [negate(v) for v in half]))
+    return None
+
+
+def _extend_path(path: list[SignVector], used: set[int], order: list[int], members: set[SignVector], t: int) -> bool:
+    if len(used) == t:
+        return True
+    cur = path[-1]
+    for e in order:
+        if e in used:
+            continue
+        nxt = flip(cur, e)
+        if nxt in members:
+            path.append(nxt)
+            used.add(e)
+            if _extend_path(path, used, order, members, t):
+                return True
+            path.pop()
+            used.remove(e)
+    return False

@@ -15,14 +15,13 @@ from topecycles.complexes import (
     FaceComplex,
     delta_face_masks,
     lambda_face_masks,
-    lambda_facets,
     long_f_vector,
 )
 from topecycles.core import DimensionError, all_plus, negate, parse_sign_vector
 from topecycles.cycles import canonical_hypercube_cycle, find_symmetric_cycle
-from topecycles.decomposition import Decomposition, DecompositionError
+from topecycles.decomposition import Decomposition, DecompositionError, decompose
 
-from reference import count_faces_by_size, rank2_feasible
+from reference import count_faces_by_size, downward_closure, rank2_feasible
 
 T5 = parse_sign_vector("+-+-+")
 C5 = canonical_hypercube_cycle(5)
@@ -33,9 +32,14 @@ def mask(*elements):
     return sum(1 << (e - 1) for e in set(elements))
 
 
+def agreement_mask(tope, q):
+    """E_t - S(T,Q): the elements on which the tope and the vertex agree."""
+    return sum(1 << i for i, (a, b) in enumerate(zip(tope, q)) if a == b)
+
+
 def test_lambda_facets_t5_fixture():
-    facets = lambda_facets(T5, C5)
-    assert facets == sorted(facets)
+    facets = lambda_face_masks(T5, C5).facets
+    assert facets == tuple(sorted(facets))
     assert set(facets) == {
         mask(1, 3, 5),
         mask(2, 3, 5),
@@ -46,14 +50,14 @@ def test_lambda_facets_t5_fixture():
 
 
 def test_lambda_facets_vertex_tope_is_full_simplex():
-    assert lambda_facets(C5.vertices[0], C5) == [mask(1, 2, 3, 4, 5)]
+    assert lambda_face_masks(C5.vertices[0], C5).facets == (mask(1, 2, 3, 4, 5),)
 
 
 def test_lambda_negation_invariance():
-    assert lambda_facets(negate(T5), C5) == lambda_facets(T5, C5)
+    assert lambda_face_masks(negate(T5), C5).facets == lambda_face_masks(T5, C5).facets
     for tope in hypercube_topes(4):
         c4 = canonical_hypercube_cycle(4)
-        assert lambda_facets(negate(tope), c4) == lambda_facets(tope, c4)
+        assert lambda_face_masks(negate(tope), c4).facets == lambda_face_masks(tope, c4).facets
 
 
 def test_delta_faces_examples():
@@ -64,12 +68,16 @@ def test_delta_faces_examples():
 
 
 def test_delta_faces_vertex_tope_is_power_set():
-    assert delta_face_masks(C5.vertices[2], C5) == set(range(2**5))
+    full = delta_face_masks(C5.vertices[2], C5)
+    assert downward_closure(full.facets) == set(range(2**5))
+    assert len(full) == 2**5
 
 
 def test_delta_faces_downward_closed():
     faces = delta_face_masks(T5, C5)
-    for face in faces:
+    closure = downward_closure(faces.facets)
+    assert closure == {m for m in range(2**5) if m in faces}
+    for face in closure:
         for e in range(1, 6):
             if face & mask(e):
                 assert face & ~mask(e) in faces
@@ -110,11 +118,12 @@ def test_long_f_vector_rejects_another_ground_set():
 
 
 def test_face_complex_equality():
-    # complexes compare by ground set and facets, and against a plain set by faces
+    # complexes are values: equal when t, facets and f-vector are, and never equal to a set of faces
     delta = delta_face_masks(T5, C5)
-    assert delta == lambda_face_masks(T5, C5) == set(delta)
-    assert delta != set(delta) - {0}
-    assert delta - {0} == set(delta) - {0}
+    assert delta == lambda_face_masks(T5, C5) == FaceComplex(5, delta.facets, delta.f_vector)
+    assert downward_closure(delta.facets) == {m for m in range(2**5) if m in delta}
+    assert delta != downward_closure(delta.facets)
+    assert delta != delta_face_masks(parse_sign_vector("--+-+"), C5)
     assert delta != FaceComplex(6, delta.facets, delta.f_vector + (0,))
 
 
@@ -159,16 +168,19 @@ def test_broken_decomposition_raises_not_asserts(monkeypatch):
     members = (cycle.vertices[0], cycle.vertices[1])
     monkeypatch.setattr(complexes, "decompose", lambda T, c: Decomposition(tuple(T), c, (1, 1, 0), members))
     with pytest.raises(DecompositionError):
-        lambda_facets(tope, cycle)
+        lambda_face_masks(tope, cycle)
 
 
 def test_lambda_facets_other_than_delta_facets_raise(monkeypatch):
     # three of the five members: their agreement masks are an antichain, but not Delta's facets
     import topecycles.complexes as complexes
 
-    members = complexes.decompose(T5, C5).members[:3]
-    monkeypatch.setattr(complexes, "decompose", lambda T, c: Decomposition(tuple(T), c, (0,) * c.t, members))
-    assert len(lambda_facets(T5, C5)) == 3
+    coeffs = list(decompose(T5, C5).coeffs)
+    kept = [i for i, c in enumerate(coeffs) if c][:3]
+    coeffs = tuple(c if i in kept else 0 for i, c in enumerate(coeffs))
+    members = tuple(C5.vertices[i if coeffs[i] > 0 else i + 5] for i in kept)
+    assert sorted(agreement_mask(T5, q) for q in members) != list(delta_face_masks(T5, C5).facets)
+    monkeypatch.setattr(complexes, "decompose", lambda T, c: Decomposition(tuple(T), c, coeffs, members))
     with pytest.raises(DecompositionError):
         lambda_face_masks(T5, C5)
 
@@ -199,12 +211,15 @@ def test_closures_match_full_scan_oracle(case):
     # the 2^t scans below are the definitions the closed forms must reproduce
     tope, cycle = case
     t = cycle.t
-    facets = lambda_facets(tope, cycle)
-    agreements = [sum(1 << i for i in range(t) if tope[i] == q[i]) for q in cycle.vertices]
-    for complex_, generators in ((lambda_face_masks(tope, cycle), facets), (delta_face_masks(tope, cycle), agreements)):
+    lam = lambda_face_masks(tope, cycle)
+    delta = delta_face_masks(tope, cycle)
+    # Lambda's facets by the definition E_t - S(T,Q) over the members Q; Delta's facets are an antichain
+    assert lam.facets == tuple(sorted(agreement_mask(tope, q) for q in decompose(tope, cycle).members))
+    assert not any(a != b and a & b == a for a in delta.facets for b in delta.facets)
+    agreements = [agreement_mask(tope, q) for q in cycle.vertices]
+    for complex_, generators in ((lam, lam.facets), (delta, agreements)):
         scan = {a for a in range(1 << t) if any(a & ~g == 0 for g in generators)}
-        assert complex_ == scan
+        assert downward_closure(complex_.facets) == scan
         assert long_f_vector(complex_, t) == count_faces_by_size(scan, t)
         assert len(complex_) == len(scan)
         assert [m in complex_ for m in range(1 << t)] == [m in scan for m in range(1 << t)]
-        assert set(complex_) == scan

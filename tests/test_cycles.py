@@ -1,7 +1,11 @@
-import pytest
+import sys
 
-from topecycles.arrangements import enumerate_topes, hypercube_topes, rank2_fan
-from topecycles.core import DimensionError, all_plus, parse_sign_vector, sign_vector_str
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from topecycles.arrangements import enumerate_topes, hypercube_topes, moment_curve, rank2_fan
+from topecycles.core import DimensionError, all_plus, negate, parse_sign_vector, sign_vector_str
 from topecycles.cycles import (
     CycleError,
     SymmetricCycle,
@@ -13,7 +17,7 @@ from topecycles.cycles import (
 )
 from topecycles.decomposition import decompose
 
-from reference import maxpos_vertices
+from reference import find_symmetric_cycle_recursively, maxpos_vertices
 
 
 def strs(vertices):
@@ -169,6 +173,46 @@ def test_find_is_deterministic_per_seed():
     a = find_symmetric_cycle(topes, seed=3)
     b = find_symmetric_cycle(topes, seed=3)
     assert a == b
+
+
+def _stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_find_searches_deeper_than_the_recursion_limit():
+    # the search takes t = 200 steps with 50 frames to spare: a recursive search overflows
+    vertices = canonical_hypercube_cycle(200).vertices
+    expected = find_symmetric_cycle_recursively(vertices, start=vertices[0])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 50)
+    try:
+        cycle = find_symmetric_cycle(vertices, start=vertices[0])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert cycle == expected
+    assert set(cycle.vertices) == set(vertices)
+
+
+@st.composite
+def negation_closed_pools(draw):
+    # half of a hypercube's topes, each kept with its negation, or all topes of a moment curve
+    if draw(st.booleans()):
+        t = draw(st.integers(2, 7))
+        half = [v for v in hypercube_topes(t) if v[0] == 1]
+        kept = draw(st.lists(st.sampled_from(half), min_size=1, unique=True))
+        return kept + [negate(v) for v in kept]
+    return enumerate_topes(moment_curve(*draw(st.sampled_from(((5, 3), (6, 3), (6, 4))))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(negation_closed_pools(), st.integers(0, 10**6), st.data())
+def test_find_visits_in_the_recursive_search_order(pool, seed, data):
+    # the same cycle, or the same None, as the recursive search: cycle find's output depends on it
+    start = data.draw(st.one_of(st.none(), st.sampled_from(pool)))
+    assert find_symmetric_cycle(pool, start=start, seed=seed) == find_symmetric_cycle_recursively(pool, start, seed)
 
 
 def test_every_element_flipped_twice_around_cycle():

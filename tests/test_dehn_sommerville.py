@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from topecycles.dehn_sommerville import (
@@ -9,7 +9,7 @@ from topecycles.dehn_sommerville import (
     special_cases,
 )
 
-from reference import check_recurrence
+from reference import check_recurrence, ds_polynomial_sides_by_binomials
 
 F5 = (1, 5, 10, 5, 0, 0)
 F6 = (1, 6, 15, 12, 3, 0, 0)
@@ -67,6 +67,16 @@ def test_coefficient_expansion_agrees_with_pointwise_evaluation():
             direct_rhs = -sum((-1) ** j * (comb(t, j) - f[j]) * x ** (t - j) for j in range(3, t + 1))
             assert poly_eval(lhs, x) == direct_lhs
             assert poly_eval(rhs, x) == direct_rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda t: st.lists(st.integers(-(10**12), 10**12), min_size=t + 1, max_size=t + 1)))
+@example([1, 1])
+@example([1, 2, 1])
+@example([1, 3, 3, 5])
+@example([1, 3, 3, 1])
+def test_horner_sides_match_binomial_expansion(f):
+    assert ds_polynomial_sides(f) == ds_polynomial_sides_by_binomials(f)
 
 
 def test_recurrence_t5_j3():
