@@ -12,7 +12,6 @@ from .arrangements import (
     ArrangementError,
     ccw_half_turn_counts,
     enumerate_topes,
-    generate,
     hypercube_topes,
     make_arrangement,
     moment_curve,

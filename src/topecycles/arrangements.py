@@ -218,17 +218,3 @@ def totally_cyclic_fan(t: int) -> Arrangement:
         )
     return arr
 
-
-def generate(kind: str, t: int, r: int | None = None) -> Arrangement | list[SignVector]:
-    """Instance factory; 'hypercube' yields a tope list, everything else an Arrangement."""
-    if kind == "hypercube":
-        return hypercube_topes(t)
-    if kind == "rank2_fan":
-        return rank2_fan(t)
-    if kind == "moment_curve":
-        if r is None:
-            raise ValueError("moment_curve requires r")
-        return moment_curve(t, r)
-    if kind == "totally_cyclic_fan":
-        return totally_cyclic_fan(t)
-    raise ValueError(f"unknown instance kind {kind!r}")

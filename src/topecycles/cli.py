@@ -1,11 +1,12 @@
 """Composable subcommands over JSON documents: generation, enumeration, cycles, decompositions, f-vectors, verification.
 
-Exit codes: 0 success, 1 usage or I/O error, 2 input validation failure,
-3 verification failure (a violated identity or a census mismatch), 4 internal
-error.  An internal error, such as a DecompositionError (among them Lambda
-and Delta complexes that do not coincide) or a chamber whose integer witness
-fails its check, is a bug, not bad input: its traceback goes to stderr and
-the exit code is 4."""
+Exit codes: 0 success, 1 usage or I/O error (an argument the command cannot
+use is a usage error), 2 input validation failure, 3 verification failure (a
+violated identity, or a census of the whole hypercube whose histogram is not
+2*C(t,j)), 4 internal error.  An internal error, such as a DecompositionError
+(among them Lambda and Delta complexes that do not coincide) or a chamber
+whose integer witness fails its check, is a bug, not bad input: its
+traceback goes to stderr and the exit code is 4."""
 
 from __future__ import annotations
 
@@ -18,8 +19,8 @@ from math import comb
 from typing import Callable, Sequence
 
 from . import io
-from .arrangements import enumerate_topes, generate
-from .complexes import delta_face_masks, lambda_face_masks, long_f_vector
+from .arrangements import enumerate_topes, hypercube_topes, moment_curve, rank2_fan, totally_cyclic_fan
+from .complexes import lambda_face_masks
 from .core import parse_sign_vector
 from .cycles import canonical_hypercube_cycle, find_symmetric_cycle, validate_cycle
 from .decomposition import decompose
@@ -31,6 +32,8 @@ EXIT_USAGE = 1
 EXIT_INVALID = 2
 EXIT_VERIFY = 3
 EXIT_INTERNAL = 4
+
+_ARRANGEMENTS = {"rank2_fan": rank2_fan, "moment_curve": moment_curve, "totally_cyclic_fan": totally_cyclic_fan}
 
 
 class _UsageError(Exception):
@@ -48,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("gen", help="generate an instance (arrangement or tope set)")
-    p.add_argument("kind", choices=["hypercube", "rank2_fan", "moment_curve", "totally_cyclic_fan"])
+    p.add_argument("kind", choices=["hypercube", *_ARRANGEMENTS])
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--r", type=int, help="ambient dimension (moment_curve only)")
     _output_options(p)
@@ -89,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fvector", help="long f-vector of the complex attached to a tope")
     p.add_argument("--tope", required=True)
     p.add_argument("--cycle", required=True, metavar="FILE|canonical")
-    p.add_argument("--method", choices=["lambda", "delta", "both"], default="lambda")
     _output_options(p, tsv=True)
     p.set_defaults(func=_cmd_fvector)
 
@@ -103,7 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="decomposition-size histogram over a tope set")
     p.add_argument("--topes", required=True, metavar="FILE")
     p.add_argument("--cycle", required=True, metavar="FILE|canonical")
-    p.add_argument("--expect-hypercube", action="store_true", help="compare against 2*C(t,j) and fail on mismatch")
     p.add_argument("--list-topes", action="store_true", help="include the topes of each size class")
     _output_options(p, tsv=True)
     p.set_defaults(func=_cmd_census)
@@ -134,20 +135,20 @@ def _write(args, doc: dict, tsv_render: Callable[[dict], str] | None = None) -> 
         sys.stdout.write(text)
 
 
-def _load_cycle_arg(spec: str, t_hint: int | None):
+def _load_cycle_arg(spec: str, t: int):
     if spec == "canonical":
-        if t_hint is None:
-            raise ValueError("--cycle canonical needs the ground-set size from context")
-        return canonical_hypercube_cycle(t_hint)
+        return canonical_hypercube_cycle(t)
     return io.cycle_from_doc(io.load_doc(spec))
 
 
 def _cmd_gen(args) -> int:
-    instance = generate(args.kind, args.t, args.r)
-    if isinstance(instance, list):
-        doc = io.tope_set_to_doc(args.t, instance)
+    if (args.r is None) == (args.kind == "moment_curve"):
+        raise _UsageError("--r is required by moment_curve and accepted by no other kind")
+    if args.kind == "hypercube":
+        doc = io.tope_set_to_doc(args.t, hypercube_topes(args.t))
     else:
-        doc = io.arrangement_to_doc(instance)
+        params = (args.t,) if args.r is None else (args.t, args.r)
+        doc = io.arrangement_to_doc(_ARRANGEMENTS[args.kind](*params))
     _write(args, doc)
     return EXIT_OK
 
@@ -197,30 +198,25 @@ def _cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def _cmd_fvector(args) -> int:
+def _tope_f_vector(args) -> tuple[int, tuple[int, ...]]:
+    """t and the long f-vector of --tope over --cycle; a Lambda/Delta mismatch raises DecompositionError (exit 4)."""
     tope = parse_sign_vector(args.tope)
     cycle = _load_cycle_arg(args.cycle, len(tope))
-    if args.method == "delta":
-        f = long_f_vector(delta_face_masks(tope, cycle), cycle.t)
-        doc = io.fvector_to_doc(cycle.t, f, method="delta")
-    else:
-        # lambda_face_masks checks Lambda = Delta and raises DecompositionError (exit 4) otherwise
-        f = long_f_vector(lambda_face_masks(tope, cycle), cycle.t)
-        extra = {"coincide": True} if args.method == "both" else {}
-        doc = io.fvector_to_doc(cycle.t, f, method=args.method, **extra)
-    _write(args, doc, functools.partial(_vector_tsv, "f"))
+    return cycle.t, lambda_face_masks(tope, cycle).f_vector
+
+
+def _cmd_fvector(args) -> int:
+    _write(args, io.fvector_to_doc(*_tope_f_vector(args)), functools.partial(_vector_tsv, "f"))
     return EXIT_OK
 
 
 def _cmd_verify_ds(args) -> int:
-    if args.fvector:
+    if args.fvector and not (args.tope or args.cycle):
         _, f = io.fvector_from_doc(io.load_doc(args.fvector))
-    elif args.tope and args.cycle:
-        tope = parse_sign_vector(args.tope)
-        cycle = _load_cycle_arg(args.cycle, len(tope))
-        f = long_f_vector(lambda_face_masks(tope, cycle), cycle.t)
+    elif args.tope and args.cycle and not args.fvector:
+        _, f = _tope_f_vector(args)
     else:
-        raise _UsageError("verify-ds needs --fvector or both --tope and --cycle")
+        raise _UsageError("verify-ds needs either --fvector or both --tope and --cycle")
     report = check_ds(f)
     _write(args, io.ds_report_to_doc(report))
     return EXIT_OK if report.passes else EXIT_VERIFY
@@ -231,7 +227,8 @@ def _cmd_census(args) -> int:
     cycle = _load_cycle_arg(args.cycle, t)
     result = census(topes, cycle, list_topes=args.list_topes)
     expected = match = None
-    if args.expect_hypercube:
+    # census counts distinct topes of length t, so 2^t of them are the whole hypercube
+    if sum(result.histogram.values()) == 2**t:
         expected = {j: 2 * comb(t, j) for j in range(1, t + 1, 2)}
         match = result.histogram == expected
     _write(args, io.census_to_doc(result, expected, match), _census_tsv)

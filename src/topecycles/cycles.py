@@ -68,7 +68,12 @@ def validate_cycle(vertices: Iterable[Sequence[int]], tope_set: Iterable[Sequenc
     verts = [tuple(v) for v in vertices]
     out, _ = _check_invariants(verts)
     if tope_set is not None and not (out and out[0].kind == "shape"):
-        out += _membership_violations(verts, tope_set)
+        members = {tuple(v) for v in tope_set}
+        out += [
+            Violation("membership", (k,), f"vertex {k} ({sign_vector_str(v)}) is not in the tope set")
+            for k, v in enumerate(verts)
+            if v not in members
+        ]
     return out
 
 
@@ -110,25 +115,11 @@ def _check_invariants(verts: list[SignVector]) -> tuple[list[Violation], tuple[i
     return out, flips
 
 
-def _membership_violations(verts: Sequence[SignVector], tope_set: Iterable[Sequence[int]]) -> list[Violation]:
-    members = {tuple(v) for v in tope_set}
-    return [
-        Violation("membership", (k,), f"vertex {k} ({sign_vector_str(v)}) is not in the tope set")
-        for k, v in enumerate(verts)
-        if v not in members
-    ]
-
-
-def symmetric_cycle(vertices: Iterable[Sequence[int]], tope_set: Iterable[Sequence[int]] | None = None) -> SymmetricCycle:
-    """Wrap a vertex sequence, additionally requiring membership in the tope set
-    when one is given; raises CycleError on any violation."""
+def symmetric_cycle(vertices: Iterable[Sequence[int]]) -> SymmetricCycle:
+    """The cycle through the vertices, with t read off as half their count;
+    raises CycleError on any violation."""
     verts = tuple(tuple(v) for v in vertices)
-    cycle = SymmetricCycle(len(verts) // 2, verts)
-    if tope_set is not None:
-        violations = _membership_violations(verts, tope_set)
-        if violations:
-            raise CycleError(violations)
-    return cycle
+    return SymmetricCycle(len(verts) // 2, verts)
 
 
 def canonical_hypercube_cycle(t: int) -> SymmetricCycle:

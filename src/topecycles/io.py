@@ -56,6 +56,14 @@ def _field(doc: dict, key: str, kind: type) -> Any:
     return value
 
 
+def _ground_set_size(doc: dict) -> int:
+    """The field t, which every document has and which must be positive."""
+    t = _field(doc, "t", int)
+    if t < 1:
+        raise SchemaError(f"field 't' must be >= 1, got {t}")
+    return t
+
+
 def _parse_topes(strings: list, t: int) -> list[SignVector]:
     out = []
     for s in strings:
@@ -80,7 +88,7 @@ def arrangement_to_doc(arr: Arrangement) -> dict:
 
 
 def arrangement_from_doc(doc: dict) -> Arrangement:
-    t = _field(doc, "t", int)
+    t = _ground_set_size(doc)
     dim = _field(doc, "dim", int)
     rows = _field(doc, "normals", list)
     if len(rows) != t:
@@ -98,7 +106,7 @@ def tope_set_to_doc(t: int, topes: list[SignVector]) -> dict:
 
 
 def tope_set_from_doc(doc: dict) -> tuple[int, list[SignVector]]:
-    t = _field(doc, "t", int)
+    t = _ground_set_size(doc)
     return t, _parse_topes(_field(doc, "topes", list), t)
 
 
@@ -108,13 +116,13 @@ def cycle_to_doc(cycle: SymmetricCycle) -> dict:
 
 
 def cycle_vertices_from_doc(doc: dict) -> list[SignVector]:
-    t = _field(doc, "t", int)
+    t = _ground_set_size(doc)
     return _parse_topes(_field(doc, "vertices", list), t)
 
 
 def cycle_from_doc(doc: dict) -> SymmetricCycle:
     """The cycle over the declared t; a vertex count other than 2t raises CycleError."""
-    return SymmetricCycle(_field(doc, "t", int), tuple(cycle_vertices_from_doc(doc)))
+    return SymmetricCycle(_ground_set_size(doc), tuple(cycle_vertices_from_doc(doc)))
 
 
 def decomposition_to_doc(d: Decomposition) -> dict:
@@ -125,12 +133,12 @@ def decomposition_to_doc(d: Decomposition) -> dict:
     }
 
 
-def fvector_to_doc(t: int, f: tuple[int, ...], **extra: Any) -> dict:
-    return {"t": t, "f": list(f), **extra}
+def fvector_to_doc(t: int, f: tuple[int, ...]) -> dict:
+    return {"t": t, "f": list(f)}
 
 
 def fvector_from_doc(doc: dict) -> tuple[int, tuple[int, ...]]:
-    t = _field(doc, "t", int)
+    t = _ground_set_size(doc)
     f = _field(doc, "f", list)
     if len(f) != t + 1 or not all(isinstance(x, int) and not isinstance(x, bool) for x in f):
         raise SchemaError(f"f must be a list of {t + 1} integers")

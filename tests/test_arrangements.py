@@ -10,7 +10,6 @@ import topecycles.arrangements as arrangements
 from topecycles.arrangements import (
     ArrangementError,
     enumerate_topes,
-    generate,
     hypercube_topes,
     make_arrangement,
     moment_curve,
@@ -243,20 +242,14 @@ def test_totally_cyclic_fan_is_verified():
         assert check_halfplane_condition(arr.normals).holds
 
 
-def test_generate_dispatch_and_param_errors():
-    assert generate("hypercube", 2) == hypercube_topes(2)
-    assert generate("rank2_fan", 4) == rank2_fan(4)
-    assert generate("moment_curve", 5, 3) == moment_curve(5, 3)
-    assert generate("totally_cyclic_fan", 5).t == 5
+def test_generators_reject_bad_parameters():
     with pytest.raises(ValueError):
-        generate("hypercube", 0)
+        hypercube_topes(0)
     with pytest.raises(ValueError):
-        generate("moment_curve", 5, 1)
+        rank2_fan(0)
     with pytest.raises(ValueError):
-        generate("moment_curve", 3, 4)
+        moment_curve(5, 1)
     with pytest.raises(ValueError):
-        generate("moment_curve", 5)
+        moment_curve(3, 4)
     with pytest.raises(ValueError):
-        generate("totally_cyclic_fan", 4)
-    with pytest.raises(ValueError):
-        generate("klein_bottle", 5)
+        totally_cyclic_fan(4)

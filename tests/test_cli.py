@@ -1,5 +1,10 @@
 import json
+from math import comb
 
+import pytest
+
+from topecycles import io
+from topecycles.arrangements import hypercube_topes, moment_curve, rank2_fan, totally_cyclic_fan
 from topecycles.cli import main
 
 
@@ -18,19 +23,31 @@ def test_gen_hypercube_and_census_canonical(capsys, tmp_path):
     topes = tmp_path / "topes3.json"
     code, _ = run(capsys, "gen", "hypercube", "--t", "3", "--output", str(topes))
     assert code == 0
-    code, doc = run_json(capsys, "census", "--topes", str(topes), "--cycle", "canonical", "--expect-hypercube")
+    code, doc = run_json(capsys, "census", "--topes", str(topes), "--cycle", "canonical")
     assert code == 0
     assert doc["histogram"] == {"1": 6, "3": 2}
     assert doc["match"] is True
 
 
-def test_fvector_both_methods_coincide(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "kind, params, instance",
+    [
+        ("hypercube", ["--t", "2"], io.tope_set_to_doc(2, hypercube_topes(2))),
+        ("rank2_fan", ["--t", "4"], io.arrangement_to_doc(rank2_fan(4))),
+        ("moment_curve", ["--t", "5", "--r", "3"], io.arrangement_to_doc(moment_curve(5, 3))),
+        ("totally_cyclic_fan", ["--t", "5"], io.arrangement_to_doc(totally_cyclic_fan(5))),
+    ],
+)
+def test_gen_writes_each_generator(capsys, kind, params, instance):
+    assert run_json(capsys, "gen", kind, *params) == (0, instance)
+
+
+def test_fvector_writes_t_and_f(capsys, tmp_path):
     cyc = tmp_path / "cyc5.json"
     assert run(capsys, "cycle", "canonical", "--t", "5", "--output", str(cyc))[0] == 0
-    code, doc = run_json(capsys, "fvector", "--tope", "+-+-+", "--cycle", str(cyc), "--method", "both")
+    code, doc = run_json(capsys, "fvector", "--tope", "+-+-+", "--cycle", str(cyc))
     assert code == 0
-    assert doc["f"] == [1, 5, 10, 5, 0, 0]
-    assert doc["coincide"] is True
+    assert doc == {"t": 5, "f": [1, 5, 10, 5, 0, 0]}
 
 
 def test_verify_ds_pass_and_tampered_file(capsys, tmp_path):
@@ -87,15 +104,51 @@ def test_cycle_validate_failure_exits_2(capsys, tmp_path):
     assert doc["violations"][0]["kind"] == "antipodal"
 
 
-def test_census_mismatch_exits_3(capsys, tmp_path):
+def test_census_of_the_hypercube_matches_without_a_flag(capsys, tmp_path):
+    topes = tmp_path / "topes.json"
+    for t in range(2, 9):
+        expected = {str(j): 2 * comb(t, j) for j in range(1, t + 1, 2)}
+        assert run(capsys, "gen", "hypercube", "--t", str(t), "--output", str(topes))[0] == 0
+        cycles = ["canonical"]
+        for seed in range(3):
+            path = tmp_path / f"cyc{seed}.json"
+            assert run(capsys, "cycle", "find", "--topes", str(topes), "--seed", str(seed), "--output", str(path))[0] == 0
+            cycles.append(str(path))
+        for spec in cycles:
+            code, doc = run_json(capsys, "census", "--topes", str(topes), "--cycle", spec)
+            assert code == 0
+            assert doc["histogram"] == doc["expected"] == expected
+            assert doc["match"] is True
+
+
+def test_census_of_a_partial_tope_set_has_no_expectation(capsys, tmp_path):
     arr, topes, cyc = (tmp_path / n for n in ("arr.json", "topes.json", "cyc.json"))
-    run(capsys, "gen", "rank2_fan", "--t", "5", "--output", str(arr))
-    run(capsys, "topes", "--arrangement", str(arr), "--output", str(topes))
-    run(capsys, "cycle", "find", "--topes", str(topes), "--output", str(cyc))
-    code, doc = run_json(capsys, "census", "--topes", str(topes), "--cycle", str(cyc), "--expect-hypercube")
+    for kind, params in (("rank2_fan", ["--t", "5"]), ("moment_curve", ["--t", "6", "--r", "3"])):
+        assert run(capsys, "gen", kind, *params, "--output", str(arr))[0] == 0
+        assert run(capsys, "topes", "--arrangement", str(arr), "--output", str(topes))[0] == 0
+        assert run(capsys, "cycle", "find", "--topes", str(topes), "--output", str(cyc))[0] == 0
+        code, doc = run_json(capsys, "census", "--topes", str(topes), "--cycle", str(cyc))
+        assert code == 0
+        assert set(doc) == {"t", "histogram"}
+        assert sum(doc["histogram"].values()) == len(json.loads(topes.read_text())["topes"])
+        if kind == "rank2_fan":  # a rank-2 tope set is its own symmetric cycle
+            assert doc["histogram"] == {"1": 10}
+
+
+def test_census_mismatch_exits_3(monkeypatch, capsys, tmp_path):
+    # a census of the whole hypercube is checked against 2*C(t,j); a wrong size is reported, not hidden
+    from types import SimpleNamespace
+
+    import topecycles.oracles as oracles
+
+    topes = tmp_path / "topes.json"
+    run(capsys, "gen", "hypercube", "--t", "3", "--output", str(topes))
+    monkeypatch.setattr(oracles, "decompose", lambda T, c: SimpleNamespace(size=1))
+    code, doc = run_json(capsys, "census", "--topes", str(topes), "--cycle", "canonical")
     assert code == 3
     assert doc["match"] is False
-    assert doc["histogram"] == {"1": 10}
+    assert doc["histogram"] == {"1": 8}
+    assert doc["expected"] == {"1": 6, "3": 2}
 
 
 def test_census_list_topes_and_jobs(capsys, tmp_path):
@@ -111,7 +164,7 @@ def test_census_list_topes_and_jobs(capsys, tmp_path):
 def test_census_tsv(capsys, tmp_path):
     topes = tmp_path / "topes.json"
     run(capsys, "gen", "hypercube", "--t", "3", "--output", str(topes))
-    code, out = run(capsys, "census", "--topes", str(topes), "--cycle", "canonical", "--expect-hypercube", "--format", "tsv")
+    code, out = run(capsys, "census", "--topes", str(topes), "--cycle", "canonical", "--format", "tsv")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "j\tcount\texpected\tmatch"
@@ -143,10 +196,25 @@ def test_nu_feasible_system_exits_2(capsys, tmp_path):
     assert code == 2
 
 
-def test_usage_errors_exit_1(capsys):
+def test_usage_errors_exit_1(capsys, tmp_path):
     assert main(["nosuchcommand"]) == 1
     assert main(["gen", "hypercube"]) == 1  # missing --t
+    assert main(["gen", "klein_bottle", "--t", "5"]) == 1  # unknown kind
     assert main(["decompose", "--tope", "+-+", "--cycle", "missing.json"]) == 1  # I/O
+    # an argument the command cannot use, or a missing one it needs, is a usage error
+    assert main(["gen", "moment_curve", "--t", "5"]) == 1
+    assert main(["gen", "rank2_fan", "--t", "3", "--r", "7"]) == 1
+    assert main(["gen", "hypercube", "--t", "3", "--r", "3"]) == 1
+    fvec = tmp_path / "f.json"
+    fvec.write_text(json.dumps({"t": 5, "f": [1, 5, 10, 5, 0, 0]}))
+    assert main(["verify-ds", "--fvector", str(fvec)]) == 0
+    assert main(["verify-ds", "--fvector", str(fvec), "--tope", "+-+-+"]) == 1
+    assert main(["verify-ds", "--fvector", str(fvec), "--cycle", "canonical"]) == 1
+    assert main(["verify-ds", "--fvector", str(fvec), "--tope", "+-+-+", "--cycle", "canonical"]) == 1
+    # a document whose ground set is not positive is malformed
+    neg = tmp_path / "neg.json"
+    neg.write_text(json.dumps({"t": -3, "topes": []}))
+    assert main(["cycle", "find", "--topes", str(neg)]) == 1
 
 
 def test_invalid_inputs_exit_2(capsys, tmp_path):
@@ -171,7 +239,7 @@ def test_internal_error_propagates_instead_of_exit_2(monkeypatch, capsys):
     assert "Traceback" in err and DecompositionError.__name__ in err
 
 
-def test_fvector_both_mismatch_is_internal_error(monkeypatch, capsys):
+def test_fvector_lambda_delta_mismatch_is_internal_error(monkeypatch, capsys):
     # Lambda facets that form an antichain other than Delta's facets are a bug: exit 4, not exit 3
     import topecycles.complexes as complexes
     from topecycles.cycles import canonical_hypercube_cycle
@@ -180,9 +248,10 @@ def test_fvector_both_mismatch_is_internal_error(monkeypatch, capsys):
     cycle = canonical_hypercube_cycle(5)
     members = complexes.decompose((1, -1, 1, -1, 1), cycle).members[:3]
     monkeypatch.setattr(complexes, "decompose", lambda T, c: Decomposition(tuple(T), c, (0,) * c.t, members))
-    assert main(["fvector", "--tope", "+-+-+", "--cycle", "canonical", "--method", "both"]) == 4
-    err = capsys.readouterr().err
-    assert "Traceback" in err and DecompositionError.__name__ in err
+    for command in ("fvector", "verify-ds"):
+        assert main([command, "--tope", "+-+-+", "--cycle", "canonical"]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" in err and DecompositionError.__name__ in err
 
 
 def test_malformed_json_exits_1(capsys, tmp_path):

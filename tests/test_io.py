@@ -86,6 +86,22 @@ def test_decomposition_doc():
     }
 
 
+@pytest.mark.parametrize("t", [0, -3])
+@pytest.mark.parametrize(
+    "read, fields",
+    [
+        (io.tope_set_from_doc, {"topes": []}),
+        (io.cycle_vertices_from_doc, {"vertices": []}),
+        (io.cycle_from_doc, {"vertices": []}),
+        (io.arrangement_from_doc, {"dim": 2, "normals": []}),
+        (io.fvector_from_doc, {"f": [1]}),
+    ],
+)
+def test_readers_reject_nonpositive_t(read, fields, t):
+    with pytest.raises(io.SchemaError, match="'t' must be >= 1"):
+        read({"t": t, **fields})
+
+
 def test_fvector_doc_round_trip_and_length_check():
     t, f = io.fvector_from_doc(io.fvector_to_doc(5, (1, 5, 10, 5, 0, 0)))
     assert t == 5 and f == (1, 5, 10, 5, 0, 0)
