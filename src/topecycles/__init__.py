@@ -13,12 +13,10 @@ from .arrangements import (
     ccw_half_turn_counts,
     enumerate_topes,
     hypercube_topes,
-    make_arrangement,
     moment_curve,
     primitive_vector,
     rank2_fan,
     totally_cyclic_fan,
-    validate_simple,
 )
 from .complexes import (
     FaceComplex,

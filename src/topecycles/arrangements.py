@@ -9,39 +9,48 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .core import DimensionError, SignVector, Violation, negate, sign_vector_str
+from .core import DimensionError, SignVector, Violation, _ViolationsError, negate, sign_vector_str
 
 
-class ArrangementError(ValueError):
+class ArrangementError(_ViolationsError):
     """An arrangement (or candidate arrangement) failed validation."""
 
-    def __init__(self, violations: Sequence[Violation]):
-        super().__init__("; ".join(v.detail for v in violations) or "invalid arrangement")
-        self.violations = list(violations)
+    fallback = "invalid arrangement"
 
 
 @dataclass(frozen=True)
 class Arrangement:
     """A simple central arrangement: t hyperplanes in R^dim with exact normals
-    of ints and Fractions (elements are 1-based).
+    of ints and Fractions (elements are 1-based), kept as a tuple of tuples.
 
-    Construction raises DimensionError on mixed dimensions and
-    ArrangementError on any ``validate_simple`` violation, so every instance
-    is simple.  ``normals`` keep the caller's values; the derived ``rows``
-    are their primitive integer rows (any other coordinate raises TypeError).
+    Construction raises ValueError on no normals, DimensionError on mixed
+    dimensions and ArrangementError on loops (zero normals), else on
+    (anti)parallel pairs, so every instance is simple.  The derived ``rows``
+    are the primitive integer rows of the normals (any other coordinate
+    raises TypeError); two normals are (anti)parallel exactly when one row
+    equals the other (negated).
     """
 
     normals: tuple[tuple[int | Fraction, ...], ...]
     rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.normals:
+        normals = tuple(map(tuple, self.normals))
+        if not normals:
             raise ValueError("an arrangement needs at least one normal")
-        if any(len(n) != self.dim for n in self.normals):
+        object.__setattr__(self, "normals", normals)
+        if any(len(n) != self.dim for n in normals):
             raise DimensionError(f"every normal must have dimension {self.dim}")
-        violations, rows = _check_simple(self.normals)
+        rows = tuple(primitive_vector(n) for n in normals)
+        numbered = list(enumerate(rows, start=1))
+        violations = [Violation("loop", (e,), f"normal {e} is the zero vector") for e, r in numbered if not any(r)]
+        if not violations:
+            for (e, u), (f, v) in combinations(numbered, 2):
+                kind = "parallel" if u == v else "antiparallel" if u == negate(v) else None
+                if kind:
+                    violations.append(Violation(kind, (e, f), f"normals {e} and {f} are {kind}"))
         if violations:
             raise ArrangementError(violations)
         object.__setattr__(self, "rows", rows)
@@ -53,31 +62,6 @@ class Arrangement:
     @property
     def dim(self) -> int:
         return len(self.normals[0])
-
-
-def make_arrangement(normals: Iterable[Sequence[int | Fraction]]) -> Arrangement:
-    return Arrangement(tuple(tuple(n) for n in normals))
-
-
-def validate_simple(normals: Iterable[Sequence[int | Fraction]]) -> list[Violation]:
-    """Check for loops (zero normals) and (anti)parallel pairs; empty list means ok.
-
-    Two nonzero normals are parallel exactly when their primitive integer rows
-    are equal, and antiparallel exactly when one row is the other negated."""
-    return _check_simple(normals)[0]
-
-
-def _check_simple(normals: Iterable[Sequence[int | Fraction]]) -> tuple[list[Violation], tuple[tuple[int, ...], ...]]:
-    """The violations in report order and the primitive integer rows they are read off."""
-    rows = tuple(primitive_vector(n) for n in normals)
-    out = [Violation("loop", (e,), f"normal {e} is the zero vector") for e, r in enumerate(rows, start=1) if not any(r)]
-    if out:
-        return out, rows
-    for (e, u), (f, v) in combinations(enumerate(rows, start=1), 2):
-        kind = "parallel" if u == v else "antiparallel" if u == negate(v) else None
-        if kind:
-            out.append(Violation(kind, (e, f), f"normals {e} and {f} are {kind}"))
-    return out, rows
 
 
 def primitive_vector(row: Sequence[int | Fraction]) -> tuple[int, ...]:
@@ -182,7 +166,7 @@ def rank2_fan(t: int) -> Arrangement:
     """Normals (1, e-1): t distinct slopes in the open right half-plane (acyclic)."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    return make_arrangement([(1, e - 1) for e in range(1, t + 1)])
+    return Arrangement([(1, e - 1) for e in range(1, t + 1)])
 
 
 def moment_curve(t: int, r: int) -> Arrangement:
@@ -191,7 +175,7 @@ def moment_curve(t: int, r: int) -> Arrangement:
         raise ValueError("t must be >= 1")
     if r < 2 or r > t:
         raise ValueError(f"need 2 <= r <= t, got r={r}, t={t}")
-    return make_arrangement([tuple(e**i for i in range(r)) for e in range(1, t + 1)])
+    return Arrangement([tuple(e**i for i in range(r)) for e in range(1, t + 1)])
 
 
 def totally_cyclic_fan(t: int) -> Arrangement:
@@ -210,7 +194,7 @@ def totally_cyclic_fan(t: int) -> Arrangement:
     for k in range(t):
         theta = 2 * math.pi * k / t + math.pi * k / (4 * t * t)
         rows.append((round(radius * math.cos(theta)), round(radius * math.sin(theta))))
-    arr = make_arrangement(rows)
+    arr = Arrangement(rows)
     # the least half-turn count is the least open half-plane count (see oracles.check_halfplane_condition)
     if min(ccw_half_turn_counts(arr.rows)) < 2:
         raise ArrangementError(

@@ -25,6 +25,15 @@ class Violation:
     detail: str
 
 
+class _ViolationsError(ValueError):
+    """Carries the violations a check found; the message joins their details,
+    or is the subclass's ``fallback`` when there are none."""
+
+    def __init__(self, violations: Sequence[Violation]):
+        super().__init__("; ".join(v.detail for v in violations) or self.fallback)
+        self.violations = list(violations)
+
+
 def parse_sign_vector(text: str) -> SignVector:
     """Parse a '+'/'-' string; character k is the sign of element k+1."""
     if not text:

@@ -10,6 +10,7 @@ from typing import Iterable, Sequence
 from .core import (
     SignVector,
     Violation,
+    _ViolationsError,
     all_plus,
     check_sign_vector,
     flip,
@@ -19,36 +20,35 @@ from .core import (
 )
 
 
-class CycleError(ValueError):
+class CycleError(_ViolationsError):
     """A vertex sequence violates the symmetric-cycle invariants."""
 
-    def __init__(self, violations: Sequence[Violation]):
-        super().__init__("; ".join(v.detail for v in violations) or "invalid cycle")
-        self.violations = list(violations)
+    fallback = "invalid cycle"
 
 
 @dataclass(frozen=True)
 class SymmetricCycle:
     """2t topes R^0..R^(2t-1): consecutive steps flip one element and R^(k+t) = -R^k.
 
-    Construction checks every invariant of ``validate_cycle`` (except tope-set
-    membership, which needs a tope set) and that t is half the vertex count,
-    raising CycleError on any violation, so every instance is a genuine
-    symmetric cycle.  ``flips`` is the derived flip order e_1..e_t: step k
-    (R^(k-1) -> R^k) flips element e_k, a 1-based ground-set element.
+    Built from the vertices alone, kept as a tuple of tuples.  Construction
+    checks every invariant of ``validate_cycle`` (except tope-set membership,
+    which needs a tope set), raising CycleError on any violation, so every
+    instance is a genuine symmetric cycle.  Derived are ``t``, half the vertex
+    count, and the flip order ``flips`` = e_1..e_t: step k (R^(k-1) -> R^k)
+    flips element e_k, a 1-based ground-set element.
     """
 
-    t: int
     vertices: tuple[SignVector, ...]
+    t: int = field(init=False, repr=False, compare=False)
     flips: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        verts = [tuple(v) for v in self.vertices]
-        if self.t != len(verts) // 2:
-            raise CycleError([Violation("shape", (), f"t={self.t} is not half the vertex count {len(verts)}")])
+        verts = tuple(map(tuple, self.vertices))
         violations, flips = _check_invariants(verts)
         if violations:
             raise CycleError(violations)
+        object.__setattr__(self, "vertices", verts)
+        object.__setattr__(self, "t", len(verts) // 2)
         object.__setattr__(self, "flips", flips)
 
     def __iter__(self):
@@ -77,7 +77,7 @@ def validate_cycle(vertices: Iterable[Sequence[int]], tope_set: Iterable[Sequenc
     return out
 
 
-def _check_invariants(verts: list[SignVector]) -> tuple[list[Violation], tuple[int, ...]]:
+def _check_invariants(verts: Sequence[SignVector]) -> tuple[list[Violation], tuple[int, ...]]:
     """The violated invariants in report order, and the flip order e_1..e_t,
     which is meaningful only when no invariant is violated.
 
@@ -116,10 +116,9 @@ def _check_invariants(verts: list[SignVector]) -> tuple[list[Violation], tuple[i
 
 
 def symmetric_cycle(vertices: Iterable[Sequence[int]]) -> SymmetricCycle:
-    """The cycle through the vertices, with t read off as half their count;
-    raises CycleError on any violation."""
-    verts = tuple(tuple(v) for v in vertices)
-    return SymmetricCycle(len(verts) // 2, verts)
+    """The same as ``SymmetricCycle(vertices)``, kept under this name for the
+    benchmark workloads that call it."""
+    return SymmetricCycle(vertices)
 
 
 def canonical_hypercube_cycle(t: int) -> SymmetricCycle:
@@ -129,7 +128,7 @@ def canonical_hypercube_cycle(t: int) -> SymmetricCycle:
     half = [all_plus(t)]
     for e in range(1, t):
         half.append(flip(half[-1], e))
-    return SymmetricCycle(t, tuple(half + [negate(v) for v in half]))
+    return SymmetricCycle(half + [negate(v) for v in half])
 
 
 def find_symmetric_cycle(
@@ -177,7 +176,7 @@ def find_symmetric_cycle(
     for w0 in starts:
         half = _half_cycle(w0, order, members, t)
         if half is not None:
-            return SymmetricCycle(t, tuple(half + [negate(v) for v in half]))
+            return SymmetricCycle(half + [negate(v) for v in half])
     return None
 
 
@@ -216,4 +215,4 @@ def normalize_cycle(cycle: SymmetricCycle) -> SymmetricCycle:
         rotated = [verts[(i + k) % n] for k in range(n)]
     else:
         rotated = [verts[(i - k) % n] for k in range(n)]
-    return SymmetricCycle(cycle.t, tuple(rotated))
+    return SymmetricCycle(rotated)

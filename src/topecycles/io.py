@@ -11,7 +11,7 @@ import re
 from fractions import Fraction
 from typing import Any
 
-from .arrangements import Arrangement, make_arrangement
+from .arrangements import Arrangement
 from .core import SignVector, parse_sign_vector, sign_vector_str
 from .cycles import SymmetricCycle, normalize_cycle
 from .decomposition import Decomposition
@@ -98,7 +98,7 @@ def arrangement_from_doc(doc: dict) -> Arrangement:
         if not isinstance(row, list) or len(row) != dim:
             raise SchemaError(f"each normal must be a list of {dim} rationals")
         normals.append([rational_from_str(c) for c in row])
-    return make_arrangement(normals)
+    return Arrangement(normals)
 
 
 def tope_set_to_doc(t: int, topes: list[SignVector]) -> dict:
@@ -116,13 +116,17 @@ def cycle_to_doc(cycle: SymmetricCycle) -> dict:
 
 
 def cycle_vertices_from_doc(doc: dict) -> list[SignVector]:
+    """The listed vertices; a count other than 2t raises SchemaError."""
     t = _ground_set_size(doc)
-    return _parse_topes(_field(doc, "vertices", list), t)
+    strings = _field(doc, "vertices", list)
+    if len(strings) != 2 * t:
+        raise SchemaError(f"t={t} but {len(strings)} vertices given")
+    return _parse_topes(strings, t)
 
 
 def cycle_from_doc(doc: dict) -> SymmetricCycle:
-    """The cycle over the declared t; a vertex count other than 2t raises CycleError."""
-    return SymmetricCycle(_ground_set_size(doc), tuple(cycle_vertices_from_doc(doc)))
+    """The cycle the document lists; a broken invariant raises CycleError."""
+    return SymmetricCycle(cycle_vertices_from_doc(doc))
 
 
 def decomposition_to_doc(d: Decomposition) -> dict:

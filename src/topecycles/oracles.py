@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .arrangements import ccw_half_turn_counts, make_arrangement, primitive_vector
+from .arrangements import Arrangement, ccw_half_turn_counts, primitive_vector
 from .complexes import _face_counts
 from .core import DimensionError, SignVector
 from .cycles import SymmetricCycle
@@ -43,9 +43,10 @@ def nu_counts(vectors: Sequence[Sequence]) -> tuple[int, ...]:
     other j - 1 members are any of the k vectors inside d's open half-turn,
     so nu_j sums comb(k, j - 1) over the half-turn counts k: the sum the
     delta f-vector takes over its k_j, which is why nu equals it.  The
-    vectors must form a simple arrangement (see ``make_arrangement``).
+    vectors are the normals of an ``Arrangement``, so they must form a simple
+    one: a zero vector or an (anti)parallel pair raises ArrangementError.
     """
-    arr = make_arrangement(vectors)
+    arr = Arrangement(vectors)
     if arr.dim != 2:
         raise ValueError("subsystem counts are defined for rank-2 (dim 2) systems")
     counts = ccw_half_turn_counts(arr.rows)

@@ -253,7 +253,7 @@ def find_symmetric_cycle_recursively(
         path = [w0]
         if _extend_path(path, set(), order, members, t):
             half = path[:t]
-            return SymmetricCycle(t, tuple(half + [negate(v) for v in half]))
+            return SymmetricCycle(half + [negate(v) for v in half])
     return None
 
 

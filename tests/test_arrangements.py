@@ -8,17 +8,16 @@ from hypothesis import strategies as st
 
 import topecycles.arrangements as arrangements
 from topecycles.arrangements import (
+    Arrangement,
     ArrangementError,
     enumerate_topes,
     hypercube_topes,
-    make_arrangement,
     moment_curve,
     primitive_vector,
     rank2_fan,
     totally_cyclic_fan,
-    validate_simple,
 )
-from topecycles.core import negate, sign_vector_str
+from topecycles.core import DimensionError, negate, sign_vector_str
 from topecycles.oracles import check_halfplane_condition
 
 from reference import (
@@ -32,7 +31,7 @@ from reference import (
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 nonzero_rationals = rationals.filter(bool)
 simple_rank3 = st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=1, max_size=7).filter(
-    lambda rows: not validate_simple(rows)
+    lambda rows: not validate_simple_by_minors(rows)
 )
 
 
@@ -41,26 +40,49 @@ def signed(rows, sigma):
     return [tuple(s * c for c in a) for a, s in zip(rows, sigma)]
 
 
+def violations(normals):
+    """The violations ArrangementError reports for the normals."""
+    with pytest.raises(ArrangementError) as excinfo:
+        Arrangement(normals)
+    return excinfo.value.violations
+
+
 def test_validate_simple_ok():
-    assert validate_simple([(1, 0), (0, 1), (1, 1)]) == []
+    assert Arrangement([(1, 0), (0, 1), (1, 1)]).rows == ((1, 0), (0, 1), (1, 1))
 
 
 def test_validate_simple_parallel_pair():
-    violations = validate_simple([(1, 0), (2, 0)])
-    assert len(violations) == 1
-    assert violations[0].kind == "parallel"
-    assert violations[0].where == (1, 2)
+    found = violations([(1, 0), (2, 0)])
+    assert len(found) == 1
+    assert found[0].kind == "parallel"
+    assert found[0].where == (1, 2)
 
 
 def test_validate_simple_antiparallel_pair():
-    violations = validate_simple([(1, 1), (-1, -1)])
-    assert violations[0].kind == "antiparallel"
-    assert violations[0].where == (1, 2)
+    found = violations([(1, 1), (-1, -1)])
+    assert found[0].kind == "antiparallel"
+    assert found[0].where == (1, 2)
 
 
 def test_validate_simple_zero_normal():
-    violations = validate_simple([(0, 0), (1, 1)])
-    assert violations[0].kind == "loop"
+    assert violations([(0, 0), (1, 1)])[0].kind == "loop"
+
+
+@pytest.mark.parametrize(
+    "normals, error, message",
+    [([], ValueError, "at least one normal"), ([(1, 0), (0, 1, 0)], DimensionError, "dimension 2")],
+)
+def test_construction_rejects_malformed_normals(normals, error, message):
+    with pytest.raises(error, match=message):
+        Arrangement(normals)
+
+
+def test_built_from_lists_or_generators_equals_and_hashes_like_tuples():
+    normals = ((Fraction(1, 2), 1), (0, 3), (1, -1))
+    arr = Arrangement(normals)
+    for other in (Arrangement([list(n) for n in normals]), Arrangement(list(n) for n in normals)):
+        assert other == arr and hash(other) == hash(arr)
+        assert other.normals == normals and other.rows == arr.rows
 
 
 def test_primitive_vector():
@@ -84,7 +106,7 @@ def test_exact_coordinates_only():
     with pytest.raises(TypeError):
         check_halfplane_condition([(1, 0), (0, 1.0)])
     with pytest.raises(TypeError):
-        make_arrangement([(0.5, 1)])
+        Arrangement([(0.5, 1)])
 
 
 @settings(max_examples=200, deadline=None)
@@ -96,13 +118,10 @@ def test_validate_simple_matches_minors_oracle(pool, picks):
     # scaled copies of a small pool: parallel and antiparallel pairs (and loops) are common
     normals = [tuple(k * c for c in pool[i % len(pool)]) for i, k in picks]
     expected = validate_simple_by_minors(normals)
-    assert validate_simple(normals) == expected
     if expected:
-        with pytest.raises(ArrangementError) as excinfo:
-            make_arrangement(normals)
-        assert excinfo.value.violations == expected
+        assert violations(normals) == expected
     else:
-        assert make_arrangement(normals).rows == tuple(map(primitive_vector_by_fractions, normals))
+        assert Arrangement(normals).rows == tuple(map(primitive_vector_by_fractions, normals))
 
 
 def test_strict_feasible_single_vector():
@@ -171,7 +190,7 @@ def test_enumerate_topes_moment_curve_vs_exhaustive_scan():
 
 simple_small = st.integers(1, 4).flatmap(
     lambda d: st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=1, max_size=6)
-).filter(lambda rows: not validate_simple(rows))
+).filter(lambda rows: not validate_simple_by_minors(rows))
 
 
 @settings(max_examples=300, deadline=None)
@@ -182,7 +201,7 @@ simple_small = st.integers(1, 4).flatmap(
 def test_enumerate_topes_matches_fourier_motzkin_scan(rows):
     # small entries make many restricted rows coincide up to sign, so the copy-a-sign path runs
     scan = [s for s in product((1, -1), repeat=len(rows)) if strict_feasible(signed(rows, s))]
-    assert enumerate_topes(make_arrangement(rows)) == scan
+    assert enumerate_topes(Arrangement(rows)) == scan
 
 
 def test_enumerate_topes_generic_count_law():
@@ -205,19 +224,19 @@ def test_enumerate_topes_witness_failure_is_an_internal_error(monkeypatch):
 @given(simple_rank3)
 def test_enumerate_topes_count_matches_zaslavsky_rank3(rows):
     # a check of chamber enumeration above rank 2 that does not rest on Fourier-Motzkin
-    assert len(enumerate_topes(make_arrangement(rows))) == zaslavsky_rank3_chambers(rows)
+    assert len(enumerate_topes(Arrangement(rows))) == zaslavsky_rank3_chambers(rows)
 
 
 @settings(max_examples=60, deadline=None)
 @given(simple_rank3, st.lists(st.fractions(min_value=0, max_value=9, max_denominator=7).filter(bool), min_size=7, max_size=7))
 def test_enumerate_topes_invariant_under_positive_rescaling(rows, scales):
     scaled = [tuple(k * c for c in row) for k, row in zip(scales, rows)]
-    assert enumerate_topes(make_arrangement(scaled)) == enumerate_topes(make_arrangement(rows))
+    assert enumerate_topes(Arrangement(scaled)) == enumerate_topes(Arrangement(rows))
 
 
 def test_enumerate_topes_rejects_non_simple():
     with pytest.raises(ArrangementError):
-        enumerate_topes(make_arrangement([(1, 0), (2, 0)]))
+        enumerate_topes(Arrangement([(1, 0), (2, 0)]))
 
 
 def test_hypercube_topes():
@@ -238,7 +257,7 @@ def test_moment_curve_normals():
 def test_totally_cyclic_fan_is_verified():
     for t in (5, 6, 8, 11):
         arr = totally_cyclic_fan(t)
-        assert validate_simple(arr.normals) == []
+        assert validate_simple_by_minors(arr.normals) == []
         assert check_halfplane_condition(arr.normals).holds
 
 
@@ -247,6 +266,8 @@ def test_generators_reject_bad_parameters():
         hypercube_topes(0)
     with pytest.raises(ValueError):
         rank2_fan(0)
+    with pytest.raises(ValueError):
+        moment_curve(0, 2)
     with pytest.raises(ValueError):
         moment_curve(5, 1)
     with pytest.raises(ValueError):

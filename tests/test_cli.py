@@ -104,6 +104,18 @@ def test_cycle_validate_failure_exits_2(capsys, tmp_path):
     assert doc["violations"][0]["kind"] == "antipodal"
 
 
+def test_cycle_document_without_2t_vertices_exits_1_from_every_reader(capsys, tmp_path):
+    cyc = tmp_path / "six.json"
+    cyc.write_text(json.dumps({"t": 2, "vertices": ["++", "+-", "--", "-+", "++", "+-"]}))
+    errors = set()
+    for argv in (["cycle", "validate", "--cycle", str(cyc)], ["decompose", "--tope", "++", "--cycle", str(cyc)]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.add(captured.err)
+    assert errors == {"topecycles: error: t=2 but 6 vertices given\n"}
+
+
 def test_census_of_the_hypercube_matches_without_a_flag(capsys, tmp_path):
     topes = tmp_path / "topes.json"
     for t in range(2, 9):
@@ -133,6 +145,9 @@ def test_census_of_a_partial_tope_set_has_no_expectation(capsys, tmp_path):
         assert sum(doc["histogram"].values()) == len(json.loads(topes.read_text())["topes"])
         if kind == "rank2_fan":  # a rank-2 tope set is its own symmetric cycle
             assert doc["histogram"] == {"1": 10}
+        code, out = run(capsys, "census", "--topes", str(topes), "--cycle", str(cyc), "--format", "tsv")
+        assert code == 0
+        assert out.splitlines() == ["j\tcount"] + [f"{j}\t{n}" for j, n in doc["histogram"].items()]
 
 
 def test_census_mismatch_exits_3(monkeypatch, capsys, tmp_path):

@@ -61,6 +61,13 @@ def test_flip_and_parts():
     assert positive_part((1, -1, 1)) == {1, 3}
 
 
+def test_element_and_ground_set_bounds():
+    with pytest.raises(ValueError, match="outside 1..3"):
+        flip((1, 1, 1), 0)
+    with pytest.raises(ValueError, match="t must be positive"):
+        all_plus(0)
+
+
 @given(paired_sign_vectors())
 def test_separation_symmetry_and_negation_invariance(pair):
     a, b = pair

@@ -107,16 +107,24 @@ def test_symmetric_cycle_factory_raises():
 
 def test_construction_validates_and_records_flip_order():
     cycle = canonical_hypercube_cycle(4)
-    assert cycle.flips == (1, 2, 3, 4)
-    rotated = SymmetricCycle(4, cycle.vertices[3:] + cycle.vertices[:3])
+    assert (cycle.t, cycle.flips) == (4, (1, 2, 3, 4))
+    rotated = SymmetricCycle(cycle.vertices[3:] + cycle.vertices[:3])
     assert rotated.flips == (4, 1, 2, 3)
-    with pytest.raises(CycleError) as excinfo:
-        SymmetricCycle(3, cycle.vertices)
-    assert excinfo.value.violations[0].kind == "shape"
     vertices = [parse_sign_vector(s) for s in ["+++", "-++", "--+", "+-+", "+--", "++-"]]
     with pytest.raises(CycleError) as excinfo:
-        SymmetricCycle(3, tuple(vertices))
+        SymmetricCycle(vertices)
     assert excinfo.value.violations == validate_cycle(vertices)
+
+
+def test_built_from_lists_or_generators_equals_and_hashes_like_tuples():
+    cycle = canonical_hypercube_cycle(2)
+    for other in (
+        SymmetricCycle([[1, 1], [-1, 1], [-1, -1], [1, -1]]),
+        SymmetricCycle(list(v) for v in cycle),
+        symmetric_cycle([list(v) for v in cycle]),
+    ):
+        assert other == cycle and hash(other) == hash(cycle)
+        assert other.vertices == cycle.vertices and (other.t, other.flips) == (2, (1, 2))
 
 
 def test_find_in_hypercube_from_all_plus():
@@ -138,6 +146,12 @@ def test_find_in_rank2_fan_uses_whole_tope_set():
 
 def test_find_not_found_is_none():
     assert find_symmetric_cycle([(1, 1), (-1, -1)]) is None
+    assert find_symmetric_cycle([]) is None
+
+
+def test_find_rejects_a_ground_set_of_one_element():
+    with pytest.raises(ValueError, match="t >= 2"):
+        find_symmetric_cycle([(1,), (-1,)])
 
 
 def test_find_requires_negation_closure():
@@ -167,6 +181,8 @@ def test_find_rejects_vectors_that_are_not_sign_vectors(pool):
 def test_find_requires_start_in_pool():
     with pytest.raises(ValueError):
         find_symmetric_cycle(hypercube_topes(3), start=(1, 1))
+    with pytest.raises(ValueError, match=r"start tope \+- is not in the tope set"):
+        find_symmetric_cycle([(1, 1), (-1, -1)], start=(1, -1))
 
 
 def test_find_is_deterministic_per_seed():
@@ -256,7 +272,7 @@ def test_normalize_cycle():
     assert validate_cycle(norm.vertices) == []
     assert set(norm.vertices) == set(canonical_hypercube_cycle(3).vertices)
     # normalization is idempotent and rotation/reflection independent
-    rotated = SymmetricCycle(3, norm.vertices[2:] + norm.vertices[:2])
+    rotated = SymmetricCycle(norm.vertices[2:] + norm.vertices[:2])
     assert normalize_cycle(rotated) == norm
-    reflected = SymmetricCycle(3, (norm.vertices[0],) + tuple(reversed(norm.vertices[1:])))
+    reflected = SymmetricCycle((norm.vertices[0],) + tuple(reversed(norm.vertices[1:])))
     assert normalize_cycle(reflected) == norm

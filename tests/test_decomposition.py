@@ -57,14 +57,14 @@ def test_decompose_input_validation():
 def test_dependent_first_half_rejected_at_construction():
     # the first half is linearly dependent, so no decomposition could exist
     with pytest.raises(CycleError):
-        SymmetricCycle(2, ((1, 1), (-1, -1), (-1, -1), (1, 1)))
+        SymmetricCycle(((1, 1), (-1, -1), (-1, -1), (1, 1)))
 
 
 def test_hadamard_first_half_rejected_at_construction():
     # Hadamard-style first half: invertible, but solutions would land in (1/2)Z
     half = ((1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1))
     with pytest.raises(CycleError):
-        SymmetricCycle(4, half + tuple(negate(v) for v in half))
+        SymmetricCycle(half + tuple(negate(v) for v in half))
 
 
 @settings(max_examples=60)

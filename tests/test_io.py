@@ -32,7 +32,9 @@ def test_arrangement_doc_schema_errors():
     for mutate in (
         lambda d: d.pop("t"),
         lambda d: d.__setitem__("t", 2),
+        lambda d: d.__setitem__("t", "3"),
         lambda d: d.__setitem__("normals", [["1"]]),
+        lambda d: d["normals"][0].append("1"),
         lambda d: d["normals"][0].__setitem__(0, "1/0"),
     ):
         broken = json.loads(json.dumps(doc))
@@ -52,6 +54,15 @@ def test_tope_set_doc_rejects_wrong_length():
         io.tope_set_from_doc({"t": 3, "topes": ["++"]})
     with pytest.raises(io.SchemaError):
         io.tope_set_from_doc({"t": 3, "topes": ["+x+"]})
+    with pytest.raises(io.SchemaError, match="sign vectors must be strings"):
+        io.tope_set_from_doc({"t": 3, "topes": [123]})
+
+
+def test_load_doc_requires_an_object(tmp_path):
+    path = tmp_path / "array.json"
+    path.write_text("[]")
+    with pytest.raises(io.SchemaError, match="expected a JSON object"):
+        io.load_doc(str(path))
 
 
 def test_cycle_doc_is_normalized_and_round_trips():
@@ -70,10 +81,11 @@ def test_cycle_doc_validation_failure_raises_cycle_error():
     doc = {"t": 2, "vertices": ["++", "--", "-+", "+-"]}
     with pytest.raises(CycleError):
         io.cycle_from_doc(doc)
-    # the error names the declared t, not one inferred from the vertex count
+    # a vertex count other than 2t is a malformed document, whichever reader reads it
     doc = {"t": 2, "vertices": ["++", "-+", "--", "+-", "++", "-+"]}
-    with pytest.raises(CycleError, match="t=2 is not half the vertex count 6"):
-        io.cycle_from_doc(doc)
+    for read in (io.cycle_vertices_from_doc, io.cycle_from_doc):
+        with pytest.raises(io.SchemaError, match="t=2 but 6 vertices given"):
+            read(doc)
 
 
 def test_decomposition_doc():

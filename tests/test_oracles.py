@@ -13,7 +13,6 @@ from topecycles.arrangements import (
     hypercube_topes,
     rank2_fan,
     totally_cyclic_fan,
-    validate_simple,
 )
 from topecycles.complexes import delta_face_masks, long_f_vector
 from topecycles.core import DimensionError, sign_vector_str
@@ -25,7 +24,7 @@ from topecycles.oracles import (
     nu_counts,
 )
 
-from reference import strict_feasible
+from reference import strict_feasible, validate_simple_by_minors
 
 SPREAD5 = [(1, 0), (0, 1), (-1, 1), (-1, -1), (1, -2)]
 
@@ -60,7 +59,7 @@ planar = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(any)
 @given(st.lists(planar, min_size=1, max_size=8))
 def test_nu_counts_match_fourier_motzkin_subsystem_oracle(normals):
     # the 2^t subsystem loop survives only here, over Fourier-Motzkin feasibility
-    assume(not validate_simple(normals))
+    assume(not validate_simple_by_minors(normals))
     if strict_feasible(normals):
         with pytest.raises(FullSystemFeasibleError):
             nu_counts(normals)
@@ -173,6 +172,11 @@ def test_halfplane_collinear_vectors():
     assert check.min_count == 0
 
 
+def test_halfplane_of_no_vectors_fails_with_zero_count():
+    check = check_halfplane_condition([])
+    assert (check.holds, check.min_count, check.witness) == (False, 0, (1, 0))
+
+
 def test_halfplane_rejects_zero_vector():
     with pytest.raises(ValueError):
         check_halfplane_condition([(0, 0), (1, 0)])
@@ -218,7 +222,7 @@ def test_census_topes_sorted_lexicographically():
 def test_census_cycle_rejected_at_construction():
     # a malformed cycle never reaches census: construction names the violations
     with pytest.raises(CycleError) as excinfo:
-        SymmetricCycle(2, ((1, 1), (-1, -1), (-1, -1), (1, 1)))
+        SymmetricCycle(((1, 1), (-1, -1), (-1, -1), (1, 1)))
     assert {v.kind for v in excinfo.value.violations} >= {"distinct", "adjacency"}
 
 
