@@ -42,7 +42,6 @@ from .cycles import (
     find_symmetric_cycle,
     normalize_cycle,
     symmetric_cycle,
-    validate_cycle,
 )
 from .decomposition import (
     Decomposition,

@@ -21,8 +21,8 @@ from typing import Callable, Sequence
 from . import io
 from .arrangements import enumerate_topes, hypercube_topes, moment_curve, rank2_fan, totally_cyclic_fan
 from .complexes import lambda_face_masks
-from .core import parse_sign_vector
-from .cycles import canonical_hypercube_cycle, find_symmetric_cycle, validate_cycle
+from .core import Violation, parse_sign_vector, sign_vector_str
+from .cycles import CycleError, SymmetricCycle, canonical_hypercube_cycle, find_symmetric_cycle
 from .decomposition import decompose
 from .dehn_sommerville import check_ds
 from .oracles import census, nu_counts
@@ -177,10 +177,19 @@ def _cmd_cycle_find(args) -> int:
 
 def _cmd_cycle_validate(args) -> int:
     vertices = io.cycle_vertices_from_doc(io.load_doc(args.cycle))
-    tope_set = None
-    if args.topes:
-        _, tope_set = io.tope_set_from_doc(io.load_doc(args.topes))
-    violations = validate_cycle(vertices, tope_set)
+    members = set(io.tope_set_from_doc(io.load_doc(args.topes))[1]) if args.topes else None
+    try:
+        SymmetricCycle(vertices)
+        violations = []
+    except CycleError as exc:
+        violations = exc.violations
+    # membership is checked after the invariants, and not at all for a cycle of the wrong shape
+    if members is not None and not (violations and violations[0].kind == "shape"):
+        violations += [
+            Violation("membership", (k,), f"vertex {k} ({sign_vector_str(v)}) is not in the tope set")
+            for k, v in enumerate(vertices)
+            if v not in members
+        ]
     _write(
         args,
         {
@@ -238,7 +247,7 @@ def _cmd_census(args) -> int:
 
 def _cmd_nu(args) -> int:
     arr = io.arrangement_from_doc(io.load_doc(args.arrangement))
-    counts = nu_counts(arr.normals)
+    counts = nu_counts(arr)
     _write(args, {"t": arr.t, "nu": list(counts)}, functools.partial(_vector_tsv, "nu"))
     return EXIT_OK
 

@@ -34,7 +34,7 @@ class CensusResult:
     by_size: dict[int, list[SignVector]] | None = None
 
 
-def nu_counts(vectors: Sequence[Sequence]) -> tuple[int, ...]:
+def nu_counts(vectors: Arrangement | Sequence[Sequence]) -> tuple[int, ...]:
     """nu_j = number of strictly feasible cardinality-j subsystems of an
     infeasible planar system, for j = 0..t (nu_0 = 1: the empty system is
     feasible by convention).
@@ -43,10 +43,11 @@ def nu_counts(vectors: Sequence[Sequence]) -> tuple[int, ...]:
     other j - 1 members are any of the k vectors inside d's open half-turn,
     so nu_j sums comb(k, j - 1) over the half-turn counts k: the sum the
     delta f-vector takes over its k_j, which is why nu equals it.  The
-    vectors are the normals of an ``Arrangement``, so they must form a simple
-    one: a zero vector or an (anti)parallel pair raises ArrangementError.
+    vectors are an ``Arrangement``, used as it is, or the normals of one, so
+    they must form a simple one: a zero vector or an (anti)parallel pair
+    raises ArrangementError.
     """
-    arr = Arrangement(vectors)
+    arr = vectors if isinstance(vectors, Arrangement) else Arrangement(vectors)
     if arr.dim != 2:
         raise ValueError("subsystem counts are defined for rank-2 (dim 2) systems")
     counts = ccw_half_turn_counts(arr.rows)

@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 from topecycles import io
-from topecycles.arrangements import hypercube_topes, moment_curve, rank2_fan, totally_cyclic_fan
+from topecycles.arrangements import Arrangement, hypercube_topes, moment_curve, rank2_fan, totally_cyclic_fan
 from topecycles.cli import main
 
 
@@ -102,6 +102,76 @@ def test_cycle_validate_failure_exits_2(capsys, tmp_path):
     assert code == 2
     assert doc["ok"] is False
     assert doc["violations"][0]["kind"] == "antipodal"
+
+
+def write_cycle_and_topes(tmp_path, vertices, topes):
+    cyc, pool = tmp_path / "cycle.json", tmp_path / "topes.json"
+    t = len(vertices[0])
+    cyc.write_text(json.dumps({"t": t, "vertices": vertices}))
+    pool.write_text(json.dumps({"t": t, "topes": topes}))
+    return str(cyc), str(pool)
+
+
+def test_cycle_validate_names_every_missing_vertex(capsys, tmp_path):
+    vertices = ["+++", "-++", "--+", "---", "+--", "++-"]
+    all_topes = ["+++", "++-", "+-+", "+--", "-++", "-+-", "--+", "---"]
+    cyc, pool = write_cycle_and_topes(tmp_path, vertices, [v for v in all_topes if v not in ("+++", "--+")])
+    code, doc = run_json(capsys, "cycle", "validate", "--cycle", cyc, "--topes", pool)
+    assert code == 2
+    assert doc == {
+        "ok": False,
+        "violations": [
+            {"kind": "membership", "where": [0], "detail": "vertex 0 (+++) is not in the tope set"},
+            {"kind": "membership", "where": [2], "detail": "vertex 2 (--+) is not in the tope set"},
+        ],
+    }
+    cyc, pool = write_cycle_and_topes(tmp_path, vertices, all_topes)
+    assert run_json(capsys, "cycle", "validate", "--cycle", cyc, "--topes", pool) == (0, {"ok": True, "violations": []})
+
+
+def test_cycle_validate_lists_membership_after_the_invariants(capsys, tmp_path):
+    # a closed walk that flips element 1 twice, checked against four topes of the 3-cube
+    cyc, pool = write_cycle_and_topes(
+        tmp_path, ["+++", "-++", "--+", "+-+", "+--", "++-"], ["-++", "--+", "---", "+-+"]
+    )
+    code, doc = run_json(capsys, "cycle", "validate", "--cycle", cyc, "--topes", pool)
+    assert code == 2
+    assert doc == {
+        "ok": False,
+        "violations": [
+            {"kind": "antipodal", "where": [0], "detail": "antipodal symmetry fails at k=0"},
+            {
+                "kind": "flip_permutation",
+                "where": [],
+                "detail": "first-half flips are not a permutation of the ground set",
+            },
+            {"kind": "membership", "where": [0], "detail": "vertex 0 (+++) is not in the tope set"},
+            {"kind": "membership", "where": [4], "detail": "vertex 4 (+--) is not in the tope set"},
+            {"kind": "membership", "where": [5], "detail": "vertex 5 (++-) is not in the tope set"},
+        ],
+    }
+    code, doc = run_json(capsys, "cycle", "validate", "--cycle", cyc)
+    assert code == 2
+    assert [v["kind"] for v in doc["violations"]] == ["antipodal", "flip_permutation"]
+
+
+def test_cycle_validate_of_a_t1_cycle_reports_only_its_shape(capsys, tmp_path):
+    cyc, pool = write_cycle_and_topes(tmp_path, ["+", "-"], ["+"])
+    shape = {"kind": "shape", "where": [], "detail": "vertex count 2 is not an even number >= 4"}
+    for extra in ([], ["--topes", pool]):
+        assert run_json(capsys, "cycle", "validate", "--cycle", cyc, *extra) == (2, {"ok": False, "violations": [shape]})
+
+
+def test_cycle_validate_reads_both_documents_before_any_check(capsys, tmp_path):
+    # a malformed tope-set document is a usage error even when the cycle is invalid too
+    bad_cycles = (["+++", "-++", "--+", "+-+", "+--", "++-"], ["+", "-"])
+    bad_pools = ("{not json", json.dumps({"t": 3, "topes": ["++"]}), json.dumps({"t": 3}))
+    for vertices in bad_cycles:
+        cyc, pool = write_cycle_and_topes(tmp_path, vertices, [])
+        for text in bad_pools:
+            (tmp_path / "topes.json").write_text(text)
+            assert run(capsys, "cycle", "validate", "--cycle", cyc, "--topes", pool) == (1, "")
+        assert run(capsys, "cycle", "validate", "--cycle", cyc, "--topes", str(tmp_path / "missing.json")) == (1, "")
 
 
 def test_cycle_document_without_2t_vertices_exits_1_from_every_reader(capsys, tmp_path):
@@ -202,6 +272,17 @@ def test_nu_command(capsys, tmp_path):
     code, out = run(capsys, "nu", "--arrangement", str(arr), "--format", "tsv")
     assert code == 0
     assert out.splitlines()[:3] == ["j\tnu", "0\t1", "1\t5"]
+
+
+def test_nu_builds_the_arrangement_once(capsys, tmp_path, monkeypatch):
+    arr = tmp_path / "fan.json"
+    arr.write_text(json.dumps(io.arrangement_to_doc(totally_cyclic_fan(11))))
+    built = []
+    post_init = Arrangement.__post_init__
+    monkeypatch.setattr(Arrangement, "__post_init__", lambda self: built.append(post_init(self)))
+    code, doc = run_json(capsys, "nu", "--arrangement", str(arr))
+    assert code == 0 and doc["t"] == 11
+    assert len(built) == 1
 
 
 def test_nu_feasible_system_exits_2(capsys, tmp_path):

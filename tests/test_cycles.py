@@ -1,7 +1,7 @@
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from topecycles.arrangements import enumerate_topes, hypercube_topes, moment_curve, rank2_fan
@@ -13,7 +13,6 @@ from topecycles.cycles import (
     find_symmetric_cycle,
     normalize_cycle,
     symmetric_cycle,
-    validate_cycle,
 )
 from topecycles.decomposition import decompose
 
@@ -22,6 +21,13 @@ from reference import find_symmetric_cycle_recursively, maxpos_vertices
 
 def strs(vertices):
     return [sign_vector_str(v) for v in vertices]
+
+
+def violations(vertices):
+    """The violations CycleError reports for the vertices."""
+    with pytest.raises(CycleError) as excinfo:
+        SymmetricCycle(vertices)
+    return excinfo.value.violations
 
 
 def test_canonical_t3():
@@ -33,7 +39,9 @@ def test_canonical_t2():
 
 
 def test_canonical_t5_validates():
-    assert validate_cycle(canonical_hypercube_cycle(5).vertices) == []
+    cycle = canonical_hypercube_cycle(5)
+    assert SymmetricCycle(list(cycle.vertices)) == cycle
+    assert cycle.flips == (1, 2, 3, 4, 5)
 
 
 def test_canonical_rejects_small_t():
@@ -44,28 +52,27 @@ def test_canonical_rejects_small_t():
 def test_validate_antipodal_violation_named_first():
     # closed 6-walk in the 3-cube that flips element 1 twice: not antipodally symmetric
     vertices = [parse_sign_vector(s) for s in ["+++", "-++", "--+", "+-+", "+--", "++-"]]
-    violations = validate_cycle(vertices)
-    assert violations
-    assert violations[0].kind == "antipodal"
-    assert violations[0].where == (0,)
-    assert "flip_permutation" in {v.kind for v in violations}
+    found = violations(vertices)
+    assert found[0].kind == "antipodal"
+    assert found[0].where == (0,)
+    assert "flip_permutation" in {v.kind for v in found}
 
 
 def test_validate_adjacency_violation():
     vertices = [parse_sign_vector(s) for s in ["+++", "--+", "-++", "---", "++-", "+--"]]
-    kinds = {v.kind for v in validate_cycle(vertices)}
+    kinds = {v.kind for v in violations(vertices)}
     assert "adjacency" in kinds
 
 
 def test_validate_duplicate_vertices():
     vertices = [parse_sign_vector(s) for s in ["+++", "-++", "+++", "---", "+--", "---"]]
-    kinds = {v.kind for v in validate_cycle(vertices)}
+    kinds = {v.kind for v in violations(vertices)}
     assert "distinct" in kinds
 
 
 def test_validate_reports_every_violation_in_order():
     def report(strings):
-        return [(v.kind, v.where) for v in validate_cycle([parse_sign_vector(x) for x in strings])]
+        return [(v.kind, v.where) for v in violations([parse_sign_vector(x) for x in strings])]
 
     assert report(["+++", "-++", "+++", "---", "+--", "---"]) == [
         ("distinct", (0, 2)),
@@ -77,25 +84,9 @@ def test_validate_reports_every_violation_in_order():
 
 
 def test_validate_shape():
-    assert validate_cycle([])[0].kind == "shape"
-    assert validate_cycle([(1, 1), (1, -1), (-1, -1)])[0].kind == "shape"
-    assert validate_cycle([(1, 1, 1), (1, -1), (-1, -1), (-1, 1)])[0].kind == "shape"
-
-
-def test_validate_membership():
-    cycle = canonical_hypercube_cycle(3)
-    pool = [v for v in hypercube_topes(3) if v != (1, 1, 1)]
-    violations = validate_cycle(cycle.vertices, pool)
-    assert violations[0].kind == "membership"
-    assert violations[0].where == (0,)
-
-
-def test_validate_membership_names_every_missing_vertex():
-    cycle = canonical_hypercube_cycle(3)
-    pool = [v for v in hypercube_topes(3) if v not in ((1, 1, 1), (-1, -1, 1))]
-    violations = validate_cycle(cycle.vertices, pool)
-    assert [(v.kind, v.where) for v in violations] == [("membership", (0,)), ("membership", (2,))]
-    assert validate_cycle(cycle.vertices, hypercube_topes(3)) == []
+    assert violations([])[0].kind == "shape"
+    assert violations([(1, 1), (1, -1), (-1, -1)])[0].kind == "shape"
+    assert violations([(1, 1, 1), (1, -1), (-1, -1), (-1, 1)])[0].kind == "shape"
 
 
 def test_symmetric_cycle_factory_raises():
@@ -111,9 +102,7 @@ def test_construction_validates_and_records_flip_order():
     rotated = SymmetricCycle(cycle.vertices[3:] + cycle.vertices[:3])
     assert rotated.flips == (4, 1, 2, 3)
     vertices = [parse_sign_vector(s) for s in ["+++", "-++", "--+", "+-+", "+--", "++-"]]
-    with pytest.raises(CycleError) as excinfo:
-        SymmetricCycle(vertices)
-    assert excinfo.value.violations == validate_cycle(vertices)
+    assert [(v.kind, v.where) for v in violations(vertices)] == [("antipodal", (0,)), ("flip_permutation", ())]
 
 
 def test_built_from_lists_or_generators_equals_and_hashes_like_tuples():
@@ -132,7 +121,7 @@ def test_find_in_hypercube_from_all_plus():
     cycle = find_symmetric_cycle(topes, start=all_plus(4))
     assert cycle is not None
     assert cycle.vertices[0] == all_plus(4)
-    assert validate_cycle(cycle.vertices, topes) == []
+    assert set(cycle.vertices) <= set(topes)
 
 
 def test_find_in_rank2_fan_uses_whole_tope_set():
@@ -140,7 +129,6 @@ def test_find_in_rank2_fan_uses_whole_tope_set():
     topes = enumerate_topes(rank2_fan(5))
     cycle = find_symmetric_cycle(topes)
     assert cycle is not None
-    assert validate_cycle(cycle.vertices, topes) == []
     assert set(cycle.vertices) == set(topes)
 
 
@@ -157,6 +145,24 @@ def test_find_rejects_a_ground_set_of_one_element():
 def test_find_requires_negation_closure():
     with pytest.raises(ValueError):
         find_symmetric_cycle([(1, 1), (1, -1)])
+
+
+@st.composite
+def pools_not_closed_under_negation(draw):
+    t = draw(st.integers(2, 7))
+    pool = draw(st.lists(st.sampled_from(hypercube_topes(t)), min_size=1, max_size=30))
+    assume(any(negate(v) not in pool for v in pool))
+    return draw(st.permutations(pool + draw(st.lists(st.sampled_from(pool), min_size=1))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pools_not_closed_under_negation())
+def test_find_names_the_first_unpaired_tope(pool):
+    missing = max(v for v in pool if negate(v) not in pool)
+    with pytest.raises(ValueError) as excinfo:
+        find_symmetric_cycle(pool)
+    assert type(excinfo.value) is ValueError
+    assert str(excinfo.value) == f"tope set is not closed under negation: missing -{sign_vector_str(missing)}"
 
 
 @pytest.mark.parametrize(
@@ -269,7 +275,6 @@ def test_maxpos_equals_decomposition_of_all_plus_on_fan_cycle():
 def test_normalize_cycle():
     norm = normalize_cycle(canonical_hypercube_cycle(3))
     assert strs(norm.vertices) == ["+++", "++-", "+--", "---", "--+", "-++"]
-    assert validate_cycle(norm.vertices) == []
     assert set(norm.vertices) == set(canonical_hypercube_cycle(3).vertices)
     # normalization is idempotent and rotation/reflection independent
     rotated = SymmetricCycle(norm.vertices[2:] + norm.vertices[:2])
