@@ -1,10 +1,13 @@
+import json
 import sys
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from topecycles import io
 from topecycles.arrangements import enumerate_topes, hypercube_topes, moment_curve, rank2_fan
+from topecycles.cli import main
 from topecycles.core import DimensionError, all_plus, negate, parse_sign_vector, sign_vector_str
 from topecycles.cycles import (
     CycleError,
@@ -87,6 +90,30 @@ def test_validate_shape():
     assert violations([])[0].kind == "shape"
     assert violations([(1, 1), (1, -1), (-1, -1)])[0].kind == "shape"
     assert violations([(1, 1, 1), (1, -1), (-1, -1), (-1, 1)])[0].kind == "shape"
+
+
+def membership_report(tmp_path, capsys, cycle, pool):
+    """(kind, where) of each violation `cycle validate --topes` reports for the cycle against the pool."""
+    cyc, topes = tmp_path / "cycle.json", tmp_path / "topes.json"
+    cyc.write_text(json.dumps({"t": cycle.t, "vertices": strs(cycle.vertices)}))
+    topes.write_text(json.dumps(io.tope_set_to_doc(cycle.t, list(pool))))
+    code = main(["cycle", "validate", "--cycle", str(cyc), "--topes", str(topes)])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == (0 if doc["ok"] else 2)
+    return [(v["kind"], tuple(v["where"])) for v in doc["violations"]]
+
+
+def test_validate_membership(tmp_path, capsys):
+    cycle = canonical_hypercube_cycle(3)
+    pool = [v for v in hypercube_topes(3) if v != (1, 1, 1)]
+    assert membership_report(tmp_path, capsys, cycle, pool)[0] == ("membership", (0,))
+
+
+def test_validate_membership_names_every_missing_vertex(tmp_path, capsys):
+    cycle = canonical_hypercube_cycle(3)
+    pool = [v for v in hypercube_topes(3) if v not in ((1, 1, 1), (-1, -1, 1))]
+    assert membership_report(tmp_path, capsys, cycle, pool) == [("membership", (0,)), ("membership", (2,))]
+    assert membership_report(tmp_path, capsys, cycle, hypercube_topes(3)) == []
 
 
 def test_symmetric_cycle_factory_raises():
