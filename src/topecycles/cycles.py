@@ -10,6 +10,7 @@ from typing import Iterable, Sequence
 from .core import (
     SignVector,
     Violation,
+    _SIGNS,
     _ViolationsError,
     all_plus,
     check_sign_vector,
@@ -51,7 +52,7 @@ class SymmetricCycle:
             raise CycleError([Violation("shape", (), f"vertex count {n} is not an even number >= 4")])
         t = n // 2
         for k, v in enumerate(verts):
-            if len(v) != t or any(x not in (1, -1) for x in v):
+            if len(v) != t or not _SIGNS.issuperset(v):
                 raise CycleError([Violation("shape", (k,), f"vertex {k} is not a +/-1 vector of length t={t}")])
         out: list[Violation] = []
         seen: dict[SignVector, int] = {}
@@ -187,11 +188,14 @@ def _half_cycle(m0: int, bits: list[int], members: dict[int, SignVector]) -> lis
 def normalize_cycle(cycle: SymmetricCycle) -> SymmetricCycle:
     """Rotate/reflect so the lexicographically smallest vertex comes first,
     followed by the smaller of its two neighbors."""
+    return SymmetricCycle(_normalized_vertices(cycle))
+
+
+def _normalized_vertices(cycle: SymmetricCycle) -> tuple[SignVector, ...]:
+    """The vertices of ``normalize_cycle(cycle)``, without building and
+    re-checking a new cycle: a rotation or reflection of a valid cycle is valid."""
     verts = cycle.vertices
     n = len(verts)
     i = max(range(n), key=verts.__getitem__)  # for +/-1 vectors, '+' < '-' is descending tuple order
-    if verts[(i + 1) % n] >= verts[(i - 1) % n]:
-        rotated = [verts[(i + k) % n] for k in range(n)]
-    else:
-        rotated = [verts[(i - k) % n] for k in range(n)]
-    return SymmetricCycle(rotated)
+    step = 1 if verts[(i + 1) % n] >= verts[(i - 1) % n] else -1
+    return tuple(verts[(i + step * k) % n] for k in range(n))

@@ -13,7 +13,7 @@ from typing import Any
 
 from .arrangements import Arrangement
 from .core import SignVector, parse_sign_vector, sign_vector_str
-from .cycles import SymmetricCycle, normalize_cycle
+from .cycles import SymmetricCycle, _normalized_vertices
 from .decomposition import Decomposition
 from .dehn_sommerville import DSReport
 from .oracles import CensusResult
@@ -111,8 +111,7 @@ def tope_set_from_doc(doc: dict) -> tuple[int, list[SignVector]]:
 
 
 def cycle_to_doc(cycle: SymmetricCycle) -> dict:
-    norm = normalize_cycle(cycle)
-    return {"t": norm.t, "vertices": [sign_vector_str(v) for v in norm.vertices]}
+    return {"t": cycle.t, "vertices": [sign_vector_str(v) for v in _normalized_vertices(cycle)]}
 
 
 def cycle_vertices_from_doc(doc: dict) -> list[SignVector]:

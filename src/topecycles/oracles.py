@@ -13,7 +13,7 @@ from .arrangements import Arrangement, ccw_half_turn_counts, primitive_vector
 from .complexes import _face_counts
 from .core import DimensionError, SignVector
 from .cycles import SymmetricCycle
-from .decomposition import decompose
+from .decomposition import _flip_order_signs, _member_count
 
 
 class FullSystemFeasibleError(ValueError):
@@ -87,13 +87,13 @@ def census(
     cycle: SymmetricCycle,
     list_topes: bool = False,
 ) -> CensusResult:
-    """Decompose every tope against the cycle and tally by member count.
+    """Tally the topes by decomposition size, read off their flip-order signs.
 
     Topes are processed in lexicographic order, '+' before '-' (descending tuples)."""
     histogram: dict[int, int] = {}
     by_size: dict[int, list[SignVector]] = {}
     for tope in sorted({tuple(v) for v in topes}, reverse=True):
-        size = decompose(tope, cycle).size
+        size = _member_count(_flip_order_signs(tope, cycle)[1])
         histogram[size] = histogram.get(size, 0) + 1
         if list_topes:
             by_size.setdefault(size, []).append(tope)

@@ -222,13 +222,12 @@ def test_census_of_a_partial_tope_set_has_no_expectation(capsys, tmp_path):
 
 def test_census_mismatch_exits_3(monkeypatch, capsys, tmp_path):
     # a census of the whole hypercube is checked against 2*C(t,j); a wrong size is reported, not hidden
-    from types import SimpleNamespace
-
-    import topecycles.oracles as oracles
+    import topecycles.cli as cli
+    from topecycles.oracles import CensusResult
 
     topes = tmp_path / "topes.json"
     run(capsys, "gen", "hypercube", "--t", "3", "--output", str(topes))
-    monkeypatch.setattr(oracles, "decompose", lambda T, c: SimpleNamespace(size=1))
+    monkeypatch.setattr(cli, "census", lambda topes, cycle, list_topes=False: CensusResult(3, {1: 8}))
     code, doc = run_json(capsys, "census", "--topes", str(topes), "--cycle", "canonical")
     assert code == 3
     assert doc["match"] is False

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from topecycles import io
 from topecycles.arrangements import enumerate_topes, hypercube_topes, moment_curve, rank2_fan
 from topecycles.cli import main
-from topecycles.core import DimensionError, all_plus, negate, parse_sign_vector, sign_vector_str
+from topecycles.core import DimensionError, Violation, all_plus, negate, parse_sign_vector, sign_vector_str
 from topecycles.cycles import (
     CycleError,
     SymmetricCycle,
@@ -90,6 +90,11 @@ def test_validate_shape():
     assert violations([])[0].kind == "shape"
     assert violations([(1, 1), (1, -1), (-1, -1)])[0].kind == "shape"
     assert violations([(1, 1, 1), (1, -1), (-1, -1), (-1, 1)])[0].kind == "shape"
+    # an entry other than +/-1 in a vertex of the right length is a shape violation too, and the only one
+    for k, bad in ((1, (0, 1)), (2, (-1, 2))):
+        vertices = [(1, 1), (-1, 1), (-1, -1), (1, -1)]
+        vertices[k] = bad
+        assert violations(vertices) == [Violation("shape", (k,), f"vertex {k} is not a +/-1 vector of length t=2")]
 
 
 def membership_report(tmp_path, capsys, cycle, pool):

@@ -17,7 +17,9 @@ from topecycles.arrangements import (
 from topecycles.complexes import delta_face_masks, long_f_vector
 from topecycles.core import DimensionError, sign_vector_str
 from topecycles.cycles import CycleError, SymmetricCycle, canonical_hypercube_cycle, find_symmetric_cycle
+from topecycles.decomposition import decompose
 from topecycles.oracles import (
+    CensusResult,
     FullSystemFeasibleError,
     census,
     check_halfplane_condition,
@@ -25,6 +27,7 @@ from topecycles.oracles import (
 )
 
 from reference import strict_feasible, validate_simple_by_minors
+from test_decomposition import _tope_set
 
 SPREAD5 = [(1, 0), (0, 1), (-1, 1), (-1, -1), (1, -2)]
 
@@ -236,3 +239,45 @@ def test_census_histogram_independent_of_cycle_for_spread_fan():
         "+++++",
         "-----",
     ]
+
+
+@st.composite
+def cycles_and_sign_vector_lists(draw):
+    # the cycles of test_decomposition.topes_and_cycles, with topes of the set and any other sign vectors
+    kind = draw(st.sampled_from(("hypercube", "moment_curve", "totally_cyclic_fan")))
+    t = draw(st.integers({"hypercube": 2, "moment_curve": 4, "totally_cyclic_fan": 5}[kind], 6))
+    topes = _tope_set(kind, t)
+    cycle = find_symmetric_cycle(topes, seed=draw(st.integers(0, 10**6)))
+    vectors = st.one_of(st.sampled_from(topes), st.tuples(*[st.sampled_from((1, -1))] * t))
+    return cycle, draw(st.lists(vectors, max_size=40))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cycles_and_sign_vector_lists())
+def test_census_tallies_the_decomposition_sizes(case):
+    cycle, vectors = case
+    histogram, by_size = {}, {}
+    for tope in sorted(set(vectors), reverse=True):
+        size = decompose(tope, cycle).size
+        histogram[size] = histogram.get(size, 0) + 1
+        by_size.setdefault(size, []).append(tope)
+    expected = CensusResult(cycle.t, dict(sorted(histogram.items())), by_size)
+    assert census(vectors, cycle, list_topes=True) == expected
+    assert census(vectors, cycle) == CensusResult(cycle.t, expected.histogram)
+
+
+@pytest.mark.parametrize(
+    "vectors, error, message",
+    [
+        ([(1, 1, 1), (1, 0, 1)], ValueError, r"not a sign vector: \(1, 0, 1\)"),
+        ([(1, 1, 1), (1, -1)], DimensionError, "tope length 2 does not match cycle ground set t=3"),
+        # (1, 1) precedes (1, 0, 1) in descending order
+        ([(1, 1, 1), (1, 0, 1), (1, 1)], DimensionError, "tope length 2 does not match cycle ground set t=3"),
+        ([(1, 1, 1), (-1, 1), (1, 2, 1)], ValueError, r"not a sign vector: \(1, 2, 1\)"),
+        ([(0, 1, 1), (1, 1, 1, 1), (1, 1, 1)], DimensionError, "tope length 4 does not match cycle ground set t=3"),
+    ],
+)
+def test_census_names_the_first_offender_in_descending_order(vectors, error, message):
+    with pytest.raises(error, match=f"^{message}$") as excinfo:
+        census(vectors, canonical_hypercube_cycle(3))
+    assert type(excinfo.value) is error
