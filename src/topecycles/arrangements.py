@@ -17,8 +17,6 @@ from .core import DimensionError, SignVector, Violation, _ViolationsError, negat
 class ArrangementError(_ViolationsError):
     """An arrangement (or candidate arrangement) failed validation."""
 
-    fallback = "invalid arrangement"
-
 
 @dataclass(frozen=True)
 class Arrangement:

@@ -81,9 +81,11 @@ def _delta_complex(tope: Sequence[int], cycle: SymmetricCycle) -> tuple[FaceComp
     A mask is maximal exactly when both its neighbours on the walk are
     submasks of it.
 
-    f-vector: a nonempty face has one last element e_j, and the others are
-    any of the k_j = #{i < j : x_i = x_j} + #{i > j : x_i = -x_j} elements
-    placed in the t - 1 positions before e_j: f_m = sum_j C(k_j, m - 1).
+    f-vector: the step into R^k drops position k and adds position k+t, and
+    exactly one of the two holds an element, so exactly t steps grow the mask.
+    A grown mask M is the t-window ending at the element e it added, and the
+    faces whose last element is e are e with any subset of the other |M| - 1
+    elements of M: f_m = sum over the t grown masks M of C(|M| - 1, m - 1).
     """
     _, x = _flip_order_signs(tope, cycle)
     t = cycle.t
@@ -92,16 +94,9 @@ def _delta_complex(tope: Sequence[int], cycle: SymmetricCycle) -> tuple[FaceComp
     walk = [sum(b for b, xj in zip(bits, x) if xj > 0)]
     for k in range(2 * t - 1):
         walk.append(walk[-1] ^ bits[k % t])
-    neighbours = zip(walk[-1:] + walk[:-1], walk, walk[1:] + walk[:1])
-    facets = tuple(sorted(m for before, m, after in neighbours if (before | after) & ~m == 0))
-
-    ks = []
-    earlier = {1: 0, -1: 0}
-    later = Counter(x)
-    for xj in x:
-        later[xj] -= 1
-        ks.append(earlier[xj] + later[-xj])
-        earlier[xj] += 1
+    before = walk[-1:] + walk[:-1]
+    facets = tuple(sorted(m for b, m, a in zip(before, walk, walk[1:] + walk[:1]) if (b | a) & ~m == 0))
+    ks = [m.bit_count() - 1 for b, m in zip(before, walk) if m & ~b]
     return FaceComplex(t, facets, _face_counts(ks, t)), walk
 
 

@@ -26,11 +26,10 @@ class Violation:
 
 
 class _ViolationsError(ValueError):
-    """Carries the violations a check found; the message joins their details,
-    or is the subclass's ``fallback`` when there are none."""
+    """Carries the violations a check found (at least one); the message joins their details."""
 
     def __init__(self, violations: Sequence[Violation]):
-        super().__init__("; ".join(v.detail for v in violations) or self.fallback)
+        super().__init__("; ".join(v.detail for v in violations))
         self.violations = list(violations)
 
 

@@ -12,9 +12,7 @@ from .core import (
     Violation,
     _SIGNS,
     _ViolationsError,
-    all_plus,
     check_sign_vector,
-    flip,
     negate,
     separation_set,
     sign_vector_str,
@@ -23,8 +21,6 @@ from .core import (
 
 class CycleError(_ViolationsError):
     """A vertex sequence violates the symmetric-cycle invariants."""
-
-    fallback = "invalid cycle"
 
 
 @dataclass(frozen=True)
@@ -100,9 +96,7 @@ def canonical_hypercube_cycle(t: int) -> SymmetricCycle:
     """All-plus start; step k flips element k; the second half is the antipodal image."""
     if t < 2:
         raise ValueError("t must be >= 2")
-    half = [all_plus(t)]
-    for e in range(1, t):
-        half.append(flip(half[-1], e))
+    half = [(-1,) * k + (1,) * (t - k) for k in range(t)]
     return SymmetricCycle(half + [negate(v) for v in half])
 
 
@@ -165,23 +159,22 @@ def _half_cycle(m0: int, bits: list[int], members: dict[int, SignVector]) -> lis
     ``bits`` order at each step, or None.
 
     The depth-first search keeps an explicit stack of the elements still to
-    try at each step, so its depth t is not bounded by the recursion limit."""
+    try at each step, so its depth t is not bounded by the recursion limit.
+    A path flips each element at most once: it has flipped ``path[-1] ^ m0``."""
+    full = sum(bits)
     path = [m0]
-    flipped: dict[int, None] = {}  # insertion-ordered, so popitem() undoes the last step
     untried = [iter(bits)]
-    while len(flipped) < len(bits):
+    while (flipped := path[-1] ^ m0) != full:
         for b in untried[-1]:
-            if b not in flipped and (nxt := path[-1] ^ b) in members:
+            if not flipped & b and (nxt := path[-1] ^ b) in members:
                 path.append(nxt)
-                flipped[b] = None
                 untried.append(iter(bits))
                 break
         else:
             untried.pop()
-            if not flipped:
-                return None
             path.pop()
-            flipped.popitem()
+            if not path:
+                return None
     return path[:-1]
 
 

@@ -21,7 +21,6 @@ class Decomposition:
     c_i = +1 selects R^i, c_i = -1 selects the antipode R^(i+t), c_i = 0 neither."""
 
     tope: SignVector
-    cycle: SymmetricCycle
     coeffs: tuple[int, ...]
     members: tuple[SignVector, ...]
 
@@ -43,7 +42,7 @@ def decompose(tope: Sequence[int], cycle: SymmetricCycle) -> Decomposition:
     T, x = _flip_order_signs(tope, cycle)
     coeffs = ((x[0] + x[-1]) // 2,) + tuple((b - a) // 2 for a, b in zip(x, x[1:]))
     idx = sorted(i if c > 0 else i + cycle.t for i, c in enumerate(coeffs) if c)
-    return Decomposition(T, cycle, coeffs, tuple(cycle.vertices[i] for i in idx))
+    return Decomposition(T, coeffs, tuple(cycle.vertices[i] for i in idx))
 
 
 def _flip_order_signs(tope: Sequence[int], cycle: SymmetricCycle) -> tuple[SignVector, list[int]]:

@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 from .arrangements import Arrangement, ccw_half_turn_counts, primitive_vector
 from .complexes import _face_counts
-from .core import DimensionError, SignVector
+from .core import DimensionError, SignVector, check_sign_vector
 from .cycles import SymmetricCycle
 from .decomposition import _flip_order_signs, _member_count
 
@@ -42,10 +42,10 @@ def nu_counts(vectors: Arrangement | Sequence[Sequence]) -> tuple[int, ...]:
     A feasible subsystem has exactly one most clockwise member d, and its
     other j - 1 members are any of the k vectors inside d's open half-turn,
     so nu_j sums comb(k, j - 1) over the half-turn counts k: the sum the
-    delta f-vector takes over its k_j, which is why nu equals it.  The
-    vectors are an ``Arrangement``, used as it is, or the normals of one, so
-    they must form a simple one: a zero vector or an (anti)parallel pair
-    raises ArrangementError.
+    delta f-vector takes over |M| - 1 for its walk's growing masks M, which
+    is why nu equals it.  The vectors are an ``Arrangement``, used as it is,
+    or the normals of one, so they must form a simple one: a zero vector or
+    an (anti)parallel pair raises ArrangementError.
     """
     arr = vectors if isinstance(vectors, Arrangement) else Arrangement(vectors)
     if arr.dim != 2:
@@ -90,9 +90,15 @@ def census(
     """Tally the topes by decomposition size, read off their flip-order signs.
 
     Topes are processed in lexicographic order, '+' before '-' (descending tuples)."""
+    try:
+        ordered = sorted(distinct := {tuple(v) for v in topes}, reverse=True)
+    except TypeError:  # an entry that does not compare with an int: name an offender, the first in repr order
+        for v in sorted(distinct, key=repr):
+            check_sign_vector(v)
+        raise
     histogram: dict[int, int] = {}
     by_size: dict[int, list[SignVector]] = {}
-    for tope in sorted({tuple(v) for v in topes}, reverse=True):
+    for tope in ordered:
         size = _member_count(_flip_order_signs(tope, cycle)[1])
         histogram[size] = histogram.get(size, 0) + 1
         if list_topes:

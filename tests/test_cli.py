@@ -328,7 +328,7 @@ def test_internal_error_propagates_instead_of_exit_2(monkeypatch, capsys):
 
     cycle = canonical_hypercube_cycle(3)
     members = (cycle.vertices[0], cycle.vertices[1])
-    monkeypatch.setattr(complexes, "decompose", lambda T, c: Decomposition(tuple(T), c, (1, 1, 0), members))
+    monkeypatch.setattr(complexes, "decompose", lambda T, c: Decomposition(tuple(T), (1, 1, 0), members))
     assert main(["fvector", "--tope", "+++", "--cycle", "canonical"]) == 4
     err = capsys.readouterr().err
     assert "Traceback" in err and DecompositionError.__name__ in err
@@ -342,7 +342,7 @@ def test_fvector_lambda_delta_mismatch_is_internal_error(monkeypatch, capsys):
 
     cycle = canonical_hypercube_cycle(5)
     members = complexes.decompose((1, -1, 1, -1, 1), cycle).members[:3]
-    monkeypatch.setattr(complexes, "decompose", lambda T, c: Decomposition(tuple(T), c, (0,) * c.t, members))
+    monkeypatch.setattr(complexes, "decompose", lambda T, c: Decomposition(tuple(T), (0,) * c.t, members))
     for command in ("fvector", "verify-ds"):
         assert main([command, "--tope", "+-+-+", "--cycle", "canonical"]) == 4
         err = capsys.readouterr().err

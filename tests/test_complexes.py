@@ -166,7 +166,7 @@ def test_broken_decomposition_raises_not_asserts(monkeypatch):
     cycle = canonical_hypercube_cycle(3)
     tope = (1, 1, 1)
     members = (cycle.vertices[0], cycle.vertices[1])
-    monkeypatch.setattr(complexes, "decompose", lambda T, c: Decomposition(tuple(T), c, (1, 1, 0), members))
+    monkeypatch.setattr(complexes, "decompose", lambda T, c: Decomposition(tuple(T), (1, 1, 0), members))
     with pytest.raises(DecompositionError):
         lambda_face_masks(tope, cycle)
 
@@ -180,7 +180,7 @@ def test_lambda_facets_other_than_delta_facets_raise(monkeypatch):
     coeffs = tuple(c if i in kept else 0 for i, c in enumerate(coeffs))
     members = tuple(C5.vertices[i if coeffs[i] > 0 else i + 5] for i in kept)
     assert sorted(agreement_mask(T5, q) for q in members) != list(delta_face_masks(T5, C5).facets)
-    monkeypatch.setattr(complexes, "decompose", lambda T, c: Decomposition(tuple(T), c, coeffs, members))
+    monkeypatch.setattr(complexes, "decompose", lambda T, c: Decomposition(tuple(T), coeffs, members))
     with pytest.raises(DecompositionError):
         lambda_face_masks(T5, C5)
 
@@ -205,8 +205,22 @@ def moment_curve_topes_and_cycles(draw):
     return draw(st.sampled_from(topes)), cycle
 
 
+@functools.cache
+def fan_topes(kind, t):
+    return enumerate_topes({"rank2_fan": rank2_fan, "totally_cyclic_fan": totally_cyclic_fan}[kind](t))
+
+
+@st.composite
+def fan_cycles_and_sign_vectors(draw):
+    # a rank-2 tope set is one 2t-cycle; the sign vector ranges over all of {+1,-1}^t, not only the topes
+    kind = draw(st.sampled_from(("rank2_fan", "totally_cyclic_fan")))
+    t = draw(st.integers(5, 8))
+    cycle = find_symmetric_cycle(fan_topes(kind, t), seed=draw(st.integers(0, 10**6)))
+    return tuple(draw(st.sampled_from((1, -1))) for _ in range(t)), cycle
+
+
 @settings(max_examples=120, deadline=None)
-@given(st.one_of(hypercube_topes_and_cycles(), moment_curve_topes_and_cycles()))
+@given(st.one_of(hypercube_topes_and_cycles(), moment_curve_topes_and_cycles(), fan_cycles_and_sign_vectors()))
 def test_closures_match_full_scan_oracle(case):
     # the 2^t scans below are the definitions the closed forms must reproduce
     tope, cycle = case

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from topecycles import io
 from topecycles.arrangements import enumerate_topes, hypercube_topes, moment_curve, rank2_fan
 from topecycles.cli import main
-from topecycles.core import DimensionError, Violation, all_plus, negate, parse_sign_vector, sign_vector_str
+from topecycles.core import DimensionError, Violation, all_plus, flip, negate, parse_sign_vector, sign_vector_str
 from topecycles.cycles import (
     CycleError,
     SymmetricCycle,
@@ -45,6 +45,14 @@ def test_canonical_t5_validates():
     cycle = canonical_hypercube_cycle(5)
     assert SymmetricCycle(list(cycle.vertices)) == cycle
     assert cycle.flips == (1, 2, 3, 4, 5)
+
+
+def test_canonical_is_the_cycle_that_flips_elements_in_turn():
+    for t in range(2, 13):
+        half = [all_plus(t)]
+        for e in range(1, t):
+            half.append(flip(half[-1], e))
+        assert canonical_hypercube_cycle(t) == SymmetricCycle(half + [negate(v) for v in half])
 
 
 def test_canonical_rejects_small_t():

@@ -281,3 +281,22 @@ def test_census_names_the_first_offender_in_descending_order(vectors, error, mes
     with pytest.raises(error, match=f"^{message}$") as excinfo:
         census(vectors, canonical_hypercube_cycle(3))
     assert type(excinfo.value) is error
+
+
+@pytest.mark.parametrize(
+    "vectors, message",
+    [
+        ([(1, 1, 1), ("+", 1, 1)], r"not a sign vector: \('\+', 1, 1\)"),
+        ([(1, 1, 1), (None, 1, 1)], r"not a sign vector: \(None, 1, 1\)"),
+        # the offenders are checked in repr order, not in the set's hash order: "(1, 'q', 1)" comes first
+        (
+            [(1, None, 1), (1, 1, 1), *((1, c, 1) for c in "zyxwvutsrq"), (-1, -1, -1)],
+            r"not a sign vector: \(1, 'q', 1\)",
+        ),
+    ],
+)
+def test_census_rejects_entries_that_do_not_compare_with_an_int(vectors, message):
+    for order in (vectors, vectors[::-1]):
+        with pytest.raises(ValueError, match=f"^{message}$") as excinfo:
+            census(order, canonical_hypercube_cycle(3))
+        assert type(excinfo.value) is ValueError
