@@ -1,12 +1,13 @@
 """Composable subcommands over JSON documents: generation, enumeration, cycles, decompositions, f-vectors, verification.
 
 Exit codes: 0 success, 1 usage or I/O error (an argument the command cannot
-use is a usage error), 2 input validation failure, 3 verification failure (a
-violated identity, or a census of the whole hypercube whose histogram is not
-2*C(t,j)), 4 internal error.  An internal error, such as a DecompositionError
-(among them Lambda and Delta complexes that do not coincide) or a chamber
-whose integer witness fails its check, is a bug, not bad input: its
-traceback goes to stderr and the exit code is 4."""
+use, or a document that is not UTF-8 JSON, is a usage error), 2 input
+validation failure, 3 verification failure (a violated identity, or a census
+of the whole hypercube whose histogram is not 2*C(t,j)), 4 internal error.
+An internal error, such as a DecompositionError (among them Lambda and Delta
+complexes that do not coincide) or a chamber whose integer witness fails its
+check, is a bug, not bad input: its traceback goes to stderr and the exit
+code is 4."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import json
 import sys
 import traceback
 from math import comb
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import io
 from .arrangements import enumerate_topes, hypercube_topes, moment_curve, rank2_fan, totally_cyclic_fan
@@ -92,13 +93,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fvector", help="long f-vector of the complex attached to a tope")
     p.add_argument("--tope", required=True)
     p.add_argument("--cycle", required=True, metavar="FILE|canonical")
-    _output_options(p, tsv=True)
+    _output_options(p)
     p.set_defaults(func=_cmd_fvector)
 
     p = sub.add_parser("verify-ds", help="check the Dehn-Sommerville type relations")
-    p.add_argument("--fvector", metavar="FILE", help="f-vector document to check")
-    p.add_argument("--tope", help="tope whose complex to check (with --cycle)")
-    p.add_argument("--cycle", metavar="FILE|canonical")
+    p.add_argument("--fvector", required=True, metavar="FILE", help="f-vector document to check")
     _output_options(p)
     p.set_defaults(func=_cmd_verify_ds)
 
@@ -106,28 +105,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topes", required=True, metavar="FILE")
     p.add_argument("--cycle", required=True, metavar="FILE|canonical")
     p.add_argument("--list-topes", action="store_true", help="include the topes of each size class")
-    _output_options(p, tsv=True)
+    _output_options(p)
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("nu", help="feasible-subsystem counts of a rank-2 arrangement")
     p.add_argument("--arrangement", required=True, metavar="FILE")
-    _output_options(p, tsv=True)
+    _output_options(p)
     p.set_defaults(func=_cmd_nu)
 
     return parser
 
 
-def _output_options(p: argparse.ArgumentParser, tsv: bool = False) -> None:
+def _output_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", metavar="FILE", help="write here instead of stdout")
-    if tsv:
-        p.add_argument("--format", choices=["json", "tsv"], default="json")
 
 
-def _write(args, doc: dict, tsv_render: Callable[[dict], str] | None = None) -> None:
-    if getattr(args, "format", "json") == "tsv" and tsv_render is not None:
-        text = tsv_render(doc)
-    else:
-        text = json.dumps(doc, indent=2) + "\n"
+def _write(args, doc: dict) -> None:
+    text = json.dumps(doc, indent=2) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -207,25 +201,16 @@ def _cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def _tope_f_vector(args) -> tuple[int, tuple[int, ...]]:
-    """t and the long f-vector of --tope over --cycle; a Lambda/Delta mismatch raises DecompositionError (exit 4)."""
+def _cmd_fvector(args) -> int:
+    # a Lambda/Delta mismatch raises DecompositionError (exit 4)
     tope = parse_sign_vector(args.tope)
     cycle = _load_cycle_arg(args.cycle, len(tope))
-    return cycle.t, lambda_face_masks(tope, cycle).f_vector
-
-
-def _cmd_fvector(args) -> int:
-    _write(args, io.fvector_to_doc(*_tope_f_vector(args)), functools.partial(_vector_tsv, "f"))
+    _write(args, io.fvector_to_doc(cycle.t, lambda_face_masks(tope, cycle).f_vector))
     return EXIT_OK
 
 
 def _cmd_verify_ds(args) -> int:
-    if args.fvector and not (args.tope or args.cycle):
-        _, f = io.fvector_from_doc(io.load_doc(args.fvector))
-    elif args.tope and args.cycle and not args.fvector:
-        _, f = _tope_f_vector(args)
-    else:
-        raise _UsageError("verify-ds needs either --fvector or both --tope and --cycle")
+    _, f = io.fvector_from_doc(io.load_doc(args.fvector))
     report = check_ds(f)
     _write(args, io.ds_report_to_doc(report))
     return EXIT_OK if report.passes else EXIT_VERIFY
@@ -241,35 +226,15 @@ def _cmd_census(args) -> int:
     if sum(result.histogram.values()) == 2**result.t:
         expected = {j: 2 * comb(result.t, j) for j in range(1, result.t + 1, 2)}
         match = result.histogram == expected
-    _write(args, io.census_to_doc(result, expected, match), _census_tsv)
+    _write(args, io.census_to_doc(result, expected, match))
     return EXIT_VERIFY if match is False else EXIT_OK
 
 
 def _cmd_nu(args) -> int:
     arr = io.arrangement_from_doc(io.load_doc(args.arrangement))
     counts = nu_counts(arr)
-    _write(args, {"t": arr.t, "nu": list(counts)}, functools.partial(_vector_tsv, "nu"))
+    _write(args, {"t": arr.t, "nu": list(counts)})
     return EXIT_OK
-
-
-def _census_tsv(doc: dict) -> str:
-    expected = doc.get("expected")
-    hist = doc["histogram"]
-    keys = sorted({int(j) for j in hist} | ({int(j) for j in expected} if expected else set()))
-    if expected is None:
-        lines = ["j\tcount"] + [f"{j}\t{hist.get(str(j), 0)}" for j in keys]
-    else:
-        lines = ["j\tcount\texpected\tmatch"]
-        for j in keys:
-            count = hist.get(str(j), 0)
-            want = expected.get(str(j), 0)
-            lines.append(f"{j}\t{count}\t{want}\t{str(count == want).lower()}")
-    return "\n".join(lines) + "\n"
-
-
-def _vector_tsv(key: str, doc: dict) -> str:
-    lines = [f"j\t{key}"] + [f"{j}\t{x}" for j, x in enumerate(doc[key])]
-    return "\n".join(lines) + "\n"
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -68,7 +68,13 @@ def check_ds(f: Sequence[int]) -> DSReport:
 
     is the coefficient of x^(t-j) in the polynomial identity, multiplied by
     (-1)^j, so row j holds exactly when that residual coefficient is zero.
-    It is empty (vacuously true) when t < 5."""
+    It is empty (vacuously true) when t < 5.
+
+    The report passes exactly when the boundary rows hold and the residual
+    is zero.  The alternating sum cannot fail on its own: at x = 1 the
+    identity reads d_t == -sum_{j=3..t} (-1)^j d_j with d_j = C(t,j) - f_j,
+    and once f_0..f_2 are binomial and f_{t-1} = f_t = 0, that equation is
+    the alternating sum being zero."""
     t = _t_of(f)
     boundary = all(f[j] == comb(t, j) for j in range(min(2, t) + 1))
     boundary = boundary and f[t] == 0 and f[t - 1] == 0

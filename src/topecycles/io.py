@@ -41,7 +41,10 @@ def rational_from_str(text: Any) -> Fraction:
 
 def load_doc(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except UnicodeDecodeError as exc:  # a ValueError, which would read as invalid input (exit 2)
+            raise SchemaError(f"{path}: not UTF-8 text: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: expected a JSON object")
     return doc

@@ -1,17 +1,24 @@
+from fractions import Fraction
+from itertools import cycle as repeat_cyclically
+
 from hypothesis import given
 from hypothesis import strategies as st
 import pytest
 
+from topecycles.arrangements import hypercube_topes
 from topecycles.core import (
     DimensionError,
     all_plus,
+    check_sign_vector,
     flip,
     negate,
     parse_sign_vector,
     separation_set,
     sign_vector_str,
 )
-from topecycles.cycles import canonical_hypercube_cycle
+from topecycles.cycles import SymmetricCycle, canonical_hypercube_cycle
+from topecycles.decomposition import decompose
+from topecycles.oracles import census
 
 from reference import positive_part
 
@@ -74,3 +81,25 @@ def test_separation_symmetry_and_negation_invariance(pair):
     assert separation_set(a, b) == separation_set(b, a)
     assert separation_set(negate(a), negate(b)) == separation_set(a, b)
     assert (separation_set(a, b) == frozenset()) == (a == b)
+
+
+def test_sign_entries_are_compared_by_value():
+    # 1.0, True and Fraction(1) equal 1, so every function treats them as the sign +1
+    plus, minus = repeat_cyclically((1.0, True, Fraction(1), 1)), repeat_cyclically((-1.0, Fraction(-1), -1))
+
+    def twin(v):
+        return tuple(next(plus) if x == 1 else next(minus) for x in v)
+
+    for t in range(2, 7):
+        cycle = canonical_hypercube_cycle(t)
+        topes = hypercube_topes(t)
+        twins = [twin(T) for T in topes]
+        for T, U in zip(topes, twins):
+            check_sign_vector(U, t)
+            assert decompose(U, cycle) == decompose(T, cycle)
+        assert census(twins, cycle, list_topes=True) == census(topes, cycle, list_topes=True)
+        assert census(topes + twins, cycle) == census(topes, cycle)  # a twin is the same tope
+        twin_cycle = SymmetricCycle([twin(v) for v in cycle.vertices])
+        assert twin_cycle == cycle and hash(twin_cycle) == hash(cycle)
+        assert twin_cycle.flips == cycle.flips
+        assert decompose(topes[-1], twin_cycle) == decompose(topes[-1], cycle)

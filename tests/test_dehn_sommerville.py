@@ -1,7 +1,13 @@
+import random
+from math import comb
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from topecycles.arrangements import hypercube_topes
+from topecycles.complexes import lambda_face_masks
+from topecycles.cycles import canonical_hypercube_cycle
 from topecycles.dehn_sommerville import (
     check_alternating_sum,
     check_ds,
@@ -60,8 +66,6 @@ def test_coefficient_expansion_agrees_with_pointwise_evaluation():
     for f in (F5, F6, (1, 5, 10, 6, 0, 0), (1, 7, 21, 24, 13, 3, 0, 0)):
         t = len(f) - 1
         lhs, rhs = ds_polynomial_sides(f)
-        from math import comb
-
         for x in range(2, t):
             direct_lhs = sum((comb(t, j) - f[j]) * (x - 1) ** (t - j) for j in range(3, t + 1))
             direct_rhs = -sum((-1) ** j * (comb(t, j) - f[j]) * x ** (t - j) for j in range(3, t + 1))
@@ -142,3 +146,39 @@ def test_boundary_failure_detected():
 def test_rejects_too_short():
     with pytest.raises(ValueError):
         check_ds((1,))
+
+
+def boundary_forced_vectors(t, rng, count):
+    """f_0..f_2 binomial and f_(t-1) = f_t = 0, with random entries in between (t >= 4)."""
+    for _ in range(count):
+        middle = [rng.randint(0, comb(t, j)) for j in range(3, t - 1)]
+        yield (*(comb(t, j) for j in range(3)), *middle, 0, 0)
+
+
+def test_passes_is_the_boundary_rows_and_a_zero_residual():
+    # at x = 1 the identity reads d_t == -sum_j (-1)^j d_j with d_j = C(t,j) - f_j; once the
+    # boundary rows hold, that is the alternating sum, so a zero residual forces it to 0
+    rng = random.Random(16)
+    vectors = []
+    for t in range(2, 13):
+        cycle = canonical_hypercube_cycle(t)
+        hypercube = [lambda_face_masks(T, cycle).f_vector for T in hypercube_topes(t)]
+        forced = list(boundary_forced_vectors(t, rng, 200)) if t >= 4 else []
+        vectors += hypercube + forced
+        for f in rng.sample(hypercube, min(len(hypercube), 100)) + forced[:100]:
+            for j in range(t + 1):
+                vectors.append(f[:j] + (f[j] + rng.choice((-1, 1)),) + f[j + 1 :])
+                if j + 2 <= t:  # keeps the alternating sum and moves the residual
+                    vectors.append(f[:j] + (f[j] + 1, f[j + 1], f[j + 2] + 1) + f[j + 3 :])
+    verdicts = set()
+    for f in vectors:
+        report = check_ds(f)
+        exact = report.boundary_ok and not any(report.polynomial_residual)
+        assert report.passes == exact, f
+        if exact:
+            assert report.alternating_sum == 0, f
+        verdicts.add((report.boundary_ok, not any(report.polynomial_residual), report.alternating_sum == 0))
+    # every mix of the three parts occurs except the one the identity rules out
+    assert verdicts == {(b, r, a) for b in (True, False) for r in (True, False) for a in (True, False)} - {
+        (True, True, False)
+    }
