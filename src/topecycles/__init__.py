@@ -51,10 +51,8 @@ from .decomposition import (
 from .dehn_sommerville import (
     DSReport,
     SpecialCaseNote,
-    check_alternating_sum,
     check_ds,
     ds_polynomial_sides,
-    special_cases,
 )
 from .oracles import (
     CensusResult,

@@ -22,7 +22,7 @@ from typing import Sequence
 from . import io
 from .arrangements import enumerate_topes, hypercube_topes, moment_curve, rank2_fan, totally_cyclic_fan
 from .complexes import lambda_face_masks
-from .core import Violation, parse_sign_vector, sign_vector_str
+from .core import DimensionError, Violation, parse_sign_vector, sign_vector_str
 from .cycles import CycleError, SymmetricCycle, canonical_hypercube_cycle, find_symmetric_cycle
 from .decomposition import decompose
 from .dehn_sommerville import check_ds
@@ -171,7 +171,12 @@ def _cmd_cycle_find(args) -> int:
 
 def _cmd_cycle_validate(args) -> int:
     vertices = io.cycle_vertices_from_doc(io.load_doc(args.cycle))
-    members = set(io.tope_set_from_doc(io.load_doc(args.topes))[1]) if args.topes else None
+    members = None
+    if args.topes:
+        t, topes = io.tope_set_from_doc(io.load_doc(args.topes))
+        if t != (cycle_t := len(vertices) // 2):
+            raise DimensionError(f"tope set t={t} does not match cycle ground set t={cycle_t}")
+        members = set(topes)
     try:
         SymmetricCycle(vertices)
         violations = []

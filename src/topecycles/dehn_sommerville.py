@@ -21,14 +21,18 @@ class DSReport:
     t: int
     boundary_ok: bool
     polynomial_residual: tuple[int, ...]
-    recurrence_ok: dict[int, bool]
     alternating_sum: int
     special_case_notes: tuple[SpecialCaseNote, ...]
 
     @property
+    def recurrence_ok(self) -> dict[int, bool]:
+        """Row j of the recurrence, 3 <= j <= t-2, is the residual's coefficient of x^(t-j)."""
+        return {j: self.polynomial_residual[self.t - j] == 0 for j in range(3, self.t - 1)}
+
+    @property
     def passes(self) -> bool:
-        # recurrence_ok reads the residual, so a zero residual implies every row
-        return self.boundary_ok and not any(self.polynomial_residual) and self.alternating_sum == 0
+        # a zero residual implies every recurrence row, and with the boundary rows the alternating sum
+        return self.boundary_ok and not any(self.polynomial_residual)
 
 
 def _t_of(f: Sequence[int]) -> int:
@@ -76,29 +80,20 @@ def check_ds(f: Sequence[int]) -> DSReport:
     and once f_0..f_2 are binomial and f_{t-1} = f_t = 0, that equation is
     the alternating sum being zero."""
     t = _t_of(f)
-    boundary = all(f[j] == comb(t, j) for j in range(min(2, t) + 1))
-    boundary = boundary and f[t] == 0 and f[t - 1] == 0
+    boundary = all(f[j] == comb(t, j) for j in range(min(2, t) + 1)) and f[t - 1] == f[t] == 0
     lhs, rhs = ds_polynomial_sides(f)
     residual = tuple(a - b for a, b in zip(lhs, rhs))
     return DSReport(
         t=t,
         boundary_ok=boundary,
         polynomial_residual=residual,
-        recurrence_ok={j: residual[t - j] == 0 for j in range(3, t - 1)},
-        alternating_sum=check_alternating_sum(f),
-        special_case_notes=tuple(special_cases(f)),
+        alternating_sum=sum((-1) ** j * f[j] for j in range(1, t - 1)),
+        special_case_notes=_special_cases(f, t),
     )
 
 
-def check_alternating_sum(f: Sequence[int]) -> int:
-    """The signed sum over 1 <= j <= t-2; the identity holds iff it is zero."""
-    t = _t_of(f)
-    return sum((-1) ** j * f[j] for j in range(1, max(t - 1, 1)))
-
-
-def special_cases(f: Sequence[int]) -> list[SpecialCaseNote]:
+def _special_cases(f: Sequence[int], t: int) -> tuple[SpecialCaseNote, ...]:
     """Closed-form spot checks, available only for t in {5, 6, 7}."""
-    t = _t_of(f)
     notes = []
     if t == 5:
         notes.append(SpecialCaseNote("f3 == C(5,2) - 5 == 5", f[3] == comb(5, 2) - 5))
@@ -110,4 +105,4 @@ def special_cases(f: Sequence[int]) -> list[SpecialCaseNote]:
         notes.append(SpecialCaseNote("f5 == f3 - 21", f[5] == f[3] - 21))
         notes.append(SpecialCaseNote("f4 == 2*f5 + 7", f[4] == 2 * f[5] + 7))
         notes.append(SpecialCaseNote("f4 is odd", f[4] % 2 == 1))
-    return notes
+    return tuple(notes)

@@ -109,8 +109,12 @@ def tope_set_to_doc(t: int, topes: list[SignVector]) -> dict:
 
 
 def tope_set_from_doc(doc: dict) -> tuple[int, list[SignVector]]:
+    """The listed topes; an empty list raises SchemaError, since no tope backs its t."""
     t = _ground_set_size(doc)
-    return t, _parse_topes(_field(doc, "topes", list), t)
+    strings = _field(doc, "topes", list)
+    if not strings:
+        raise SchemaError(f"t={t} but no topes given")
+    return t, _parse_topes(strings, t)
 
 
 def cycle_to_doc(cycle: SymmetricCycle) -> dict:

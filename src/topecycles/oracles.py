@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 from .arrangements import Arrangement, ccw_half_turn_counts, primitive_vector
 from .complexes import _face_counts
-from .core import DimensionError, SignVector, check_sign_vector
+from .core import DimensionError, SignVector
 from .cycles import SymmetricCycle
 from .decomposition import _flip_order_signs, _member_count
 
@@ -87,20 +87,17 @@ def census(
     cycle: SymmetricCycle,
     list_topes: bool = False,
 ) -> CensusResult:
-    """Tally the topes by decomposition size, read off their flip-order signs.
+    """Tally the distinct topes by decomposition size, read off their flip-order signs.
 
-    Topes are processed in lexicographic order, '+' before '-' (descending tuples)."""
-    try:
-        ordered = sorted(distinct := {tuple(v) for v in topes}, reverse=True)
-    except TypeError:  # an entry that does not compare with an int: name an offender, the first in repr order
-        for v in sorted(distinct, key=repr):
-            check_sign_vector(v)
-        raise
+    Topes are checked in the order given, so an invalid input names its first offender (an
+    entry that is not iterable or not hashable raises TypeError before any is checked).
+    Each listed class is in lexicographic order, '+' before '-' (descending tuples)."""
     histogram: dict[int, int] = {}
     by_size: dict[int, list[SignVector]] = {}
-    for tope in ordered:
+    for tope in dict.fromkeys(map(tuple, topes)):
         size = _member_count(_flip_order_signs(tope, cycle)[1])
         histogram[size] = histogram.get(size, 0) + 1
         if list_topes:
             by_size.setdefault(size, []).append(tope)
-    return CensusResult(cycle.t, dict(sorted(histogram.items())), by_size if list_topes else None)
+    listed = {j: sorted(by_size[j], reverse=True) for j in sorted(by_size)} if list_topes else None
+    return CensusResult(cycle.t, dict(sorted(histogram.items())), listed)

@@ -19,7 +19,7 @@ from topecycles.complexes import delta_face_masks, lambda_face_masks, long_f_vec
 from topecycles.core import all_plus, negate, parse_sign_vector, sign_vector_str
 from topecycles.cycles import SymmetricCycle, canonical_hypercube_cycle, find_symmetric_cycle
 from topecycles.decomposition import decompose
-from topecycles.dehn_sommerville import check_alternating_sum, check_ds
+from topecycles.dehn_sommerville import check_ds
 from topecycles.oracles import check_halfplane_condition, nu_counts
 
 from reference import brute_force_decompose, check_recurrence, maxpos_vertices
@@ -139,7 +139,7 @@ def test_criterion_05_full_ds_system(hyper, moment):
                 rep = check_ds(r.fvec)
                 assert rep.boundary_ok and not any(rep.polynomial_residual), r
                 assert all(check_recurrence(r.fvec).values()), r
-                assert check_alternating_sum(r.fvec) == 0, r
+                assert rep.alternating_sum == 0, r
                 assert rep.passes
                 checked += 1
     moment_big = sum(1 for t in range(5, 9) for r in moment[t] if r.size >= 5)
@@ -249,7 +249,7 @@ def test_criterion_10_negative_controls(tmp_path, capsys):
                 broken = (
                     not rep.boundary_ok
                     or any(rep.polynomial_residual)
-                    or check_alternating_sum(tampered) != 0
+                    or rep.alternating_sum != 0
                 )
                 assert broken, (f, j, delta)
                 perturbations += 1

@@ -176,6 +176,33 @@ def test_cycle_validate_reads_both_documents_before_any_check(capsys, tmp_path):
         assert run(capsys, "cycle", "validate", "--cycle", cyc, "--topes", str(tmp_path / "missing.json")) == (1, "")
 
 
+def test_cycle_validate_against_a_tope_set_of_another_t_exits_2(capsys, tmp_path):
+    cyc, _ = write_cycle_and_topes(tmp_path, ["++", "-+", "--", "+-"], [])
+    pool = tmp_path / "topes3.json"
+    assert run(capsys, "gen", "hypercube", "--t", "3", "--output", str(pool))[0] == 0
+    assert main(["cycle", "validate", "--cycle", cyc, "--topes", str(pool)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "topecycles: error: tope set t=3 does not match cycle ground set t=2\n"
+
+
+def test_a_tope_set_without_topes_exits_1_from_every_reader(capsys, tmp_path):
+    # no tope backs the document's t, so census --cycle canonical would build a cycle of any size
+    cyc, pool = write_cycle_and_topes(tmp_path, ["+++", "-++", "--+", "---", "+--", "++-"], [])
+    errors = set()
+    for argv in (
+        ["census", "--topes", pool, "--cycle", "canonical"],
+        ["census", "--topes", pool, "--cycle", cyc],
+        ["cycle", "find", "--topes", pool],
+        ["cycle", "validate", "--cycle", cyc, "--topes", pool],
+    ):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.add(captured.err)
+    assert errors == {"topecycles: error: t=3 but no topes given\n"}
+
+
 def test_cycle_document_without_2t_vertices_exits_1_from_every_reader(capsys, tmp_path):
     cyc = tmp_path / "six.json"
     cyc.write_text(json.dumps({"t": 2, "vertices": ["++", "+-", "--", "-+", "++", "+-"]}))

@@ -1,4 +1,5 @@
 import random
+from functools import cache
 from math import comb
 
 import pytest
@@ -8,12 +9,8 @@ from hypothesis import strategies as st
 from topecycles.arrangements import hypercube_topes
 from topecycles.complexes import lambda_face_masks
 from topecycles.cycles import canonical_hypercube_cycle
-from topecycles.dehn_sommerville import (
-    check_alternating_sum,
-    check_ds,
-    ds_polynomial_sides,
-    special_cases,
-)
+from topecycles.decomposition import decompose
+from topecycles.dehn_sommerville import check_ds, ds_polynomial_sides
 
 from reference import check_recurrence, ds_polynomial_sides_by_binomials
 
@@ -109,31 +106,31 @@ def test_recurrence_matches_row_by_row_oracle(f):
 
 
 def test_alternating_sum_examples():
-    assert check_alternating_sum(F5) == -5 + 10 - 5 == 0
-    assert check_alternating_sum(F6) == -6 + 15 - 12 + 3 == 0
-    assert check_alternating_sum((1, 5, 10, 4, 0, 0)) == 1
+    assert check_ds(F5).alternating_sum == -5 + 10 - 5 == 0
+    assert check_ds(F6).alternating_sum == -6 + 15 - 12 + 3 == 0
+    assert check_ds((1, 5, 10, 4, 0, 0)).alternating_sum == 1
 
 
 def test_special_cases_t5():
-    assert [n.holds for n in special_cases(F5)] == [True]
-    assert [n.holds for n in special_cases((1, 5, 10, 6, 0, 0))] == [False]
+    assert [n.holds for n in check_ds(F5).special_case_notes] == [True]
+    assert [n.holds for n in check_ds((1, 5, 10, 6, 0, 0)).special_case_notes] == [False]
 
 
 def test_special_cases_t6():
-    assert [n.holds for n in special_cases(F6)] == [True, True]
+    assert [n.holds for n in check_ds(F6).special_case_notes] == [True, True]
 
 
 def test_special_cases_t7_parity():
     good = (1, 7, 21, 24, 13, 3, 0, 0)
-    assert all(n.holds for n in special_cases(good))
+    assert all(n.holds for n in check_ds(good).special_case_notes)
     even_f4 = (1, 7, 21, 24, 12, 3, 0, 0)
-    notes = {n.label: n.holds for n in special_cases(even_f4)}
+    notes = {n.label: n.holds for n in check_ds(even_f4).special_case_notes}
     assert notes["f4 is odd"] is False
 
 
 def test_special_cases_empty_outside_5_6_7():
-    assert special_cases((1, 4, 6, 4, 0)) == []
-    assert special_cases((1, 8, 28, 48, 33, 8, 0, 0, 0)) == []
+    assert check_ds((1, 4, 6, 4, 0)).special_case_notes == ()
+    assert check_ds((1, 8, 28, 48, 33, 8, 0, 0, 0)).special_case_notes == ()
 
 
 def test_boundary_failure_detected():
@@ -182,3 +179,63 @@ def test_passes_is_the_boundary_rows_and_a_zero_residual():
     assert verdicts == {(b, r, a) for b in (True, False) for r in (True, False) for a in (True, False)} - {
         (True, True, False)
     }
+
+
+# The exact law, a verified conjecture beyond the paper's "|Q| >= 5 implies DS": the f-vector depends
+# only on the flip-order signs x, so the canonical cycle's topes cover every case with that t.
+
+
+def flip_order_signs(tope, cycle):
+    r0 = cycle.vertices[0]
+    return [tope[e - 1] * r0[e - 1] for e in cycle.flips]
+
+
+def twisted_runs(x):
+    """Lengths of the cyclic runs of the twisted sequence (x_1..x_t, -x_1..-x_t)."""
+    s = [*x, *(-v for v in x)]
+    cuts = [i for i in range(len(s)) if s[i - 1] != s[i]]  # s[t] = -s[0], so there are at least two
+    return [(b - a) % len(s) for a, b in zip(cuts, cuts[1:] + cuts[:1])]
+
+
+def exact_law(size, x):
+    """check_ds passes exactly when |Q| >= 5, or when |Q| = 3 and every run is at least 2 long."""
+    return size >= 5 or size == 3 and min(twisted_runs(x)) >= 2
+
+
+def test_exact_law_on_every_canonical_cycle_tope_for_t_3_to_12():
+    passing_threes = {}
+    for t in range(3, 13):
+        cycle = canonical_hypercube_cycle(t)
+        for tope in hypercube_topes(t):
+            x, size = flip_order_signs(tope, cycle), decompose(tope, cycle).size
+            assert len(twisted_runs(x)) == 2 * size
+            law = exact_law(size, x)
+            assert check_ds(lambda_face_masks(tope, cycle).f_vector).passes == law, tope
+            passing_threes[t] = passing_threes.get(t, 0) + (size == 3 and law)
+    assert [passing_threes[t] for t in range(3, 13)] == [0, 0, 0, 4, 14, 32, 60, 100, 154, 224]
+    assert all(passing_threes[t] == 2 * t * comb(t - 4, 2) // 3 for t in range(4, 13))
+
+
+@cache
+def cached_canonical_cycle(t):
+    return canonical_hypercube_cycle(t)
+
+
+@st.composite
+def canonical_cycle_topes(draw):
+    """A tope of the t-cube, t <= 200, as sign changes along the canonical cycle's flip order: few or any."""
+    t = draw(st.integers(3, 200))
+    changes = draw(st.sets(st.integers(1, t - 1), max_size=draw(st.sampled_from((4, t - 1)))))
+    sign, tope = draw(st.sampled_from((1, -1))), []
+    for e in range(t):
+        sign = -sign if e in changes else sign
+        tope.append(sign)
+    return tuple(tope)
+
+
+@settings(max_examples=200, deadline=None)
+@given(canonical_cycle_topes())
+def test_exact_law_on_random_topes_up_to_t200(tope):
+    cycle = cached_canonical_cycle(len(tope))
+    x, size = flip_order_signs(tope, cycle), decompose(tope, cycle).size
+    assert check_ds(lambda_face_masks(tope, cycle).f_vector).passes == exact_law(size, x)

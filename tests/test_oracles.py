@@ -266,37 +266,76 @@ def test_census_tallies_the_decomposition_sizes(case):
     assert census(vectors, cycle) == CensusResult(cycle.t, expected.histogram)
 
 
+@settings(max_examples=100, deadline=None)
+@given(cycles_and_sign_vector_lists(), st.randoms(use_true_random=False))
+def test_census_does_not_depend_on_order_or_repeats(case, rng):
+    cycle, vectors = case
+    copy = vectors + rng.sample(vectors, len(vectors) // 2)
+    rng.shuffle(copy)
+    for list_topes in (False, True):
+        result, shuffled = (census(v, cycle, list_topes=list_topes) for v in (vectors, copy))
+        assert shuffled == result
+        assert list(shuffled.histogram) == list(result.histogram)
+    assert list(shuffled.by_size) == list(result.by_size) == sorted(result.by_size)
+
+
+# each invalid input names its first offender given; reversed, it names the other one
 @pytest.mark.parametrize(
-    "vectors, error, message",
+    "vectors, error, message, reversed_error, reversed_message",
     [
-        ([(1, 1, 1), (1, 0, 1)], ValueError, r"not a sign vector: \(1, 0, 1\)"),
-        ([(1, 1, 1), (1, -1)], DimensionError, "tope length 2 does not match cycle ground set t=3"),
-        # (1, 1) precedes (1, 0, 1) in descending order
-        ([(1, 1, 1), (1, 0, 1), (1, 1)], DimensionError, "tope length 2 does not match cycle ground set t=3"),
-        ([(1, 1, 1), (-1, 1), (1, 2, 1)], ValueError, r"not a sign vector: \(1, 2, 1\)"),
-        ([(0, 1, 1), (1, 1, 1, 1), (1, 1, 1)], DimensionError, "tope length 4 does not match cycle ground set t=3"),
+        ([(1, 1, 1), (1, 0, 1)], ValueError, r"not a sign vector: \(1, 0, 1\)", None, None),
+        ([(1, 1, 1), (1, -1)], DimensionError, "tope length 2 does not match cycle ground set t=3", None, None),
+        (
+            [(1, 1, 1), (1, 1), (1, 0, 1)],
+            DimensionError,
+            "tope length 2 does not match cycle ground set t=3",
+            ValueError,
+            r"not a sign vector: \(1, 0, 1\)",
+        ),
+        (
+            [(1, 1, 1), (1, 2, 1), (-1, 1)],
+            ValueError,
+            r"not a sign vector: \(1, 2, 1\)",
+            DimensionError,
+            "tope length 2 does not match cycle ground set t=3",
+        ),
+        (
+            [(1, 1, 1, 1), (0, 1, 1), (1, 1, 1)],
+            DimensionError,
+            "tope length 4 does not match cycle ground set t=3",
+            ValueError,
+            r"not a sign vector: \(0, 1, 1\)",
+        ),
     ],
 )
-def test_census_names_the_first_offender_in_descending_order(vectors, error, message):
-    with pytest.raises(error, match=f"^{message}$") as excinfo:
-        census(vectors, canonical_hypercube_cycle(3))
-    assert type(excinfo.value) is error
+def test_census_names_the_first_offender_in_descending_order(vectors, error, message, reversed_error, reversed_message):
+    reversed_case = (vectors[::-1], reversed_error or error, reversed_message or message)
+    for order, err, msg in ((vectors, error, message), reversed_case):
+        with pytest.raises(err, match=f"^{msg}$") as excinfo:
+            census(order, canonical_hypercube_cycle(3))
+        assert type(excinfo.value) is err
 
 
 @pytest.mark.parametrize(
-    "vectors, message",
+    "vectors, message, reversed_message",
     [
-        ([(1, 1, 1), ("+", 1, 1)], r"not a sign vector: \('\+', 1, 1\)"),
-        ([(1, 1, 1), (None, 1, 1)], r"not a sign vector: \(None, 1, 1\)"),
-        # the offenders are checked in repr order, not in the set's hash order: "(1, 'q', 1)" comes first
+        ([(1, 1, 1), ("+", 1, 1)], r"not a sign vector: \('\+', 1, 1\)", None),
+        ([(1, 1, 1), (None, 1, 1)], r"not a sign vector: \(None, 1, 1\)", None),
         (
             [(1, None, 1), (1, 1, 1), *((1, c, 1) for c in "zyxwvutsrq"), (-1, -1, -1)],
+            r"not a sign vector: \(1, None, 1\)",
             r"not a sign vector: \(1, 'q', 1\)",
         ),
     ],
 )
-def test_census_rejects_entries_that_do_not_compare_with_an_int(vectors, message):
-    for order in (vectors, vectors[::-1]):
-        with pytest.raises(ValueError, match=f"^{message}$") as excinfo:
+def test_census_rejects_entries_that_do_not_compare_with_an_int(vectors, message, reversed_message):
+    for order, msg in ((vectors, message), (vectors[::-1], reversed_message or message)):
+        with pytest.raises(ValueError, match=f"^{msg}$") as excinfo:
             census(order, canonical_hypercube_cycle(3))
         assert type(excinfo.value) is ValueError
+
+
+@pytest.mark.parametrize("vectors", [[None], [(1, 1, 1), 5], [(1, 1, 1), [[1], 1, 1]]])
+def test_census_rejects_an_entry_that_is_not_a_hashable_sequence(vectors):
+    with pytest.raises(TypeError):
+        census(vectors, canonical_hypercube_cycle(3))
