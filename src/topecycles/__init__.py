@@ -28,11 +28,8 @@ from .core import (
     DimensionError,
     SignVector,
     Violation,
-    all_plus,
-    flip,
     negate,
     parse_sign_vector,
-    separation_set,
     sign_vector_str,
 )
 from .cycles import (
@@ -40,7 +37,6 @@ from .cycles import (
     SymmetricCycle,
     canonical_hypercube_cycle,
     find_symmetric_cycle,
-    normalize_cycle,
     symmetric_cycle,
 )
 from .decomposition import (

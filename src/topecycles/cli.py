@@ -160,7 +160,7 @@ def _cmd_cycle_canonical(args) -> int:
 
 def _cmd_cycle_find(args) -> int:
     t, topes = io.tope_set_from_doc(io.load_doc(args.topes))
-    start = parse_sign_vector(args.start) if args.start else None
+    start = parse_sign_vector(args.start) if args.start is not None else None
     cycle = find_symmetric_cycle(topes, start=start, seed=args.seed)
     if cycle is None:
         _write(args, {"found": False, "t": t})

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Sequence
 
-from .core import DimensionError
+from .core import DimensionError, _minus_mask
 from .cycles import SymmetricCycle
 from .decomposition import DecompositionError, _flip_order_signs, decompose
 
@@ -43,11 +43,11 @@ def lambda_face_masks(tope: Sequence[int], cycle: SymmetricCycle) -> FaceComplex
     member Q.  It equals the delta complex for every symmetric cycle; a
     mismatch is a bug and raises DecompositionError."""
     t = cycle.t
-    coeffs = decompose(tope, cycle).coeffs
-    # the private name keeps perfbench's delta_face_masks counts to the callers that ask for Delta
-    delta, walk = _delta_complex(tope, cycle)
-    # member R^i (c_i = +1) or its antipode R^(i+t) (c_i = -1) agrees with the tope on walk[index]
-    facets = tuple(sorted({walk[i if c > 0 else i + t] for i, c in enumerate(coeffs) if c}))
+    d = decompose(tope, cycle)
+    delta = delta_face_masks(d.tope, cycle)
+    # member R^i (c_i = +1) or its antipode R^(i+t) (c_i = -1) agrees with the tope on P ^ its minus mask
+    P = ((1 << t) - 1) ^ _minus_mask(d.tope)
+    facets = tuple(sorted({P ^ cycle.masks[i if c > 0 else i + t] for i, c in enumerate(d.coeffs) if c}))
     if facets != delta.facets:
         raise DecompositionError("lambda facets differ from the delta facets: broken decomposition")
     return delta
@@ -55,26 +55,14 @@ def lambda_face_masks(tope: Sequence[int], cycle: SymmetricCycle) -> FaceComplex
 
 def delta_face_masks(tope: Sequence[int], cycle: SymmetricCycle) -> FaceComplex:
     """Acyclic subsets of the cycle reoriented against the tope: A is a face
-    iff some cycle vertex agrees with the tope on every element of A."""
-    return _delta_complex(tope, cycle)[0]
+    iff some cycle vertex agrees with the tope on every element of A.
 
-
-def long_f_vector(face_masks: FaceComplex, t: int) -> tuple[int, ...]:
-    """Face counts by cardinality, f_0..f_t."""
-    if face_masks.t != t:
-        raise DimensionError(f"complex lives on t={face_masks.t}, expected t={t}")
-    return face_masks.f_vector
-
-
-def _delta_complex(tope: Sequence[int], cycle: SymmetricCycle) -> tuple[FaceComplex, list[int]]:
-    """The delta complex, and the agreement masks E_t - S(T,R^k) of the
-    vertices R^0..R^(2t-1) it is read from, by the flip order e_1..e_t with
-    x_j = T(e_j) * R^0(e_j).
-
-    Place e_j at position j of a 2t-gon if x_j = 1, else at position j + t.
-    The agreement mask of R^k holds the elements placed at positions
-    k+1..k+t, so the faces are the element sets that fit in t consecutive
-    positions.
+    The agreement mask E_t - S(T,R^k) of vertex R^k is P ^ masks[k], where P
+    is the plus mask of the tope.  In the flip order e_1..e_t, with
+    x_j = T(e_j) * R^0(e_j), place e_j at position j of a 2t-gon if x_j = 1,
+    else at position j + t.  The agreement mask of R^k holds the elements
+    placed at positions k+1..k+t, so the faces are the element sets that fit
+    in t consecutive positions.
 
     Facets: step k of the cycle toggles e_k in the agreement mask, so the
     2t masks form a closed walk that adds or drops one element per step.
@@ -87,17 +75,21 @@ def _delta_complex(tope: Sequence[int], cycle: SymmetricCycle) -> tuple[FaceComp
     faces whose last element is e are e with any subset of the other |M| - 1
     elements of M: f_m = sum over the t grown masks M of C(|M| - 1, m - 1).
     """
-    _, x = _flip_order_signs(tope, cycle)
     t = cycle.t
-    bits = [1 << (e - 1) for e in cycle.flips]
-
-    walk = [sum(b for b, xj in zip(bits, x) if xj > 0)]
-    for k in range(2 * t - 1):
-        walk.append(walk[-1] ^ bits[k % t])
+    T, _ = _flip_order_signs(tope, cycle)  # the tope, checked as decompose checks it
+    P = ((1 << t) - 1) ^ _minus_mask(T)
+    walk = [P ^ m for m in cycle.masks]
     before = walk[-1:] + walk[:-1]
     facets = tuple(sorted(m for b, m, a in zip(before, walk, walk[1:] + walk[:1]) if (b | a) & ~m == 0))
     ks = [m.bit_count() - 1 for b, m in zip(before, walk) if m & ~b]
-    return FaceComplex(t, facets, _face_counts(ks, t)), walk
+    return FaceComplex(t, facets, _face_counts(ks, t))
+
+
+def long_f_vector(face_masks: FaceComplex, t: int) -> tuple[int, ...]:
+    """Face counts by cardinality, f_0..f_t."""
+    if face_masks.t != t:
+        raise DimensionError(f"complex lives on t={face_masks.t}, expected t={t}")
+    return face_masks.f_vector
 
 
 def _face_counts(ks: Iterable[int], t: int) -> tuple[int, ...]:

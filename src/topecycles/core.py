@@ -59,25 +59,10 @@ def check_sign_vector(v: Sequence[int], t: int | None = None) -> None:
         raise DimensionError(f"sign vector has length {len(v)}, expected {t}")
 
 
-def all_plus(t: int) -> SignVector:
-    if t < 1:
-        raise ValueError("t must be positive")
-    return (1,) * t
-
-
 def negate(v: Sequence[int]) -> SignVector:
     return tuple(map(neg, v))
 
 
-def flip(v: Sequence[int], e: int) -> SignVector:
-    """Negate element e (1-based), keeping all others."""
-    if not 1 <= e <= len(v):
-        raise ValueError(f"element {e} outside 1..{len(v)}")
-    return tuple(-x if i == e - 1 else x for i, x in enumerate(v))
-
-
-def separation_set(a: Sequence[int], b: Sequence[int]) -> frozenset[int]:
-    """Elements on which two topes disagree."""
-    if len(a) != len(b):
-        raise DimensionError(f"length mismatch: {len(a)} vs {len(b)}")
-    return frozenset(e for e, (x, y) in enumerate(zip(a, b), start=1) if x != y)
+def _minus_mask(v: Sequence[int]) -> int:
+    """The elements where v is -: bit e-1 is set iff v(e) < 0."""
+    return sum(1 << i for i, x in enumerate(v) if x < 0)

@@ -12,9 +12,9 @@ from .core import (
     Violation,
     _SIGNS,
     _ViolationsError,
+    _minus_mask,
     check_sign_vector,
     negate,
-    separation_set,
     sign_vector_str,
 )
 
@@ -32,14 +32,16 @@ class SymmetricCycle:
     each broken one in a fixed order: shape, distinctness, adjacency,
     antipodal symmetry, flip permutation.  So every instance is a genuine
     symmetric cycle; membership in a tope set is for the caller to check.
-    Derived are ``t``, half the vertex count, and the flip order ``flips`` =
+    Derived are ``t``, half the vertex count, the flip order ``flips`` =
     e_1..e_t: step k (R^(k-1) -> R^k) flips element e_k, a 1-based
-    ground-set element.
+    ground-set element, and the minus masks ``masks`` of R^0..R^(2t-1), which
+    validation reads: bit e-1 of masks[k] is set iff R^k(e) = -1.
     """
 
     vertices: tuple[SignVector, ...]
     t: int = field(init=False, repr=False, compare=False)
     flips: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         verts = tuple(map(tuple, self.vertices))
@@ -50,34 +52,37 @@ class SymmetricCycle:
         for k, v in enumerate(verts):
             if len(v) != t or not _SIGNS.issuperset(v):
                 raise CycleError([Violation("shape", (k,), f"vertex {k} is not a +/-1 vector of length t={t}")])
+        masks = tuple(map(_minus_mask, verts))
         out: list[Violation] = []
-        seen: dict[SignVector, int] = {}
-        for k, v in enumerate(verts):
-            if v in seen:
-                out.append(Violation("distinct", (seen[v], k), f"vertices {seen[v]} and {k} coincide"))
+        seen: dict[int, int] = {}
+        for k, m in enumerate(masks):
+            if m in seen:
+                out.append(Violation("distinct", (seen[m], k), f"vertices {seen[m]} and {k} coincide"))
             else:
-                seen[v] = k
-        # each step's separation set, computed once: adjacency, the flip permutation and the flip order read it
-        steps = [separation_set(verts[k], verts[(k + 1) % n]) for k in range(n)]
+                seen[m] = k
+        # each step's mask holds the elements it flips: adjacency, the flip permutation and the flip order read it
+        steps = [m ^ masks[(k + 1) % n] for k, m in enumerate(masks)]
         adjacency = [
             Violation("adjacency", (k,), f"step {k} -> {(k + 1) % n} does not flip exactly one element")
             for k, step in enumerate(steps)
-            if len(step) != 1
+            if step.bit_count() != 1
         ]
         out += adjacency
+        full = (1 << t) - 1
         for k in range(t):
-            if verts[k + t] != negate(verts[k]):
+            if masks[k + t] != masks[k] ^ full:
                 out.append(Violation("antipodal", (k,), f"antipodal symmetry fails at k={k}"))
         flips: tuple[int, ...] = ()
         if not adjacency:
-            flips = tuple(e for (e,) in steps[:t])
-            if sorted(flips) != list(range(1, t + 1)):
+            flips = tuple(step.bit_length() for step in steps[:t])
+            if len(set(flips)) != t:
                 out.append(Violation("flip_permutation", (), "first-half flips are not a permutation of the ground set"))
         if out:
             raise CycleError(out)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "flips", flips)
+        object.__setattr__(self, "masks", masks)
 
     def __iter__(self):
         return iter(self.vertices)
@@ -149,10 +154,6 @@ def find_symmetric_cycle(
     return None
 
 
-def _minus_mask(v: SignVector) -> int:
-    return sum(1 << i for i, x in enumerate(v) if x < 0)
-
-
 def _half_cycle(m0: int, bits: list[int], members: dict[int, SignVector]) -> list[int] | None:
     """The minus masks of R^0..R^(t-1) on the first path from m0 that flips
     every element once inside the member set, trying the element bits in
@@ -178,15 +179,9 @@ def _half_cycle(m0: int, bits: list[int], members: dict[int, SignVector]) -> lis
     return path[:-1]
 
 
-def normalize_cycle(cycle: SymmetricCycle) -> SymmetricCycle:
-    """Rotate/reflect so the lexicographically smallest vertex comes first,
-    followed by the smaller of its two neighbors."""
-    return SymmetricCycle(_normalized_vertices(cycle))
-
-
 def _normalized_vertices(cycle: SymmetricCycle) -> tuple[SignVector, ...]:
-    """The vertices of ``normalize_cycle(cycle)``, without building and
-    re-checking a new cycle: a rotation or reflection of a valid cycle is valid."""
+    """The vertices rotated or reflected so the lexicographically smallest
+    ('+' before '-') comes first, followed by the smaller of its two neighbors."""
     verts = cycle.vertices
     n = len(verts)
     i = max(range(n), key=verts.__getitem__)  # for +/-1 vectors, '+' < '-' is descending tuple order

@@ -7,8 +7,10 @@ through Fraction arithmetic, (anti)parallel normals by 2x2 minors, the
 chamber count of a rank-3 arrangement by Zaslavsky's theorem, the
 Dehn-Sommerville row recurrence summed row by row, the left side of the
 Dehn-Sommerville polynomial identity expanded by binomials, long f-vectors
-by counting listed faces, the faces of a complex listed from its facets, and
-the depth-first search for a symmetric cycle by recursion."""
+by counting listed faces, the faces of a complex listed from its facets, the
+depth-first search for a symmetric cycle by recursion, and the symmetric-cycle
+checks by separation sets of sign tuples.  Also here are the sign-vector
+helpers only tests use: ``all_plus``, ``flip`` and ``separation_set``."""
 
 from __future__ import annotations
 
@@ -27,11 +29,30 @@ from topecycles.core import (
     SignVector,
     Violation,
     check_sign_vector,
-    flip,
     negate,
     sign_vector_str,
 )
 from topecycles.cycles import SymmetricCycle
+
+
+def all_plus(t: int) -> SignVector:
+    if t < 1:
+        raise ValueError("t must be positive")
+    return (1,) * t
+
+
+def flip(v: Sequence[int], e: int) -> SignVector:
+    """Negate element e (1-based), keeping all others."""
+    if not 1 <= e <= len(v):
+        raise ValueError(f"element {e} outside 1..{len(v)}")
+    return tuple(-x if i == e - 1 else x for i, x in enumerate(v))
+
+
+def separation_set(a: Sequence[int], b: Sequence[int]) -> frozenset[int]:
+    """Elements on which two topes disagree."""
+    if len(a) != len(b):
+        raise DimensionError(f"length mismatch: {len(a)} vs {len(b)}")
+    return frozenset(e for e, (x, y) in enumerate(zip(a, b), start=1) if x != y)
 
 
 @lru_cache(maxsize=8)
@@ -235,6 +256,41 @@ def downward_closure(facets: Iterable[int]) -> set[int]:
         while s:
             out.add(s)
             s = (s - 1) & f
+    return out
+
+
+def cycle_violations_by_separation_sets(vertices: Iterable[Sequence[int]]) -> list[Violation]:
+    """The violations ``SymmetricCycle(vertices)`` reports, empty for a
+    symmetric cycle, found on the sign tuples: vertices compared as tuples,
+    each step's separation set, and each antipode against the negated
+    vertex."""
+    verts = tuple(map(tuple, vertices))
+    n = len(verts)
+    if n < 4 or n % 2:
+        return [Violation("shape", (), f"vertex count {n} is not an even number >= 4")]
+    t = n // 2
+    for k, v in enumerate(verts):
+        if len(v) != t or not {1, -1}.issuperset(v):
+            return [Violation("shape", (k,), f"vertex {k} is not a +/-1 vector of length t={t}")]
+    out: list[Violation] = []
+    seen: dict[SignVector, int] = {}
+    for k, v in enumerate(verts):
+        if v in seen:
+            out.append(Violation("distinct", (seen[v], k), f"vertices {seen[v]} and {k} coincide"))
+        else:
+            seen[v] = k
+    steps = [separation_set(verts[k], verts[(k + 1) % n]) for k in range(n)]
+    adjacency = [
+        Violation("adjacency", (k,), f"step {k} -> {(k + 1) % n} does not flip exactly one element")
+        for k, step in enumerate(steps)
+        if len(step) != 1
+    ]
+    out += adjacency
+    for k in range(t):
+        if verts[k + t] != negate(verts[k]):
+            out.append(Violation("antipodal", (k,), f"antipodal symmetry fails at k={k}"))
+    if not adjacency and sorted(e for (e,) in steps[:t]) != list(range(1, t + 1)):
+        out.append(Violation("flip_permutation", (), "first-half flips are not a permutation of the ground set"))
     return out
 
 

@@ -16,13 +16,13 @@ from topecycles.arrangements import (
 )
 from topecycles.cli import main
 from topecycles.complexes import delta_face_masks, lambda_face_masks, long_f_vector
-from topecycles.core import all_plus, negate, parse_sign_vector, sign_vector_str
+from topecycles.core import negate, parse_sign_vector, sign_vector_str
 from topecycles.cycles import SymmetricCycle, canonical_hypercube_cycle, find_symmetric_cycle
 from topecycles.decomposition import decompose
 from topecycles.dehn_sommerville import check_ds
 from topecycles.oracles import check_halfplane_condition, nu_counts
 
-from reference import brute_force_decompose, check_recurrence, maxpos_vertices
+from reference import all_plus, brute_force_decompose, check_recurrence, maxpos_vertices
 
 
 @dataclass

@@ -97,6 +97,17 @@ def test_cycle_find_deterministic(capsys, tmp_path):
     assert first == second
 
 
+def test_cycle_find_with_an_empty_start_exits_2(capsys, tmp_path):
+    # an empty --start is an empty sign vector, not an unpinned search, as decompose --tope "" is
+    topes = tmp_path / "topes.json"
+    assert run(capsys, "gen", "hypercube", "--t", "3", "--output", str(topes))[0] == 0
+    for argv in (["cycle", "find", "--topes", str(topes), "--start", ""], ["decompose", "--tope", "", "--cycle", "canonical"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "topecycles: error: empty sign vector\n"
+
+
 def test_cycle_validate_failure_exits_2(capsys, tmp_path):
     cyc = tmp_path / "bad.json"
     cyc.write_text(json.dumps({"t": 3, "vertices": ["+++", "-++", "--+", "+-+", "+--", "++-"]}))
@@ -261,7 +272,7 @@ def test_census_mismatch_exits_3(monkeypatch, capsys, tmp_path):
     assert doc["expected"] == {"1": 6, "3": 2}
 
 
-def test_census_list_topes_and_jobs(capsys, tmp_path):
+def test_census_list_topes(capsys, tmp_path):
     topes = tmp_path / "topes.json"
     run(capsys, "gen", "hypercube", "--t", "5", "--output", str(topes))
     code, doc = run_json(

@@ -17,11 +17,11 @@ from topecycles.complexes import (
     lambda_face_masks,
     long_f_vector,
 )
-from topecycles.core import DimensionError, all_plus, negate, parse_sign_vector
+from topecycles.core import DimensionError, negate, parse_sign_vector
 from topecycles.cycles import canonical_hypercube_cycle, find_symmetric_cycle
 from topecycles.decomposition import Decomposition, DecompositionError, decompose
 
-from reference import count_faces_by_size, downward_closure, rank2_feasible
+from reference import all_plus, count_faces_by_size, downward_closure, rank2_feasible
 
 T5 = parse_sign_vector("+-+-+")
 C5 = canonical_hypercube_cycle(5)

@@ -8,19 +8,16 @@ import pytest
 from topecycles.arrangements import hypercube_topes
 from topecycles.core import (
     DimensionError,
-    all_plus,
     check_sign_vector,
-    flip,
     negate,
     parse_sign_vector,
-    separation_set,
     sign_vector_str,
 )
 from topecycles.cycles import SymmetricCycle, canonical_hypercube_cycle
 from topecycles.decomposition import decompose
 from topecycles.oracles import census
 
-from reference import positive_part
+from reference import all_plus, flip, positive_part, separation_set
 
 
 def sign_vectors(t):

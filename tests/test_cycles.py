@@ -1,5 +1,6 @@
 import json
 import sys
+from functools import cache
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,18 +9,24 @@ from hypothesis import strategies as st
 from topecycles import io
 from topecycles.arrangements import enumerate_topes, hypercube_topes, moment_curve, rank2_fan
 from topecycles.cli import main
-from topecycles.core import DimensionError, Violation, all_plus, flip, negate, parse_sign_vector, sign_vector_str
+from topecycles.core import DimensionError, Violation, negate, parse_sign_vector, sign_vector_str
 from topecycles.cycles import (
     CycleError,
     SymmetricCycle,
     canonical_hypercube_cycle,
     find_symmetric_cycle,
-    normalize_cycle,
     symmetric_cycle,
 )
 from topecycles.decomposition import decompose
 
-from reference import find_symmetric_cycle_recursively, maxpos_vertices
+from reference import (
+    all_plus,
+    cycle_violations_by_separation_sets,
+    find_symmetric_cycle_recursively,
+    flip,
+    maxpos_vertices,
+    separation_set,
+)
 
 
 def strs(vertices):
@@ -103,6 +110,49 @@ def test_validate_shape():
         vertices = [(1, 1), (-1, 1), (-1, -1), (1, -1)]
         vertices[k] = bad
         assert violations(vertices) == [Violation("shape", (k,), f"vertex {k} is not a +/-1 vector of length t=2")]
+
+
+@cache
+def hypercube_cycles(t):
+    """The canonical cycle of the t-cube and its depth-first cycles for seeds 0-2."""
+    return (canonical_hypercube_cycle(t),) + tuple(find_symmetric_cycle(hypercube_topes(t), seed=s) for s in range(3))
+
+
+@st.composite
+def perturbed_cycles(draw):
+    """The vertices of a t-cube cycle (t = 2..8) after 1-3 edits: swap two
+    vertices, flip one entry, copy a vertex over another, negate a vertex,
+    rotate, or reverse."""
+    t = draw(st.integers(2, 8))
+    verts = list(draw(st.sampled_from(hypercube_cycles(t))).vertices)
+    n = 2 * t
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(("swap", "flip", "copy", "negate", "rotate", "reverse")))
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if edit == "swap":
+            verts[i], verts[j] = verts[j], verts[i]
+        elif edit == "flip":
+            verts[i] = flip(verts[i], draw(st.integers(1, t)))
+        elif edit == "copy":
+            verts[j] = verts[i]
+        elif edit == "negate":
+            verts[i] = negate(verts[i])
+        elif edit == "rotate":
+            verts = verts[i:] + verts[:i]
+        else:
+            verts.reverse()
+    return verts
+
+
+@settings(max_examples=400, deadline=None)
+@given(perturbed_cycles())
+def test_validation_reports_what_separation_sets_report(verts):
+    expected = cycle_violations_by_separation_sets(verts)
+    if expected:
+        assert violations(verts) == expected
+    else:
+        t = len(verts) // 2
+        assert SymmetricCycle(verts).flips == tuple(min(separation_set(verts[k], verts[k + 1])) for k in range(t))
 
 
 def membership_report(tmp_path, capsys, cycle, pool):
@@ -313,11 +363,14 @@ def test_maxpos_equals_decomposition_of_all_plus_on_fan_cycle():
 
 
 def test_normalize_cycle():
-    norm = normalize_cycle(canonical_hypercube_cycle(3))
-    assert strs(norm.vertices) == ["+++", "++-", "+--", "---", "--+", "-++"]
-    assert set(norm.vertices) == set(canonical_hypercube_cycle(3).vertices)
+    # a cycle document lists the vertices in normal form
+    doc = io.cycle_to_doc(canonical_hypercube_cycle(3))
+    norm = doc["vertices"]
+    assert norm == ["+++", "++-", "+--", "---", "--+", "-++"]
+    assert set(norm) == set(strs(canonical_hypercube_cycle(3).vertices))
     # normalization is idempotent and rotation/reflection independent
-    rotated = SymmetricCycle(norm.vertices[2:] + norm.vertices[:2])
-    assert normalize_cycle(rotated) == norm
-    reflected = SymmetricCycle((norm.vertices[0],) + tuple(reversed(norm.vertices[1:])))
-    assert normalize_cycle(reflected) == norm
+    assert io.cycle_to_doc(io.cycle_from_doc(doc)) == doc
+    rotated = SymmetricCycle(map(parse_sign_vector, norm[2:] + norm[:2]))
+    assert io.cycle_to_doc(rotated) == doc
+    reflected = SymmetricCycle(map(parse_sign_vector, norm[:1] + norm[:0:-1]))
+    assert io.cycle_to_doc(reflected) == doc

@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 import pytest
 
 from topecycles.arrangements import enumerate_topes, hypercube_topes, moment_curve, rank2_fan, totally_cyclic_fan
-from topecycles.core import DimensionError, all_plus, negate, parse_sign_vector
+from topecycles.core import DimensionError, negate, parse_sign_vector
 from topecycles.cycles import CycleError, SymmetricCycle, canonical_hypercube_cycle, find_symmetric_cycle
 from topecycles.decomposition import decompose
 
-from reference import brute_force_decompose
+from reference import all_plus, brute_force_decompose
 
 
 def sign_vectors(t):

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from topecycles.arrangements import hypercube_topes
+from topecycles.arrangements import enumerate_topes, hypercube_topes, moment_curve
 from topecycles.complexes import lambda_face_masks
-from topecycles.cycles import canonical_hypercube_cycle
+from topecycles.cycles import canonical_hypercube_cycle, find_symmetric_cycle
 from topecycles.decomposition import decompose
 from topecycles.dehn_sommerville import check_ds, ds_polynomial_sides
 
@@ -219,6 +219,24 @@ def test_exact_law_on_every_canonical_cycle_tope_for_t_3_to_12():
 @cache
 def cached_canonical_cycle(t):
     return canonical_hypercube_cycle(t)
+
+
+def test_exact_law_on_every_dfs_cycle_tope():
+    # depth-first cycles of moment curves (seeds 0-3) and of t-cubes (seeds 0-2): each tope has the
+    # f-vector of the canonical-cycle tope with its flip-order signs, and check_ds obeys the exact law
+    instances = [(enumerate_topes(moment_curve(t, r)), range(4)) for t, r in ((6, 3), (7, 4), (6, 5), (8, 4), (9, 3))]
+    instances += [(hypercube_topes(t), range(3)) for t in range(3, 10)]
+    pairs = 0
+    for topes, seeds in instances:
+        for seed in seeds:
+            cycle = find_symmetric_cycle(topes, seed=seed)
+            canonical = cached_canonical_cycle(cycle.t)
+            for tope in topes:
+                x, f = flip_order_signs(tope, cycle), lambda_face_masks(tope, cycle).f_vector
+                assert f == lambda_face_masks(tuple(x), canonical).f_vector, (tope, seed)
+                assert check_ds(f).passes == exact_law(decompose(tope, cycle).size, x), (tope, seed)
+                pairs += 1
+    assert pairs == 4568
 
 
 @st.composite
