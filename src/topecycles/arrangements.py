@@ -133,7 +133,9 @@ def _chambers(rows: Sequence[tuple[int, ...]], dim: int) -> list[tuple[SignVecto
         others = [l for l in range(dim) if l != j]
         restricted = [_primitive([p * b[l] - sj * b[j] * a[l] for l in others]) for b in earlier]
         splits = dict(_chambers(restricted, dim - 1))
-        along = [_dot(b, a) for b in earlier]
+        # each lifted y below is strictly inside its restricted chamber, so every earlier b.y is a nonzero
+        # integer and n > |b.a| keeps n*y +/- a on y's side of b (a looser bound than per cell: bigger witnesses)
+        n = 1 + max((abs(_dot(b, a)) for b in earlier), default=0)
         nxt: list[tuple[SignVector, tuple[int, ...]]] = []
         for sigma, x in cells:
             z = splits.get(sigma)
@@ -146,7 +148,6 @@ def _chambers(rows: Sequence[tuple[int, ...]], dim: int) -> list[tuple[SignVecto
             for l, c in zip(others, z):
                 y[l] = p * c
             y[j] = -sj * _dot([a[l] for l in others], z)
-            n = 1 + max((abs(ab) // abs(_dot(b, y)) for b, ab in zip(earlier, along)), default=0)
             nxt.append((sigma + (1,), _primitive([n * c + d for c, d in zip(y, a)])))
             nxt.append((sigma + (-1,), _primitive([n * c - d for c, d in zip(y, a)])))
         cells = nxt

@@ -10,6 +10,8 @@ SignVector = tuple[int, ...]
 
 _SIGN_OF = {"+": 1, "-": -1}
 _SIGNS = frozenset((1, -1))
+# the binary digit of a sign, by value: bytes(map(_DIGIT, v)) reads v in C; an entry not in _SIGNS raises KeyError
+_DIGIT = {1: 48, -1: 49}.__getitem__
 
 
 class DimensionError(ValueError):
@@ -64,5 +66,5 @@ def negate(v: Sequence[int]) -> SignVector:
 
 
 def _minus_mask(v: Sequence[int]) -> int:
-    """The elements where v is -: bit e-1 is set iff v(e) < 0."""
-    return sum(1 << i for i, x in enumerate(v) if x < 0)
+    """The elements where the sign vector v is -: bit e-1 is set iff v(e) = -1."""
+    return int(bytes(map(_DIGIT, reversed(v))) or b"0", 2)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import ne
 from typing import Sequence
 
 from .core import DimensionError, SignVector, check_sign_vector
@@ -56,9 +55,3 @@ def _flip_order_signs(tope: Sequence[int], cycle: SymmetricCycle) -> tuple[SignV
     r0 = cycle.vertices[0]
     return T, [T[e - 1] * r0[e - 1] for e in cycle.flips]
 
-
-def _member_count(x: Sequence[int]) -> int:
-    """|Q|, the number of nonzero coefficients ``decompose`` gives for the
-    flip-order signs x: c_0 != 0 iff x_1 = x_t, and c_j != 0 iff
-    x_(j+1) != x_j.  The same count without the member list."""
-    return (x[0] == x[-1]) + sum(map(ne, x, x[1:]))

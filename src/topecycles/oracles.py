@@ -7,13 +7,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .arrangements import Arrangement, ccw_half_turn_counts, primitive_vector
 from .complexes import _face_counts
-from .core import DimensionError, SignVector
+from .core import DimensionError, SignVector, _DIGIT
 from .cycles import SymmetricCycle
-from .decomposition import _flip_order_signs, _member_count
+from .decomposition import _flip_order_signs
 
 
 class FullSystemFeasibleError(ValueError):
@@ -87,17 +88,32 @@ def census(
     cycle: SymmetricCycle,
     list_topes: bool = False,
 ) -> CensusResult:
-    """Tally the distinct topes by decomposition size, read off their flip-order signs.
+    """Tally the distinct topes by decomposition size, read off one integer per tope.
+
+    Bit t-j of a tope's integer x, read in C, is set iff x_j = T(e_j) * R^0(e_j) = -1 in the flip
+    order; |Q| counts x's sign changes: one where x_1 = x_t and one per j with x_(j+1) != x_j.
 
     Topes are checked in the order given, so an invalid input names its first offender (an
     entry that is not iterable or not hashable raises TypeError before any is checked).
     Each listed class is in lexicographic order, '+' before '-' (descending tuples)."""
+    t = cycle.t
+    unique = dict.fromkeys(map(tuple, topes))
+    order = itemgetter(*[e - 1 for e in cycle.flips])  # t >= 2 indices, so it returns a tuple
+    r0 = int(bytes(map(_DIGIT, order(cycle.vertices[0]))), 2)
     histogram: dict[int, int] = {}
     by_size: dict[int, list[SignVector]] = {}
-    for tope in dict.fromkeys(map(tuple, topes)):
-        size = _member_count(_flip_order_signs(tope, cycle)[1])
-        histogram[size] = histogram.get(size, 0) + 1
-        if list_topes:
-            by_size.setdefault(size, []).append(tope)
+    try:
+        if not {t}.issuperset(map(len, unique)):  # itemgetter would ignore a long tope's extra entries
+            raise KeyError
+        for tope in unique:
+            x = int(bytes(map(_DIGIT, order(tope))), 2) ^ r0
+            size = ((x ^ (x >> 1)) & ((1 << (t - 1)) - 1)).bit_count() + (not (x ^ (x >> (t - 1))) & 1)
+            histogram[size] = histogram.get(size, 0) + 1
+            if list_topes:
+                by_size.setdefault(size, []).append(tope)
+    except KeyError:  # some tope is not a +/-1 vector of length t: name the first, as decompose does
+        for tope in unique:
+            _flip_order_signs(tope, cycle)
+        raise
     listed = {j: sorted(by_size[j], reverse=True) for j in sorted(by_size)} if list_topes else None
-    return CensusResult(cycle.t, dict(sorted(histogram.items())), listed)
+    return CensusResult(t, dict(sorted(histogram.items())), listed)

@@ -1,13 +1,14 @@
 from fractions import Fraction
 from itertools import cycle as repeat_cyclically
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
 from topecycles.arrangements import hypercube_topes
 from topecycles.core import (
     DimensionError,
+    _minus_mask,
     check_sign_vector,
     negate,
     parse_sign_vector,
@@ -70,6 +71,14 @@ def test_element_and_ground_set_bounds():
         flip((1, 1, 1), 0)
     with pytest.raises(ValueError, match="t must be positive"):
         all_plus(0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 1200), st.randoms(use_true_random=False))
+def test_minus_mask_sets_bit_e_minus_1_for_each_minus_element(t, rng):
+    # by value: 1.0 and True read as +1, Fraction(-1) as -1
+    v = tuple(rng.choice((1, -1, 1.0, True, Fraction(-1))) for _ in range(t))
+    assert _minus_mask(v) == sum(1 << (e - 1) for e, x in enumerate(v, 1) if x < 0)
 
 
 @given(paired_sign_vectors())

@@ -279,6 +279,32 @@ def test_census_does_not_depend_on_order_or_repeats(case, rng):
     assert list(shuffled.by_size) == list(result.by_size) == sorted(result.by_size)
 
 
+@st.composite
+def wide_topes_and_moved_cycles(draw):
+    # a rotated or reflected canonical cycle has flips other than 1..t; the topes are words of 60..200 bits
+    t = draw(st.integers(60, 200))
+    verts = canonical_hypercube_cycle(t).vertices
+    k = draw(st.integers(0, 2 * t - 1))
+    verts = verts[k:] + verts[:k]
+    cycle = SymmetricCycle(verts[::-1] if draw(st.booleans()) else verts)
+    assume(cycle.flips != tuple(range(1, t + 1)))
+    if draw(st.booleans()):  # near a cycle vertex: few members
+        near = draw(st.sets(st.integers(0, t - 1), max_size=4))
+        mask = cycle.masks[draw(st.integers(0, 2 * t - 1))] ^ sum(1 << i for i in near)
+    else:  # anywhere: about t/2 members
+        mask = draw(st.integers(0, 2**t - 1))
+    return tuple(-1 if mask >> i & 1 else 1 for i in range(t)), cycle
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_topes_and_moved_cycles())
+def test_census_reads_topes_wider_than_a_machine_word(case):
+    tope, cycle = case
+    size = decompose(tope, cycle).size
+    assert census([tope], cycle).histogram == {size: 1}
+    assert census([tope], cycle, list_topes=True).by_size == {size: [tope]}
+
+
 # each invalid input names its first offender given; reversed, it names the other one
 @pytest.mark.parametrize(
     "vectors, error, message, reversed_error, reversed_message",
@@ -314,6 +340,12 @@ def test_census_names_the_first_offender_in_descending_order(vectors, error, mes
         with pytest.raises(err, match=f"^{msg}$") as excinfo:
             census(order, canonical_hypercube_cycle(3))
         assert type(excinfo.value) is err
+
+
+def test_census_rejects_a_longer_tope_of_signs():
+    # the census reads the t entries its flip order names; the extra entry of a longer tope still counts
+    with pytest.raises(DimensionError, match="^tope length 4 does not match cycle ground set t=3$"):
+        census([(1, 1, 1), (1, -1, 1, -1)], canonical_hypercube_cycle(3))
 
 
 @pytest.mark.parametrize(
