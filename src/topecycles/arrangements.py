@@ -7,8 +7,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
-from operator import mul
+from itertools import chain, combinations, product
+from operator import mul, neg
 from typing import Sequence
 
 from .core import DimensionError, SignVector, Violation, _ViolationsError, negate, sign_vector_str
@@ -41,14 +41,9 @@ class Arrangement:
         object.__setattr__(self, "normals", normals)
         if any(len(n) != self.dim for n in normals):
             raise DimensionError(f"every normal must have dimension {self.dim}")
-        rows = tuple(primitive_vector(n) for n in normals)
-        numbered = list(enumerate(rows, start=1))
-        violations = [Violation("loop", (e,), f"normal {e} is the zero vector") for e, r in numbered if not any(r)]
-        if not violations:
-            for (e, u), (f, v) in combinations(numbered, 2):
-                kind = "parallel" if u == v else "antiparallel" if u == negate(v) else None
-                if kind:
-                    violations.append(Violation(kind, (e, f), f"normals {e} and {f} are {kind}"))
+        rows = tuple(map(primitive_vector, normals))
+        loops = [Violation("loop", (e,), f"normal {e} is the zero vector") for e, r in enumerate(rows, 1) if not any(r)]
+        violations = loops or _dependent_pairs(rows)
         if violations:
             raise ArrangementError(violations)
         object.__setattr__(self, "rows", rows)
@@ -60,6 +55,28 @@ class Arrangement:
     @property
     def dim(self) -> int:
         return len(self.normals[0])
+
+
+def _dependent_pairs(rows: Sequence[tuple[int, ...]]) -> list[Violation]:
+    """The (anti)parallel pairs e < f of nonzero primitive rows, in (e, f) order.
+
+    A row and its negation share one key, the larger of the two, so one dict
+    groups the elements by key in O(t) lookups; a pair within a group is
+    parallel when the two rows are equal, else antiparallel."""
+    # every row negated, in C: the grouper idiom cuts the flat negated entries into rows
+    negated = list(zip(*[map(neg, chain.from_iterable(rows))] * len(rows[0])))
+    distinct = set(rows)
+    if len(distinct) == len(rows) and distinct.isdisjoint(negated):
+        return []
+    groups: dict[tuple[int, ...], list[tuple[int, bool]]] = {}  # key -> (element, whether its row is the key)
+    for e, (r, k) in enumerate(zip(rows, map(max, rows, negated)), 1):
+        groups.setdefault(k, []).append((e, r == k))
+    pairs = sorted(
+        (e, f, "parallel" if a == b else "antiparallel")
+        for group in groups.values()
+        for (e, a), (f, b) in combinations(group, 2)
+    )
+    return [Violation(kind, (e, f), f"normals {e} and {f} are {kind}") for e, f, kind in pairs]
 
 
 def primitive_vector(row: Sequence[int | Fraction]) -> tuple[int, ...]:

@@ -35,6 +35,7 @@ EXIT_VERIFY = 3
 EXIT_INTERNAL = 4
 
 _ARRANGEMENTS = {"rank2_fan": rank2_fan, "moment_curve": moment_curve, "totally_cyclic_fan": totally_cyclic_fan}
+_SIGN_OPTIONS = ("--tope", "--start")  # options whose value is a '+'/'-' string
 
 
 class _UsageError(Exception):
@@ -44,6 +45,17 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); usage errors are exit 1 here
         raise _UsageError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse reads a separate value that starts with '-' as an option, so a sign
+        # vector after --tope or --start is joined to it: "--tope -+-" becomes "--tope=-+-"
+        joined: list[str] = []
+        for arg in sys.argv[1:] if args is None else args:
+            if joined and joined[-1] in _SIGN_OPTIONS and arg.startswith("-") and not arg.strip("+-"):
+                joined[-1] += "=" + arg
+            else:
+                joined.append(arg)
+        return super().parse_known_args(joined, namespace)
 
 
 @functools.cache

@@ -4,20 +4,18 @@ Delta complex of acyclic subsets, and long f-vectors.  A face is a bitmask
 over {1..t}: bit e-1 represents element e.
 
 A complex is a plain value: its facet antichain and its long f-vector, read
-off the cycle's flip order in closed form in O(t^2) integer steps.  It
-answers whether a mask is a face and how many faces there are; nothing here
-lists faces."""
+off the cycle's masks in closed form: O(t) integer steps for the walk, then
+O(t) big-integer steps for the face counts.  It answers whether a mask is a
+face and how many faces there are; nothing here lists faces."""
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from math import comb
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import DimensionError, _minus_mask
 from .cycles import SymmetricCycle
-from .decomposition import DecompositionError, _flip_order_signs, decompose
+from .decomposition import DecompositionError, _checked_tope, decompose
 
 
 @dataclass(frozen=True)
@@ -43,10 +41,10 @@ def lambda_face_masks(tope: Sequence[int], cycle: SymmetricCycle) -> FaceComplex
     member Q.  It equals the delta complex for every symmetric cycle; a
     mismatch is a bug and raises DecompositionError."""
     t = cycle.t
-    d = decompose(tope, cycle)
-    delta = delta_face_masks(d.tope, cycle)
+    d = decompose(tope, cycle)  # checks the tope, so the delta complex below takes it as it is
     # member R^i (c_i = +1) or its antipode R^(i+t) (c_i = -1) agrees with the tope on P ^ its minus mask
     P = ((1 << t) - 1) ^ _minus_mask(d.tope)
+    delta = _delta_complex(P, cycle)
     facets = tuple(sorted({P ^ cycle.masks[i if c > 0 else i + t] for i, c in enumerate(d.coeffs) if c}))
     if facets != delta.facets:
         raise DecompositionError("lambda facets differ from the delta facets: broken decomposition")
@@ -75,14 +73,17 @@ def delta_face_masks(tope: Sequence[int], cycle: SymmetricCycle) -> FaceComplex:
     faces whose last element is e are e with any subset of the other |M| - 1
     elements of M: f_m = sum over the t grown masks M of C(|M| - 1, m - 1).
     """
-    t = cycle.t
-    T, _ = _flip_order_signs(tope, cycle)  # the tope, checked as decompose checks it
-    P = ((1 << t) - 1) ^ _minus_mask(T)
+    T = _checked_tope(tope, cycle)
+    return _delta_complex(((1 << cycle.t) - 1) ^ _minus_mask(T), cycle)
+
+
+def _delta_complex(P: int, cycle: SymmetricCycle) -> FaceComplex:
+    """The delta complex of the tope whose plus mask is P (see ``delta_face_masks``)."""
     walk = [P ^ m for m in cycle.masks]
     before = walk[-1:] + walk[:-1]
     facets = tuple(sorted(m for b, m, a in zip(before, walk, walk[1:] + walk[:1]) if (b | a) & ~m == 0))
     ks = [m.bit_count() - 1 for b, m in zip(before, walk) if m & ~b]
-    return FaceComplex(t, facets, _face_counts(ks, t))
+    return FaceComplex(cycle.t, facets, _face_counts(ks, cycle.t))
 
 
 def long_f_vector(face_masks: FaceComplex, t: int) -> tuple[int, ...]:
@@ -92,12 +93,22 @@ def long_f_vector(face_masks: FaceComplex, t: int) -> tuple[int, ...]:
     return face_masks.f_vector
 
 
-def _face_counts(ks: Iterable[int], t: int) -> tuple[int, ...]:
+def _face_counts(ks: Sequence[int], t: int) -> tuple[int, ...]:
     """(1, f_1, ..., f_t) with f_m = sum_k C(k, m - 1): the f-vector of a
     complex whose nonempty faces each have one distinguished element, which
-    may be joined by any subset of k other elements (0 <= k < t)."""
-    f = [1] + [0] * t
-    for k, n in Counter(ks).items():
-        for i in range(k + 1):
-            f[i + 1] += n * comb(k, i)
-    return tuple(f)
+    may be joined by any subset of k other elements (0 <= k < t).
+
+    f_(i+1) is the coefficient of x^i in sum_k n_k (1 + x)^k, where n_k
+    counts k in ks.  Horner's rule evaluates it at x = 2^(8w) in one integer
+    (Kronecker substitution): every f_m <= len(ks) * 2^(t-1) fits in a w-byte
+    slot, so the t coefficients are its t little-endian w-byte slots."""
+    n = [0] * t
+    for k in ks:
+        n[k] += 1
+    w = (t + len(ks).bit_length() + 7) // 8
+    b = 8 * w
+    acc = 0
+    for c in reversed(n):
+        acc += (acc << b) + c
+    data = acc.to_bytes(t * w, "little")
+    return (1, *[int.from_bytes(data[i : i + w], "little") for i in range(0, t * w, w)])

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from operator import neg
 from typing import Sequence
 
 SignVector = tuple[int, ...]
 
-_SIGN_OF = {"+": 1, "-": -1}
+# str.translate deletes the sign characters, leaving the others in order; bytes.translate makes '+' 1 and '-' 0xff
+_NOT_A_SIGN = str.maketrans("", "", "+-")
+_SIGN_BYTE = bytes.maketrans(b"+-", b"\x01\xff")
 _SIGNS = frozenset((1, -1))
 # the binary digit of a sign, by value: bytes(map(_DIGIT, v)) reads v in C; an entry not in _SIGNS raises KeyError
 _DIGIT = {1: 48, -1: 49}.__getitem__
@@ -39,10 +42,10 @@ def parse_sign_vector(text: str) -> SignVector:
     """Parse a '+'/'-' string; character k is the sign of element k+1."""
     if not text:
         raise ValueError("empty sign vector")
-    try:
-        return tuple(_SIGN_OF[ch] for ch in text)
-    except KeyError as exc:
-        raise ValueError(f"invalid sign character {exc.args[0]!r} in {text!r}") from None
+    if other := text.translate(_NOT_A_SIGN):
+        raise ValueError(f"invalid sign character {other[0]!r} in {text!r}")
+    # the string is ASCII '+'/'-' now: one byte each, read as signed bytes 1 and -1 in C
+    return struct.unpack(f"{len(text)}b", text.encode().translate(_SIGN_BYTE))
 
 
 def sign_vector_str(v: Sequence[int]) -> str:

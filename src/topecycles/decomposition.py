@@ -45,13 +45,18 @@ def decompose(tope: Sequence[int], cycle: SymmetricCycle) -> Decomposition:
 
 
 def _flip_order_signs(tope: Sequence[int], cycle: SymmetricCycle) -> tuple[SignVector, list[int]]:
-    """The tope as a tuple, and x_j = T(e_j) * R^0(e_j) in the cycle's flip
-    order e_1..e_t.  Raises ValueError if the tope is not a sign vector and
+    """The checked tope (see ``_checked_tope``), and x_j = T(e_j) * R^0(e_j)
+    in the cycle's flip order e_1..e_t."""
+    T = _checked_tope(tope, cycle)
+    r0 = cycle.vertices[0]
+    return T, [T[e - 1] * r0[e - 1] for e in cycle.flips]
+
+
+def _checked_tope(tope: Sequence[int], cycle: SymmetricCycle) -> SignVector:
+    """The tope as a tuple.  Raises ValueError if it is not a sign vector and
     DimensionError if its length is not the cycle's t."""
     T = tuple(tope)
     check_sign_vector(T)
     if len(T) != cycle.t:
         raise DimensionError(f"tope length {len(T)} does not match cycle ground set t={cycle.t}")
-    r0 = cycle.vertices[0]
-    return T, [T[e - 1] * r0[e - 1] for e in cycle.flips]
-
+    return T

@@ -87,7 +87,7 @@ def check_ds(f: Sequence[int]) -> DSReport:
         t=t,
         boundary_ok=boundary,
         polynomial_residual=residual,
-        alternating_sum=sum((-1) ** j * f[j] for j in range(1, t - 1)),
+        alternating_sum=sum(f[2 : t - 1 : 2]) - sum(f[1 : t - 1 : 2]),  # sum of (-1)^j f_j, 1 <= j <= t-2
         special_case_notes=_special_cases(f, t),
     )
 

@@ -7,16 +7,17 @@ through Fraction arithmetic, (anti)parallel normals by 2x2 minors, the
 chamber count of a rank-3 arrangement by Zaslavsky's theorem, the
 Dehn-Sommerville row recurrence summed row by row, the left side of the
 Dehn-Sommerville polynomial identity expanded by binomials, long f-vectors
-by counting listed faces, the faces of a complex listed from its facets, the
-depth-first search for a symmetric cycle by recursion, and the symmetric-cycle
-checks by separation sets of sign tuples.  Also here are the sign-vector
-helpers only tests use: ``all_plus``, ``flip`` and ``separation_set``."""
+by counting listed faces and by summing binomials, the faces of a complex
+listed from its facets, the depth-first search for a symmetric cycle by
+recursion, and the symmetric-cycle checks by separation sets of sign tuples.
+Also here are the sign-vector helpers only tests use: ``all_plus``, ``flip``
+and ``separation_set``."""
 
 from __future__ import annotations
 
 import math
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -244,6 +245,15 @@ def count_faces_by_size(face_masks: Iterable[int], t: int) -> tuple[int, ...]:
     f = [0] * (t + 1)
     for m in face_masks:
         f[m.bit_count()] += 1
+    return tuple(f)
+
+
+def face_counts_by_binomials(ks: Iterable[int], t: int) -> tuple[int, ...]:
+    """(1, f_1, ..., f_t) with f_m = sum_k C(k, m - 1), summed term by term."""
+    f = [1] + [0] * t
+    for k, n in Counter(ks).items():
+        for i in range(k + 1):
+            f[i + 1] += n * comb(k, i)
     return tuple(f)
 
 

@@ -124,6 +124,18 @@ def test_validate_simple_matches_minors_oracle(pool, picks):
         assert Arrangement(normals).rows == tuple(map(primitive_vector_by_fractions, normals))
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(2, 3).flatmap(lambda d: st.lists(st.tuples(*[rationals] * d), min_size=1, max_size=5)),
+    st.lists(st.tuples(st.integers(0, 4), nonzero_rationals), min_size=20, max_size=80),
+)
+def test_validate_simple_matches_minors_oracle_on_large_groups(pool, picks):
+    # 20-80 scaled copies of at most five directions: groups of three or more equal or negated rows,
+    # whose pairs must come out once each, in (e, f) order
+    normals = [tuple(k * c for c in pool[i % len(pool)]) for i, k in picks]
+    assert violations(normals) == validate_simple_by_minors(normals)
+
+
 def test_strict_feasible_single_vector():
     assert strict_feasible([(1, 0)])
 

@@ -108,6 +108,40 @@ def test_cycle_find_with_an_empty_start_exits_2(capsys, tmp_path):
         assert captured.err == "topecycles: error: empty sign vector\n"
 
 
+@pytest.mark.parametrize(
+    "argv, option, value, check",
+    [
+        (["decompose", "--cycle", "canonical"], "--tope", "-+-", lambda doc: doc["tope"] == "-+-"),
+        (["fvector", "--cycle", "canonical"], "--tope", "-+-+-", lambda doc: doc == {"t": 5, "f": [1, 5, 10, 5, 0, 0]}),
+        (["cycle", "find", "--topes", "TOPES", "--seed", "3"], "--start", "-++", lambda doc: "-++" in doc["vertices"]),
+    ],
+    ids=["decompose", "fvector", "cycle-find"],
+)
+def test_a_sign_vector_that_starts_with_minus_is_a_separate_argument(capsys, tmp_path, argv, option, value, check):
+    # argparse reads "-+-" as an option; --tope and --start take it as their value, as they take "--tope=-+-"
+    topes = tmp_path / "topes.json"
+    assert run(capsys, "gen", "hypercube", "--t", "3", "--output", str(topes))[0] == 0
+    argv = [str(topes) if a == "TOPES" else a for a in argv]
+    code, doc = run_json(capsys, *argv, option, value)
+    assert code == 0 and check(doc)
+    assert run_json(capsys, *argv, f"{option}={value}") == (code, doc)
+
+
+def test_a_separate_sign_vector_is_joined_only_to_tope_and_start(capsys, tmp_path, monkeypatch):
+    # every other option, and --tope where no command takes it, still exits 1 on a value that starts with '-'
+    monkeypatch.chdir(tmp_path)
+    fvec = tmp_path / "f.json"
+    fvec.write_text(json.dumps({"t": 5, "f": [1, 5, 10, 5, 0, 0]}))
+    for argv in (
+        ["verify-ds", "--fvector", str(fvec), "--tope", "-+-+-"],
+        ["decompose", "--tope", "+-+", "--cycle", "-+-"],
+        ["decompose", "--tope", "-+x", "--cycle", "canonical"],
+        ["cycle", "canonical", "--t", "3", "--output", "-+-"],
+    ):
+        assert run(capsys, *argv) == (1, ""), argv
+    assert not (tmp_path / "-+-").exists()
+
+
 def test_cycle_validate_failure_exits_2(capsys, tmp_path):
     cyc = tmp_path / "bad.json"
     cyc.write_text(json.dumps({"t": 3, "vertices": ["+++", "-++", "--+", "+-+", "+--", "++-"]}))

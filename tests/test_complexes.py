@@ -13,6 +13,7 @@ from topecycles.arrangements import (
 )
 from topecycles.complexes import (
     FaceComplex,
+    _face_counts,
     delta_face_masks,
     lambda_face_masks,
     long_f_vector,
@@ -21,7 +22,7 @@ from topecycles.core import DimensionError, negate, parse_sign_vector
 from topecycles.cycles import canonical_hypercube_cycle, find_symmetric_cycle
 from topecycles.decomposition import Decomposition, DecompositionError, decompose
 
-from reference import all_plus, count_faces_by_size, downward_closure, rank2_feasible
+from reference import all_plus, count_faces_by_size, downward_closure, face_counts_by_binomials, rank2_feasible
 
 T5 = parse_sign_vector("+-+-+")
 C5 = canonical_hypercube_cycle(5)
@@ -97,6 +98,24 @@ def test_lambda_delta_coincide_on_fan_cycle():
 
 def test_count_faces_by_size_full_simplex():
     assert count_faces_by_size(range(32), 5) == (1, 5, 10, 10, 5, 1)
+
+
+@st.composite
+def face_count_inputs(draw):
+    """t and a list of k in [0, t): any, empty, all equal or all t - 1."""
+    t = draw(st.integers(1, 300))
+    k = st.integers(0, t - 1)
+    size = draw(st.integers(1, 2 * t))
+    ks = draw(st.one_of(st.lists(k, max_size=2 * t), st.just([]), k.map(lambda c: [c] * size), st.just([t - 1] * size)))
+    return ks, t
+
+
+@settings(max_examples=150, deadline=None)
+@given(face_count_inputs())
+def test_face_counts_match_the_binomial_sums(case):
+    # every f_m of the Kronecker-substituted integer must come out of its own slot, at any t and any list length
+    ks, t = case
+    assert _face_counts(ks, t) == face_counts_by_binomials(ks, t)
 
 
 def test_long_f_vector_t5_fixture():
@@ -183,6 +202,28 @@ def test_lambda_facets_other_than_delta_facets_raise(monkeypatch):
     monkeypatch.setattr(complexes, "decompose", lambda T, c: Decomposition(tuple(T), coeffs, members))
     with pytest.raises(DecompositionError):
         lambda_face_masks(T5, C5)
+
+
+@pytest.mark.parametrize("tope", [(1, -1, 1, 0, 1), (1, -1, 1.5, -1, 1), (1, -1, 1), (1, -1, 1, -1, 1, 1)])
+def test_complexes_reject_a_bad_tope_as_decompose_does(tope):
+    with pytest.raises(ValueError) as expected:
+        decompose(tope, C5)
+    for build in (lambda_face_masks, delta_face_masks):
+        with pytest.raises(ValueError) as got:
+            build(tope, C5)
+        assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))
+
+
+def test_each_complex_checks_the_tope_once(monkeypatch):
+    import topecycles.decomposition as decomposition
+
+    checked = []
+    check = decomposition.check_sign_vector
+    monkeypatch.setattr(decomposition, "check_sign_vector", lambda v: checked.append(v) or check(v))
+    for build in (lambda_face_masks, delta_face_masks):
+        checked.clear()
+        assert build(list(T5), C5).f_vector == (1, 5, 10, 5, 0, 0)
+        assert checked == [T5]
 
 
 @st.composite

@@ -109,6 +109,9 @@ def test_alternating_sum_examples():
     assert check_ds(F5).alternating_sum == -5 + 10 - 5 == 0
     assert check_ds(F6).alternating_sum == -6 + 15 - 12 + 3 == 0
     assert check_ds((1, 5, 10, 4, 0, 0)).alternating_sum == 1
+    # the sum stops at j = t-2: neither f_(t-1) nor f_t enters it
+    assert check_ds((1, 5, 10, 4, 3, 7)).alternating_sum == -5 + 10 - 4 == 1
+    assert check_ds((1, 6, 15, 12, 3, 2, 9)).alternating_sum == -6 + 15 - 12 + 3 == 0
 
 
 def test_special_cases_t5():
