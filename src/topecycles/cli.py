@@ -22,8 +22,8 @@ from typing import Sequence
 from . import io
 from .arrangements import enumerate_topes, hypercube_topes, moment_curve, rank2_fan, totally_cyclic_fan
 from .complexes import lambda_face_masks
-from .core import DimensionError, Violation, parse_sign_vector, sign_vector_str
-from .cycles import CycleError, SymmetricCycle, canonical_hypercube_cycle, find_symmetric_cycle
+from .core import DimensionError, Violation, _mask_text, parse_sign_vector
+from .cycles import CycleError, _cycle_flips, _find_cycle_masks, canonical_hypercube_cycle
 from .decomposition import decompose
 from .dehn_sommerville import check_ds
 from .oracles import census, nu_counts
@@ -43,6 +43,9 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):  # subparsers are built through parser_class, so they inherit this
+        super().__init__(*args, allow_abbrev=False, **kwargs)  # "--top -+-" would miss the join below
+
     def error(self, message):  # argparse would exit(2); usage errors are exit 1 here
         raise _UsageError(message)
 
@@ -171,35 +174,36 @@ def _cmd_cycle_canonical(args) -> int:
 
 
 def _cmd_cycle_find(args) -> int:
-    t, topes = io.tope_set_from_doc(io.load_doc(args.topes))
+    # the search runs on minus masks read straight from the strings, as find_symmetric_cycle's does on topes
+    t, members = io.tope_masks_from_doc(io.load_doc(args.topes))
     start = parse_sign_vector(args.start) if args.start is not None else None
-    cycle = find_symmetric_cycle(topes, start=start, seed=args.seed)
-    if cycle is None:
+    masks = _find_cycle_masks(members, t, start, args.seed)
+    if masks is None:
         _write(args, {"found": False, "t": t})
     else:
-        _write(args, io.cycle_to_doc(cycle))
+        _cycle_flips(masks)  # every cycle written is validated, as SymmetricCycle validates it
+        _write(args, io.cycle_masks_to_doc(t, masks))
     return EXIT_OK
 
 
 def _cmd_cycle_validate(args) -> int:
-    vertices = io.cycle_vertices_from_doc(io.load_doc(args.cycle))
+    t, masks = io.cycle_masks_from_doc(io.load_doc(args.cycle))
     members = None
     if args.topes:
-        t, topes = io.tope_set_from_doc(io.load_doc(args.topes))
-        if t != (cycle_t := len(vertices) // 2):
-            raise DimensionError(f"tope set t={t} does not match cycle ground set t={cycle_t}")
-        members = set(topes)
+        tope_t, members = io.tope_masks_from_doc(io.load_doc(args.topes))
+        if tope_t != t:
+            raise DimensionError(f"tope set t={tope_t} does not match cycle ground set t={t}")
     try:
-        SymmetricCycle(vertices)
+        _cycle_flips(masks)
         violations = []
     except CycleError as exc:
         violations = exc.violations
     # membership is checked after the invariants, and not at all for a cycle of the wrong shape
     if members is not None and not (violations and violations[0].kind == "shape"):
         violations += [
-            Violation("membership", (k,), f"vertex {k} ({sign_vector_str(v)}) is not in the tope set")
-            for k, v in enumerate(vertices)
-            if v not in members
+            Violation("membership", (k,), f"vertex {k} ({_mask_text(m, t)}) is not in the tope set")
+            for k, m in enumerate(masks)
+            if m not in members
         ]
     _write(
         args,

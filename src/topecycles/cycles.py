@@ -5,17 +5,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Any, Container, Iterable, Sequence
 
 from .core import (
     SignVector,
     Violation,
     _SIGNS,
     _ViolationsError,
+    _mask_text,
     _minus_mask,
-    check_sign_vector,
+    _minus_masks,
     negate,
-    sign_vector_str,
 )
 
 
@@ -45,43 +45,17 @@ class SymmetricCycle:
 
     def __post_init__(self):
         verts = tuple(map(tuple, self.vertices))
-        n = len(verts)
-        if n < 4 or n % 2:
-            raise CycleError([Violation("shape", (), f"vertex count {n} is not an even number >= 4")])
-        t = n // 2
-        for k, v in enumerate(verts):
-            if len(v) != t or not _SIGNS.issuperset(v):
-                raise CycleError([Violation("shape", (k,), f"vertex {k} is not a +/-1 vector of length t={t}")])
-        masks = tuple(map(_minus_mask, verts))
-        out: list[Violation] = []
-        seen: dict[int, int] = {}
-        for k, m in enumerate(masks):
-            if m in seen:
-                out.append(Violation("distinct", (seen[m], k), f"vertices {seen[m]} and {k} coincide"))
-            else:
-                seen[m] = k
-        # each step's mask holds the elements it flips: adjacency, the flip permutation and the flip order read it
-        steps = [m ^ masks[(k + 1) % n] for k, m in enumerate(masks)]
-        adjacency = [
-            Violation("adjacency", (k,), f"step {k} -> {(k + 1) % n} does not flip exactly one element")
-            for k, step in enumerate(steps)
-            if step.bit_count() != 1
-        ]
-        out += adjacency
-        full = (1 << t) - 1
-        for k in range(t):
-            if masks[k + t] != masks[k] ^ full:
-                out.append(Violation("antipodal", (k,), f"antipodal symmetry fails at k={k}"))
-        flips: tuple[int, ...] = ()
-        if not adjacency:
-            flips = tuple(step.bit_length() for step in steps[:t])
-            if len(set(flips)) != t:
-                out.append(Violation("flip_permutation", (), "first-half flips are not a permutation of the ground set"))
-        if out:
-            raise CycleError(out)
+        t = _half_count(len(verts))
+        try:
+            masks = tuple(_minus_masks(verts, t))
+        except (TypeError, ValueError):  # name the first vertex that is not t signs
+            for k, v in enumerate(verts):
+                if len(v) != t or not _SIGNS.issuperset(v):
+                    raise CycleError([Violation("shape", (k,), f"vertex {k} is not a +/-1 vector of length t={t}")])
+            raise
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "t", t)
-        object.__setattr__(self, "flips", flips)
+        object.__setattr__(self, "flips", _cycle_flips(masks))
         object.__setattr__(self, "masks", masks)
 
     def __iter__(self):
@@ -89,6 +63,50 @@ class SymmetricCycle:
 
     def __len__(self) -> int:
         return len(self.vertices)
+
+
+def _half_count(n: int) -> int:
+    """t for a cycle of n vertices; raises CycleError unless n is an even number >= 4."""
+    if n < 4 or n % 2:
+        raise CycleError([Violation("shape", (), f"vertex count {n} is not an even number >= 4")])
+    return n // 2
+
+
+def _cycle_flips(masks: Sequence[int]) -> tuple[int, ...]:
+    """The flip order of the cycle whose vertices have these minus masks.
+
+    Raises CycleError naming every broken invariant in ``SymmetricCycle``'s
+    order; the masks are taken to lie below 2^t, which the vertex shape
+    check ensures."""
+    n = len(masks)
+    t = _half_count(n)
+    out: list[Violation] = []
+    seen: dict[int, int] = {}
+    for k, m in enumerate(masks):
+        if m in seen:
+            out.append(Violation("distinct", (seen[m], k), f"vertices {seen[m]} and {k} coincide"))
+        else:
+            seen[m] = k
+    # each step's mask holds the elements it flips: adjacency, the flip permutation and the flip order read it
+    steps = [m ^ masks[(k + 1) % n] for k, m in enumerate(masks)]
+    adjacency = [
+        Violation("adjacency", (k,), f"step {k} -> {(k + 1) % n} does not flip exactly one element")
+        for k, step in enumerate(steps)
+        if step.bit_count() != 1
+    ]
+    out += adjacency
+    full = (1 << t) - 1
+    for k in range(t):
+        if masks[k + t] != masks[k] ^ full:
+            out.append(Violation("antipodal", (k,), f"antipodal symmetry fails at k={k}"))
+    flips: tuple[int, ...] = ()
+    if not adjacency:
+        flips = tuple(step.bit_length() for step in steps[:t])
+        if len(set(flips)) != t:
+            out.append(Violation("flip_permutation", (), "first-half flips are not a permutation of the ground set"))
+    if out:
+        raise CycleError(out)
+    return flips
 
 
 def symmetric_cycle(vertices: Iterable[Sequence[int]]) -> SymmetricCycle:
@@ -127,34 +145,45 @@ def find_symmetric_cycle(
     for v in map(tuple, topes):
         if t is None:
             t = len(v)
-        check_sign_vector(v, t)
-        members[_minus_mask(v)] = v
+        members[_minus_mask(v, t)] = v
     if t is None:
         return None
+    masks = _find_cycle_masks(members, t, start, seed)
+    return None if masks is None else SymmetricCycle([members[m] for m in masks])
+
+
+def _find_cycle_masks(members: dict[int, Any], t: int, start: Sequence[int] | None, seed: int) -> list[int] | None:
+    """The minus masks of R^0..R^(2t-1) of the cycle that ``find_symmetric_cycle``
+    finds among the member masks, or None.
+
+    Without a start, the starts are the members in descending order of their
+    values.  Tope tuples so come '+' before '-'.  '+'/'-' strings come in the
+    opposite order, whose k-th start is the negation of the k-th tope; a search
+    from -w walks the negation of the path from w, so it finds the same cycle,
+    started at the antipode, which the CLI writes in normal form."""
     if t < 2:
         raise ValueError("ground set must have t >= 2")
     full = (1 << t) - 1
-    unpaired = [v for m, v in members.items() if m ^ full not in members]
-    if unpaired:  # max() names the first of them in '+'-before-'-' order
-        raise ValueError(f"tope set is not closed under negation: missing -{sign_vector_str(max(unpaired))}")
+    unpaired = [m for m in members if m ^ full not in members]
+    if unpaired:  # min() names the first of them in '+'-before-'-' order
+        raise ValueError(f"tope set is not closed under negation: missing -{min(_mask_text(m, t) for m in unpaired)}")
     bits = [1 << i for i in range(t)]  # bit e-1 flips element e
     random.Random(seed).shuffle(bits)
     if start is not None:
-        w0 = tuple(start)
-        check_sign_vector(w0, t)
-        if _minus_mask(w0) not in members:
-            raise ValueError(f"start tope {sign_vector_str(w0)} is not in the tope set")
-        starts = [w0]
+        m0 = _minus_mask(tuple(start), t)
+        if m0 not in members:
+            raise ValueError(f"start tope {_mask_text(m0, t)} is not in the tope set")
+        starts = [m0]
     else:
-        starts = sorted(members.values(), reverse=True)  # lexicographic with '+' before '-'
-    for w0 in starts:
-        half = _half_cycle(_minus_mask(w0), bits, members)
+        starts = sorted(members, key=members.__getitem__, reverse=True)
+    for m0 in starts:
+        half = _half_cycle(m0, bits, members)
         if half is not None:
-            return SymmetricCycle([members[m] for m in half] + [members[m ^ full] for m in half])
+            return half + [m ^ full for m in half]
     return None
 
 
-def _half_cycle(m0: int, bits: list[int], members: dict[int, SignVector]) -> list[int] | None:
+def _half_cycle(m0: int, bits: list[int], members: Container[int]) -> list[int] | None:
     """The minus masks of R^0..R^(t-1) on the first path from m0 that flips
     every element once inside the member set, trying the element bits in
     ``bits`` order at each step, or None.
@@ -177,13 +206,3 @@ def _half_cycle(m0: int, bits: list[int], members: dict[int, SignVector]) -> lis
             if not path:
                 return None
     return path[:-1]
-
-
-def _normalized_vertices(cycle: SymmetricCycle) -> tuple[SignVector, ...]:
-    """The vertices rotated or reflected so the lexicographically smallest
-    ('+' before '-') comes first, followed by the smaller of its two neighbors."""
-    verts = cycle.vertices
-    n = len(verts)
-    i = max(range(n), key=verts.__getitem__)  # for +/-1 vectors, '+' < '-' is descending tuple order
-    step = 1 if verts[(i + 1) % n] >= verts[(i - 1) % n] else -1
-    return tuple(verts[(i + step * k) % n] for k in range(n))

@@ -9,11 +9,11 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable, Sequence
 
 from .arrangements import Arrangement
-from .core import SignVector, parse_sign_vector, sign_vector_str
-from .cycles import SymmetricCycle, _normalized_vertices
+from .core import SignVector, _mask_text, _text_mask, parse_sign_vector, sign_vector_str
+from .cycles import SymmetricCycle
 from .decomposition import Decomposition
 from .dehn_sommerville import DSReport
 from .oracles import CensusResult
@@ -67,17 +67,18 @@ def _ground_set_size(doc: dict) -> int:
     return t
 
 
-def _parse_topes(strings: list, t: int) -> list[SignVector]:
+def _parse_topes(strings: list, t: int, parse: Callable[[str], Any] = parse_sign_vector) -> list:
+    """Each string read by ``parse``: as a tuple of signs, or as a minus mask by ``_text_mask``."""
     out = []
     for s in strings:
         if not isinstance(s, str):
             raise SchemaError(f"sign vectors must be strings, got {s!r}")
         try:
-            v = parse_sign_vector(s)
+            v = parse(s)
         except ValueError as exc:
             raise SchemaError(str(exc)) from None
-        if len(v) != t:
-            raise SchemaError(f"sign vector {s!r} has length {len(v)}, expected t={t}")
+        if len(s) != t:  # s is all '+' and '-' now, one entry per character
+            raise SchemaError(f"sign vector {s!r} has length {len(s)}, expected t={t}")
         out.append(v)
     return out
 
@@ -110,24 +111,58 @@ def tope_set_to_doc(t: int, topes: list[SignVector]) -> dict:
 
 def tope_set_from_doc(doc: dict) -> tuple[int, list[SignVector]]:
     """The listed topes; an empty list raises SchemaError, since no tope backs its t."""
+    t, strings = _tope_strings(doc)
+    return t, _parse_topes(strings, t)
+
+
+def tope_masks_from_doc(doc: dict) -> tuple[int, dict[int, str]]:
+    """The distinct listed topes as {minus mask: '+'/'-' string}, read in one C
+    pass each, with no tuple in between; errors as ``tope_set_from_doc``."""
+    t, strings = _tope_strings(doc)
+    return t, dict(zip(_parse_topes(strings, t, _text_mask), strings))
+
+
+def _tope_strings(doc: dict) -> tuple[int, list]:
     t = _ground_set_size(doc)
     strings = _field(doc, "topes", list)
     if not strings:
         raise SchemaError(f"t={t} but no topes given")
-    return t, _parse_topes(strings, t)
+    return t, strings
 
 
 def cycle_to_doc(cycle: SymmetricCycle) -> dict:
-    return {"t": cycle.t, "vertices": [sign_vector_str(v) for v in _normalized_vertices(cycle)]}
+    return cycle_masks_to_doc(cycle.t, cycle.masks)
+
+
+def cycle_masks_to_doc(t: int, masks: Sequence[int]) -> dict:
+    """The cycle whose vertices R^0..R^(2t-1) have these minus masks, rotated or
+    reflected so the lexicographically smallest vertex ('+' before '-') comes
+    first, followed by the smaller of its two neighbors."""
+    texts = [_mask_text(m, t) for m in masks]
+    n = len(texts)
+    i = min(range(n), key=texts.__getitem__)
+    step = 1 if texts[(i + 1) % n] <= texts[(i - 1) % n] else -1
+    return {"t": t, "vertices": [texts[(i + step * k) % n] for k in range(n)]}
 
 
 def cycle_vertices_from_doc(doc: dict) -> list[SignVector]:
     """The listed vertices; a count other than 2t raises SchemaError."""
+    t, strings = _vertex_strings(doc)
+    return _parse_topes(strings, t)
+
+
+def cycle_masks_from_doc(doc: dict) -> tuple[int, list[int]]:
+    """t and the minus masks of the listed vertices; errors as ``cycle_vertices_from_doc``."""
+    t, strings = _vertex_strings(doc)
+    return t, _parse_topes(strings, t, _text_mask)
+
+
+def _vertex_strings(doc: dict) -> tuple[int, list]:
     t = _ground_set_size(doc)
     strings = _field(doc, "vertices", list)
     if len(strings) != 2 * t:
         raise SchemaError(f"t={t} but {len(strings)} vertices given")
-    return _parse_topes(strings, t)
+    return t, strings
 
 
 def cycle_from_doc(doc: dict) -> SymmetricCycle:

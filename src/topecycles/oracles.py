@@ -5,6 +5,7 @@ and the per-tope decomposition census."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -12,7 +13,7 @@ from typing import Iterable, Sequence
 
 from .arrangements import Arrangement, ccw_half_turn_counts, primitive_vector
 from .complexes import _face_counts
-from .core import DimensionError, SignVector, _DIGIT
+from .core import DimensionError, SignVector, _minus_mask, _minus_masks
 from .cycles import SymmetricCycle
 from .decomposition import _flip_order_signs
 
@@ -90,8 +91,9 @@ def census(
 ) -> CensusResult:
     """Tally the distinct topes by decomposition size, read off one integer per tope.
 
-    Bit t-j of a tope's integer x, read in C, is set iff x_j = T(e_j) * R^0(e_j) = -1 in the flip
-    order; |Q| counts x's sign changes: one where x_1 = x_t and one per j with x_(j+1) != x_j.
+    A tope's integer is the minus mask of its flip-order signs x_j = T(e_j) * R^0(e_j), read in
+    one C pass: bit j-1 is set iff x_j = -1.  |Q| counts x's sign changes: one where x_1 = x_t and
+    one per j with x_(j+1) != x_j.
 
     Topes are checked in the order given, so an invalid input names its first offender (an
     entry that is not iterable or not hashable raises TypeError before any is checked).
@@ -99,21 +101,20 @@ def census(
     t = cycle.t
     unique = dict.fromkeys(map(tuple, topes))
     order = itemgetter(*[e - 1 for e in cycle.flips])  # t >= 2 indices, so it returns a tuple
-    r0 = int(bytes(map(_DIGIT, order(cycle.vertices[0]))), 2)
-    histogram: dict[int, int] = {}
-    by_size: dict[int, list[SignVector]] = {}
     try:
         if not {t}.issuperset(map(len, unique)):  # itemgetter would ignore a long tope's extra entries
-            raise KeyError
-        for tope in unique:
-            x = int(bytes(map(_DIGIT, order(tope))), 2) ^ r0
-            size = ((x ^ (x >> 1)) & ((1 << (t - 1)) - 1)).bit_count() + (not (x ^ (x >> (t - 1))) & 1)
-            histogram[size] = histogram.get(size, 0) + 1
-            if list_topes:
-                by_size.setdefault(size, []).append(tope)
-    except KeyError:  # some tope is not a +/-1 vector of length t: name the first, as decompose does
+            raise DimensionError
+        masks = _minus_masks(list(map(order, unique)), t)
+    except ValueError:  # some tope is not a +/-1 vector of length t: name the first, as decompose does
         for tope in unique:
             _flip_order_signs(tope, cycle)
         raise
-    listed = {j: sorted(by_size[j], reverse=True) for j in sorted(by_size)} if list_topes else None
-    return CensusResult(t, dict(sorted(histogram.items())), listed)
+    r0, low = _minus_mask(order(cycle.vertices[0])), (1 << (t - 1)) - 1
+    sizes = [(((x := m ^ r0) ^ (x >> 1)) & low).bit_count() + (not (x ^ (x >> (t - 1))) & 1) for m in masks]
+    listed = None
+    if list_topes:
+        by_size: dict[int, list[SignVector]] = {}
+        for size, tope in zip(sizes, unique):
+            by_size.setdefault(size, []).append(tope)
+        listed = {j: sorted(by_size[j], reverse=True) for j in sorted(by_size)}
+    return CensusResult(t, dict(sorted(Counter(sizes).items())), listed)

@@ -4,8 +4,10 @@ from math import comb
 import pytest
 
 from topecycles import io
-from topecycles.arrangements import Arrangement, hypercube_topes, moment_curve, rank2_fan, totally_cyclic_fan
+from topecycles.arrangements import Arrangement, enumerate_topes, hypercube_topes, moment_curve, rank2_fan, totally_cyclic_fan
 from topecycles.cli import main
+from topecycles.core import sign_vector_str
+from topecycles.cycles import find_symmetric_cycle
 
 
 def run(capsys, *argv):
@@ -140,6 +142,56 @@ def test_a_separate_sign_vector_is_joined_only_to_tope_and_start(capsys, tmp_pat
     ):
         assert run(capsys, *argv) == (1, ""), argv
     assert not (tmp_path / "-+-").exists()
+
+
+def test_option_prefixes_are_usage_errors(capsys, tmp_path):
+    # argparse would take --top for --tope, but the join above reads only the exact option,
+    # so "--top -+-" failed while "--top +--" passed: no prefix is accepted now, whatever its value
+    topes = tmp_path / "topes.json"
+    assert run(capsys, "gen", "hypercube", "--t", "3", "--output", str(topes))[0] == 0
+    for argv in (
+        ["decompose", "--top", "-+-", "--cycle", "canonical"],
+        ["decompose", "--top", "+--", "--cycle", "canonical"],
+        ["cycle", "find", "--topes", str(topes), "--sta", "-++"],
+        ["cycle", "find", "--topes", str(topes), "--sta", "+-+"],
+        ["cycle", "find", "--top", str(topes)],
+        ["gen", "hypercube", "--t", "3", "--out", str(tmp_path / "cube.json")],
+    ):
+        assert run(capsys, *argv) == (1, ""), argv
+    assert not (tmp_path / "cube.json").exists()
+    code, doc = run_json(capsys, "decompose", "--tope", "-+-", "--cycle", "canonical")
+    assert code == 0 and doc["tope"] == "-+-"
+    code, doc = run_json(capsys, "cycle", "find", "--topes", str(topes), "--start", "-++")
+    assert code == 0 and "-++" in doc["vertices"]
+
+
+@pytest.mark.parametrize("t, r", [(6, 3), (7, 4), (6, 5)])
+def test_cycle_find_on_masks_writes_what_the_library_search_finds(capsys, tmp_path, t, r):
+    # the command searches the minus masks it reads from the strings; the library searches tuples
+    topes = enumerate_topes(moment_curve(t, r))
+    all_topes, cycle_file = tmp_path / "topes.json", tmp_path / "cycle.json"
+    all_topes.write_text(json.dumps(io.tope_set_to_doc(t, topes[::-1])))
+    for seed in range(4):
+        for start in (None, topes[seed], topes[-1 - seed]):
+            argv = ["cycle", "find", "--topes", str(all_topes), "--seed", str(seed), "--output", str(cycle_file)]
+            if start is not None:
+                argv.append(f"--start={sign_vector_str(start)}")
+            assert run(capsys, *argv) == (0, "")
+            assert json.loads(cycle_file.read_text()) == io.cycle_to_doc(find_symmetric_cycle(topes, start=start, seed=seed))
+            code, report = run_json(capsys, "cycle", "validate", "--cycle", str(cycle_file), "--topes", str(all_topes))
+            assert code == 0 and report == {"ok": True, "violations": []}
+    # both name the same tope in an error: a start outside the set, and a missing negation
+    outside = next(v for v in hypercube_topes(t) if v not in set(topes))
+    some_topes = tmp_path / "some.json"
+    some_topes.write_text(json.dumps(io.tope_set_to_doc(t, topes[1:])))
+    for argv, call in (
+        (["--topes", str(all_topes), f"--start={sign_vector_str(outside)}"], lambda: find_symmetric_cycle(topes, start=outside)),
+        (["--topes", str(some_topes)], lambda: find_symmetric_cycle(topes[1:])),
+    ):
+        with pytest.raises(ValueError) as excinfo:
+            call()
+        assert main(["cycle", "find", *argv]) == 2
+        assert capsys.readouterr().err == f"topecycles: error: {excinfo.value}\n"
 
 
 def test_cycle_validate_failure_exits_2(capsys, tmp_path):

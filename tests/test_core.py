@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import cycle as repeat_cyclically
 
@@ -8,13 +9,17 @@ import pytest
 from topecycles.arrangements import hypercube_topes
 from topecycles.core import (
     DimensionError,
+    Violation,
+    _mask_text,
     _minus_mask,
+    _minus_masks,
+    _text_mask,
     check_sign_vector,
     negate,
     parse_sign_vector,
     sign_vector_str,
 )
-from topecycles.cycles import SymmetricCycle, canonical_hypercube_cycle
+from topecycles.cycles import CycleError, SymmetricCycle, canonical_hypercube_cycle, find_symmetric_cycle
 from topecycles.decomposition import decompose
 from topecycles.oracles import census
 
@@ -76,9 +81,64 @@ def test_element_and_ground_set_bounds():
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 1200), st.randoms(use_true_random=False))
 def test_minus_mask_sets_bit_e_minus_1_for_each_minus_element(t, rng):
-    # by value: 1.0 and True read as +1, Fraction(-1) as -1
-    v = tuple(rng.choice((1, -1, 1.0, True, Fraction(-1))) for _ in range(t))
-    assert _minus_mask(v) == sum(1 << (e - 1) for e, x in enumerate(v, 1) if x < 0)
+    # by value: 1.0, True and Fraction(1) read as +1, -1.0 and Fraction(-1) as -1
+    v = tuple(rng.choice((1, -1, 1.0, True, Fraction(1), -1.0, Fraction(-1))) for _ in range(t))
+    m = sum(1 << (e - 1) for e, x in enumerate(v, 1) if x < 0)
+    assert _minus_mask(v) == _minus_mask(v, t) == m
+    ints = tuple(map(int, v))
+    assert _minus_masks([ints, negate(ints)], t) == [m, m ^ ((1 << t) - 1)]  # one comprehension
+    assert _minus_masks([ints, v], t) == [m, m]  # an entry read by value: one vector at a time
+    # the string codec round-trips
+    text = "".join("+" if x > 0 else "-" for x in v)
+    assert sign_vector_str(v) == _mask_text(m, t) == text
+    assert _text_mask(text) == m and parse_sign_vector(text) == v
+
+
+# 48, 49, 32 and 95 pack as the bytes of '0', '1', ' ' and '_', 43 and 45 as '+' and '-', which
+# int(..., 2) or a string table could take for a digit, a separator or a sign
+NOT_SIGNS = (0, 2, -2, 32, 43, 45, 48, 49, 95, 127, -128, 255, -129, 2**70)
+
+
+@pytest.mark.parametrize("bad", NOT_SIGNS)
+def test_every_entry_but_a_sign_is_rejected_naming_the_first_offender(bad):
+    t, pos = 4, 2
+    cycle = canonical_hypercube_cycle(t)
+    topes = hypercube_topes(t)
+
+    def spoiled(v, value):
+        return v[:pos] + (value,) + v[pos + 1 :]
+
+    first = spoiled(topes[5], bad)
+    pool = topes[:5] + [first] + topes[6:9] + [spoiled(topes[9], 0)] + topes[10:]
+    message = f"^{re.escape(f'not a sign vector: {first!r}')}$"
+    for call in (
+        lambda: find_symmetric_cycle(pool),
+        lambda: find_symmetric_cycle(topes, start=first),
+        lambda: census(pool, cycle),
+        lambda: census(pool, cycle, list_topes=True),
+        lambda: decompose(first, cycle),
+    ):
+        with pytest.raises(ValueError, match=message) as excinfo:
+            call()
+        assert type(excinfo.value) is ValueError
+    vertices = list(cycle.vertices)
+    vertices[3], vertices[6] = spoiled(vertices[3], bad), spoiled(vertices[6], 0)
+    with pytest.raises(CycleError) as excinfo:
+        SymmetricCycle(vertices)
+    assert excinfo.value.violations == [Violation("shape", (3,), "vertex 3 is not a +/-1 vector of length t=4")]
+
+
+@pytest.mark.parametrize("bad", NOT_SIGNS + (1.5, -1.0 + 1e-9, None, "+"))
+def test_the_codec_rejects_every_entry_but_a_sign(bad):
+    v = (1, -1, bad, 1)
+    for call in (lambda: _minus_mask(v), lambda: _minus_mask(v, 4), lambda: _minus_masks([(1,) * 4, v], 4), lambda: sign_vector_str(v)):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'not a sign vector: {v!r}')}$"):
+            call()
+    with pytest.raises(DimensionError, match="^sign vector has length 4, expected 5$"):
+        _minus_mask((1, -1, -1, 1), 5)
+    for text in ("+-0+", "+-1+", "+- +", "+-_+", " +-+", "0b1"):
+        with pytest.raises(ValueError, match="^invalid sign character"):
+            _text_mask(text)
 
 
 @given(paired_sign_vectors())

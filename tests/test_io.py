@@ -1,11 +1,12 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
 from topecycles import io
 from topecycles.arrangements import moment_curve, rank2_fan, totally_cyclic_fan
-from topecycles.core import parse_sign_vector, sign_vector_str
+from topecycles.core import _minus_mask, parse_sign_vector, sign_vector_str
 from topecycles.cycles import canonical_hypercube_cycle, find_symmetric_cycle
 from topecycles.decomposition import decompose
 
@@ -56,6 +57,40 @@ def test_tope_set_doc_rejects_wrong_length():
         io.tope_set_from_doc({"t": 3, "topes": ["+x+"]})
     with pytest.raises(io.SchemaError, match="sign vectors must be strings"):
         io.tope_set_from_doc({"t": 3, "topes": [123]})
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"t": 3, "topes": ["+++", "-+-", "+++", "---"]},
+        {"t": 3, "topes": ["++"]},
+        {"t": 3, "topes": ["+++", "+x+"]},
+        {"t": 3, "topes": ["+++", "+0+"]},
+        {"t": 3, "topes": ["+++", ""]},
+        {"t": 3, "topes": ["+++", 123]},
+        {"t": 3, "topes": []},
+        {"t": 0, "topes": ["+"]},
+    ],
+)
+def test_mask_readers_read_what_the_tuple_readers_read(doc):
+    # tope_masks_from_doc reads strings straight into minus masks; the errors are the same
+    vertices = {"t": doc["t"], "vertices": (doc["topes"] * 6)[: 2 * doc["t"]]}
+    for read_tuples, read_masks, d in (
+        (io.tope_set_from_doc, io.tope_masks_from_doc, doc),
+        (io.cycle_vertices_from_doc, io.cycle_masks_from_doc, vertices),
+    ):
+        try:
+            expected = read_tuples(d)
+        except io.SchemaError as exc:
+            with pytest.raises(io.SchemaError, match=f"^{re.escape(str(exc))}$"):
+                read_masks(d)
+            continue
+        masks = read_masks(d)
+        if read_masks is io.tope_masks_from_doc:
+            t, vs = expected
+            assert masks == (t, {_minus_mask(v): sign_vector_str(v) for v in vs})
+        else:
+            assert masks == (d["t"], [_minus_mask(v) for v in expected])
 
 
 def test_load_doc_requires_an_object(tmp_path):
