@@ -23,7 +23,7 @@ from . import io
 from .arrangements import enumerate_topes, hypercube_topes, moment_curve, rank2_fan, totally_cyclic_fan
 from .complexes import lambda_face_masks
 from .core import DimensionError, Violation, _mask_text, parse_sign_vector
-from .cycles import CycleError, _cycle_flips, _find_cycle_masks, canonical_hypercube_cycle
+from .cycles import CycleError, SymmetricCycle, _find_cycle_masks, _start_mask, canonical_hypercube_cycle
 from .decomposition import decompose
 from .dehn_sommerville import check_ds
 from .oracles import census, nu_counts
@@ -174,15 +174,12 @@ def _cmd_cycle_canonical(args) -> int:
 
 
 def _cmd_cycle_find(args) -> int:
-    # the search runs on minus masks read straight from the strings, as find_symmetric_cycle's does on topes
+    # find_symmetric_cycle's search, on minus masks read straight from the strings; its starts
+    # come '+' before '-', which is ascending order for the strings
     t, members = io.tope_masks_from_doc(io.load_doc(args.topes))
-    start = parse_sign_vector(args.start) if args.start is not None else None
-    masks = _find_cycle_masks(members, t, start, args.seed)
-    if masks is None:
-        _write(args, {"found": False, "t": t})
-    else:
-        _cycle_flips(masks)  # every cycle written is validated, as SymmetricCycle validates it
-        _write(args, io.cycle_masks_to_doc(t, masks))
+    starts = sorted(members, key=members.__getitem__) if args.start is None else _start_mask(parse_sign_vector(args.start), t)
+    cycle = _find_cycle_masks(members, t, starts, args.seed)
+    _write(args, {"found": False, "t": t} if cycle is None else io.cycle_to_doc(cycle))
     return EXIT_OK
 
 
@@ -194,7 +191,7 @@ def _cmd_cycle_validate(args) -> int:
         if tope_t != t:
             raise DimensionError(f"tope set t={tope_t} does not match cycle ground set t={t}")
     try:
-        _cycle_flips(masks)
+        SymmetricCycle._from_masks(masks)
         violations = []
     except CycleError as exc:
         violations = exc.violations

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .core import DimensionError, _minus_mask
 from .cycles import SymmetricCycle
-from .decomposition import DecompositionError, _checked_tope, decompose
+from .decomposition import DecompositionError, _checked_tope, _coefficients
 
 
 @dataclass(frozen=True)
@@ -41,11 +41,11 @@ def lambda_face_masks(tope: Sequence[int], cycle: SymmetricCycle) -> FaceComplex
     member Q.  It equals the delta complex for every symmetric cycle; a
     mismatch is a bug and raises DecompositionError."""
     t = cycle.t
-    d = decompose(tope, cycle)  # checks the tope, so the delta complex below takes it as it is
+    T, coeffs = _coefficients(tope, cycle)  # checks the tope, so the delta complex below takes it as it is
     # member R^i (c_i = +1) or its antipode R^(i+t) (c_i = -1) agrees with the tope on P ^ its minus mask
-    P = ((1 << t) - 1) ^ _minus_mask(d.tope)
+    P = ((1 << t) - 1) ^ _minus_mask(T)
     delta = _delta_complex(P, cycle)
-    facets = tuple(sorted({P ^ cycle.masks[i if c > 0 else i + t] for i, c in enumerate(d.coeffs) if c}))
+    facets = tuple(sorted({P ^ cycle.masks[i if c > 0 else i + t] for i, c in enumerate(coeffs) if c}))
     if facets != delta.facets:
         raise DecompositionError("lambda facets differ from the delta facets: broken decomposition")
     return delta

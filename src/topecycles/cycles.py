@@ -1,11 +1,12 @@
-"""Symmetric cycles in tope graphs: validation, canonical construction,
-depth-first search, and normal form."""
+"""Symmetric cycles in tope graphs, held as the minus masks of their
+vertices: validation, canonical construction, and depth-first search."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Container, Iterable, Sequence
+from functools import cached_property
+from typing import Collection, Container, Iterable, Iterator, Sequence
 
 from .core import (
     SignVector,
@@ -15,7 +16,7 @@ from .core import (
     _mask_text,
     _minus_mask,
     _minus_masks,
-    negate,
+    parse_sign_vector,
 )
 
 
@@ -23,28 +24,27 @@ class CycleError(_ViolationsError):
     """A vertex sequence violates the symmetric-cycle invariants."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SymmetricCycle:
     """2t topes R^0..R^(2t-1): consecutive steps flip one element and R^(k+t) = -R^k.
 
-    Built from the vertices alone, kept as a tuple of tuples.  Construction
-    checks every invariant and raises CycleError, whose ``violations`` name
-    each broken one in a fixed order: shape, distinctness, adjacency,
-    antipodal symmetry, flip permutation.  So every instance is a genuine
-    symmetric cycle; membership in a tope set is for the caller to check.
-    Derived are ``t``, half the vertex count, the flip order ``flips`` =
-    e_1..e_t: step k (R^(k-1) -> R^k) flips element e_k, a 1-based
-    ground-set element, and the minus masks ``masks`` of R^0..R^(2t-1), which
-    validation reads: bit e-1 of masks[k] is set iff R^k(e) = -1.
+    A cycle is the minus masks ``masks`` of R^0..R^(2t-1), by which it is
+    compared and hashed: bit e-1 of masks[k] is set iff R^k(e) = -1.
+    Construction from the vertices checks every invariant and raises
+    CycleError, whose ``violations`` name each broken one in a fixed order:
+    shape, distinctness, adjacency, antipodal symmetry, flip permutation.  So
+    every instance is a genuine symmetric cycle; membership in a tope set is
+    for the caller to check.  Derived are ``t``, half the vertex count, and
+    the flip order ``flips`` = e_1..e_t: step k (R^(k-1) -> R^k) flips
+    element e_k, a 1-based ground-set element.  ``vertices`` is built on first use.
     """
 
-    vertices: tuple[SignVector, ...]
-    t: int = field(init=False, repr=False, compare=False)
-    flips: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    masks: tuple[int, ...]
+    t: int = field(repr=False, compare=False)
+    flips: tuple[int, ...] = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        verts = tuple(map(tuple, self.vertices))
+    def __init__(self, vertices: Iterable[Sequence[int]]):
+        verts = tuple(map(tuple, vertices))
         t = _half_count(len(verts))
         try:
             masks = tuple(_minus_masks(verts, t))
@@ -53,16 +53,28 @@ class SymmetricCycle:
                 if len(v) != t or not _SIGNS.issuperset(v):
                     raise CycleError([Violation("shape", (k,), f"vertex {k} is not a +/-1 vector of length t={t}")])
             raise
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "flips", _cycle_flips(masks))
-        object.__setattr__(self, "masks", masks)
+        self._hold(masks)
+
+    @classmethod
+    def _from_masks(cls, masks: Sequence[int]) -> SymmetricCycle:
+        """The cycle whose vertices have these minus masks, each below 2^t; raises as the constructor does."""
+        cycle = object.__new__(cls)
+        cycle._hold(tuple(masks))
+        return cycle
+
+    def _hold(self, masks: tuple[int, ...]) -> None:
+        vars(self).update(flips=_cycle_flips(masks), masks=masks, t=len(masks) // 2)
+
+    @cached_property
+    def vertices(self) -> tuple[SignVector, ...]:
+        """R^0..R^(2t-1) as tuples of int signs, read off the masks."""
+        return tuple(parse_sign_vector(_mask_text(m, self.t)) for m in self.masks)
 
     def __iter__(self):
         return iter(self.vertices)
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self.masks)
 
 
 def _half_count(n: int) -> int:
@@ -119,8 +131,9 @@ def canonical_hypercube_cycle(t: int) -> SymmetricCycle:
     """All-plus start; step k flips element k; the second half is the antipodal image."""
     if t < 2:
         raise ValueError("t must be >= 2")
-    half = [(-1,) * k + (1,) * (t - k) for k in range(t)]
-    return SymmetricCycle(half + [negate(v) for v in half])
+    full = (1 << t) - 1
+    half = [(1 << k) - 1 for k in range(t)]  # R^k is - on elements 1..k
+    return SymmetricCycle._from_masks(half + [m ^ full for m in half])
 
 
 def find_symmetric_cycle(
@@ -138,7 +151,8 @@ def find_symmetric_cycle(
 
     The pool is keyed by minus mask (bit e-1 set where a tope is - on element
     e), so a flip is one XOR and a membership test one int lookup: on a pool
-    that is a single cycle the search tries O(t^2) candidates.
+    that is a single cycle the search tries O(t^2) candidates.  Without a
+    start, the starts are the topes in lexicographic order, '+' before '-'.
     """
     members: dict[int, SignVector] = {}  # minus mask -> tope
     t = None
@@ -148,19 +162,22 @@ def find_symmetric_cycle(
         members[_minus_mask(v, t)] = v
     if t is None:
         return None
-    masks = _find_cycle_masks(members, t, start, seed)
-    return None if masks is None else SymmetricCycle([members[m] for m in masks])
+    starts = sorted(members, key=members.__getitem__, reverse=True) if start is None else _start_mask(start, t)
+    return _find_cycle_masks(members, t, starts, seed)
 
 
-def _find_cycle_masks(members: dict[int, Any], t: int, start: Sequence[int] | None, seed: int) -> list[int] | None:
-    """The minus masks of R^0..R^(2t-1) of the cycle that ``find_symmetric_cycle``
-    finds among the member masks, or None.
+def _start_mask(start: Sequence[int], t: int) -> Iterator[int]:
+    """The minus mask of the start tope, read when the search asks for its first start."""
+    yield _minus_mask(tuple(start), t)
 
-    Without a start, the starts are the members in descending order of their
-    values.  Tope tuples so come '+' before '-'.  '+'/'-' strings come in the
-    opposite order, whose k-th start is the negation of the k-th tope; a search
-    from -w walks the negation of the path from w, so it finds the same cycle,
-    started at the antipode, which the CLI writes in normal form."""
+
+def _find_cycle_masks(members: Collection[int], t: int, starts: Iterable[int], seed: int) -> SymmetricCycle | None:
+    """The cycle ``find_symmetric_cycle`` finds among the member masks from the
+    first start that leads to one, or None.
+
+    The starts are read only after the member set is checked, so the errors
+    about the set (t < 2, a tope without its negation) come before any error
+    that reading a start raises; a start outside the set raises ValueError."""
     if t < 2:
         raise ValueError("ground set must have t >= 2")
     full = (1 << t) - 1
@@ -169,17 +186,12 @@ def _find_cycle_masks(members: dict[int, Any], t: int, start: Sequence[int] | No
         raise ValueError(f"tope set is not closed under negation: missing -{min(_mask_text(m, t) for m in unpaired)}")
     bits = [1 << i for i in range(t)]  # bit e-1 flips element e
     random.Random(seed).shuffle(bits)
-    if start is not None:
-        m0 = _minus_mask(tuple(start), t)
+    for m0 in starts:
         if m0 not in members:
             raise ValueError(f"start tope {_mask_text(m0, t)} is not in the tope set")
-        starts = [m0]
-    else:
-        starts = sorted(members, key=members.__getitem__, reverse=True)
-    for m0 in starts:
         half = _half_cycle(m0, bits, members)
         if half is not None:
-            return half + [m ^ full for m in half]
+            return SymmetricCycle._from_masks(half + [m ^ full for m in half])
     return None
 
 

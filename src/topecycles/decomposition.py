@@ -38,18 +38,18 @@ def decompose(tope: Sequence[int], cycle: SymmetricCycle) -> Decomposition:
     Each lies in {-1, 0, 1}, and the nonzero ones (the members) are odd in
     number.
     """
-    T, x = _flip_order_signs(tope, cycle)
-    coeffs = ((x[0] + x[-1]) // 2,) + tuple((b - a) // 2 for a, b in zip(x, x[1:]))
+    T, coeffs = _coefficients(tope, cycle)
     idx = sorted(i if c > 0 else i + cycle.t for i, c in enumerate(coeffs) if c)
     return Decomposition(T, coeffs, tuple(cycle.vertices[i] for i in idx))
 
 
-def _flip_order_signs(tope: Sequence[int], cycle: SymmetricCycle) -> tuple[SignVector, list[int]]:
-    """The checked tope (see ``_checked_tope``), and x_j = T(e_j) * R^0(e_j)
-    in the cycle's flip order e_1..e_t."""
+def _coefficients(tope: Sequence[int], cycle: SymmetricCycle) -> tuple[SignVector, tuple[int, ...]]:
+    """The checked tope (see ``_checked_tope``) and the coefficients c_0..c_(t-1)
+    of ``decompose``, with R^0 read off its minus mask."""
     T = _checked_tope(tope, cycle)
-    r0 = cycle.vertices[0]
-    return T, [T[e - 1] * r0[e - 1] for e in cycle.flips]
+    r0 = cycle.masks[0]
+    x = [-T[e - 1] if r0 >> (e - 1) & 1 else T[e - 1] for e in cycle.flips]
+    return T, ((x[0] + x[-1]) // 2,) + tuple((b - a) // 2 for a, b in zip(x, x[1:]))
 
 
 def _checked_tope(tope: Sequence[int], cycle: SymmetricCycle) -> SignVector:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from .arrangements import Arrangement
 from .core import SignVector, _mask_text, _text_mask, parse_sign_vector, sign_vector_str
@@ -131,43 +131,30 @@ def _tope_strings(doc: dict) -> tuple[int, list]:
 
 
 def cycle_to_doc(cycle: SymmetricCycle) -> dict:
-    return cycle_masks_to_doc(cycle.t, cycle.masks)
-
-
-def cycle_masks_to_doc(t: int, masks: Sequence[int]) -> dict:
-    """The cycle whose vertices R^0..R^(2t-1) have these minus masks, rotated or
-    reflected so the lexicographically smallest vertex ('+' before '-') comes
-    first, followed by the smaller of its two neighbors."""
-    texts = [_mask_text(m, t) for m in masks]
+    """The cycle's vertices, rotated or reflected so the lexicographically
+    smallest vertex ('+' before '-') comes first, followed by the smaller of
+    its two neighbors."""
+    t = cycle.t
+    texts = [_mask_text(m, t) for m in cycle.masks]
     n = len(texts)
     i = min(range(n), key=texts.__getitem__)
     step = 1 if texts[(i + 1) % n] <= texts[(i - 1) % n] else -1
     return {"t": t, "vertices": [texts[(i + step * k) % n] for k in range(n)]}
 
 
-def cycle_vertices_from_doc(doc: dict) -> list[SignVector]:
-    """The listed vertices; a count other than 2t raises SchemaError."""
-    t, strings = _vertex_strings(doc)
-    return _parse_topes(strings, t)
-
-
 def cycle_masks_from_doc(doc: dict) -> tuple[int, list[int]]:
-    """t and the minus masks of the listed vertices; errors as ``cycle_vertices_from_doc``."""
-    t, strings = _vertex_strings(doc)
-    return t, _parse_topes(strings, t, _text_mask)
-
-
-def _vertex_strings(doc: dict) -> tuple[int, list]:
+    """t and the minus masks of the listed vertices, with no check of the
+    cycle invariants; a count other than 2t raises SchemaError."""
     t = _ground_set_size(doc)
     strings = _field(doc, "vertices", list)
     if len(strings) != 2 * t:
         raise SchemaError(f"t={t} but {len(strings)} vertices given")
-    return t, strings
+    return t, _parse_topes(strings, t, _text_mask)
 
 
 def cycle_from_doc(doc: dict) -> SymmetricCycle:
     """The cycle the document lists; a broken invariant raises CycleError."""
-    return SymmetricCycle(cycle_vertices_from_doc(doc))
+    return SymmetricCycle._from_masks(cycle_masks_from_doc(doc)[1])
 
 
 def decomposition_to_doc(d: Decomposition) -> dict:

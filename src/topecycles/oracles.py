@@ -13,9 +13,9 @@ from typing import Iterable, Sequence
 
 from .arrangements import Arrangement, ccw_half_turn_counts, primitive_vector
 from .complexes import _face_counts
-from .core import DimensionError, SignVector, _minus_mask, _minus_masks
+from .core import DimensionError, SignVector, _mask_text, _minus_masks, _text_mask
 from .cycles import SymmetricCycle
-from .decomposition import _flip_order_signs
+from .decomposition import _checked_tope
 
 
 class FullSystemFeasibleError(ValueError):
@@ -107,9 +107,10 @@ def census(
         masks = _minus_masks(list(map(order, unique)), t)
     except ValueError:  # some tope is not a +/-1 vector of length t: name the first, as decompose does
         for tope in unique:
-            _flip_order_signs(tope, cycle)
+            _checked_tope(tope, cycle)
         raise
-    r0, low = _minus_mask(order(cycle.vertices[0])), (1 << (t - 1)) - 1
+    r0 = _text_mask("".join(order(_mask_text(cycle.masks[0], t))))  # R^0's minus mask in flip order
+    low = (1 << (t - 1)) - 1
     sizes = [(((x := m ^ r0) ^ (x >> 1)) & low).bit_count() + (not (x ^ (x >> (t - 1))) & 1) for m in masks]
     listed = None
     if list_topes:

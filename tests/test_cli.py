@@ -6,7 +6,7 @@ import pytest
 from topecycles import io
 from topecycles.arrangements import Arrangement, enumerate_topes, hypercube_topes, moment_curve, rank2_fan, totally_cyclic_fan
 from topecycles.cli import main
-from topecycles.core import sign_vector_str
+from topecycles.core import DimensionError, parse_sign_vector, sign_vector_str
 from topecycles.cycles import find_symmetric_cycle
 
 
@@ -108,6 +108,19 @@ def test_cycle_find_with_an_empty_start_exits_2(capsys, tmp_path):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "topecycles: error: empty sign vector\n"
+
+
+def test_cycle_find_with_a_start_of_another_length_exits_2(capsys, tmp_path):
+    # the command reads --start as the library reads start: a length other than t is a DimensionError
+    topes = tmp_path / "topes.json"
+    assert run(capsys, "gen", "hypercube", "--t", "3", "--output", str(topes))[0] == 0
+    for start in ("++", "++++"):
+        with pytest.raises(DimensionError) as excinfo:
+            find_symmetric_cycle(hypercube_topes(3), start=parse_sign_vector(start))
+        assert main(["cycle", "find", "--topes", str(topes), "--start", start]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"topecycles: error: {excinfo.value}\n"
 
 
 @pytest.mark.parametrize(
@@ -441,12 +454,9 @@ def test_invalid_inputs_exit_2(capsys, tmp_path):
 def test_internal_error_propagates_instead_of_exit_2(monkeypatch, capsys):
     # a broken decomposition is a bug, not invalid input: exit 4 with the traceback, never exit 2
     import topecycles.complexes as complexes
-    from topecycles.cycles import canonical_hypercube_cycle
-    from topecycles.decomposition import Decomposition, DecompositionError
+    from topecycles.decomposition import DecompositionError
 
-    cycle = canonical_hypercube_cycle(3)
-    members = (cycle.vertices[0], cycle.vertices[1])
-    monkeypatch.setattr(complexes, "decompose", lambda T, c: Decomposition(tuple(T), (1, 1, 0), members))
+    monkeypatch.setattr(complexes, "_coefficients", lambda T, c: (tuple(T), (1, 1, 0)))
     assert main(["fvector", "--tope", "+++", "--cycle", "canonical"]) == 4
     err = capsys.readouterr().err
     assert "Traceback" in err and DecompositionError.__name__ in err
@@ -455,12 +465,9 @@ def test_internal_error_propagates_instead_of_exit_2(monkeypatch, capsys):
 def test_fvector_lambda_delta_mismatch_is_internal_error(monkeypatch, capsys):
     # Lambda facets that form an antichain other than Delta's facets are a bug: exit 4, not exit 3
     import topecycles.complexes as complexes
-    from topecycles.cycles import canonical_hypercube_cycle
-    from topecycles.decomposition import Decomposition, DecompositionError
+    from topecycles.decomposition import DecompositionError
 
-    cycle = canonical_hypercube_cycle(5)
-    members = complexes.decompose((1, -1, 1, -1, 1), cycle).members[:3]
-    monkeypatch.setattr(complexes, "decompose", lambda T, c: Decomposition(tuple(T), (0,) * c.t, members))
+    monkeypatch.setattr(complexes, "_coefficients", lambda T, c: (tuple(T), (0,) * c.t))
     assert main(["fvector", "--tope", "+-+-+", "--cycle", "canonical"]) == 4
     err = capsys.readouterr().err
     assert "Traceback" in err and DecompositionError.__name__ in err

@@ -20,7 +20,7 @@ from topecycles.complexes import (
 )
 from topecycles.core import DimensionError, negate, parse_sign_vector
 from topecycles.cycles import canonical_hypercube_cycle, find_symmetric_cycle
-from topecycles.decomposition import Decomposition, DecompositionError, decompose
+from topecycles.decomposition import DecompositionError, decompose
 
 from reference import all_plus, count_faces_by_size, downward_closure, face_counts_by_binomials, rank2_feasible
 
@@ -179,13 +179,12 @@ def test_geometric_acyclicity_cross_check():
 
 
 def test_broken_decomposition_raises_not_asserts(monkeypatch):
-    # members whose agreement masks are nested cannot come from a genuine decomposition
+    # coefficients selecting R^0 and R^1, whose agreement masks are nested, cannot come from a genuine decomposition
     import topecycles.complexes as complexes
 
     cycle = canonical_hypercube_cycle(3)
     tope = (1, 1, 1)
-    members = (cycle.vertices[0], cycle.vertices[1])
-    monkeypatch.setattr(complexes, "decompose", lambda T, c: Decomposition(tuple(T), (1, 1, 0), members))
+    monkeypatch.setattr(complexes, "_coefficients", lambda T, c: (tuple(T), (1, 1, 0)))
     with pytest.raises(DecompositionError):
         lambda_face_masks(tope, cycle)
 
@@ -199,7 +198,7 @@ def test_lambda_facets_other_than_delta_facets_raise(monkeypatch):
     coeffs = tuple(c if i in kept else 0 for i, c in enumerate(coeffs))
     members = tuple(C5.vertices[i if coeffs[i] > 0 else i + 5] for i in kept)
     assert sorted(agreement_mask(T5, q) for q in members) != list(delta_face_masks(T5, C5).facets)
-    monkeypatch.setattr(complexes, "decompose", lambda T, c: Decomposition(tuple(T), coeffs, members))
+    monkeypatch.setattr(complexes, "_coefficients", lambda T, c: (tuple(T), coeffs))
     with pytest.raises(DecompositionError):
         lambda_face_masks(T5, C5)
 

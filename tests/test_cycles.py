@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 from functools import cache
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from topecycles import io
 from topecycles.arrangements import enumerate_topes, hypercube_topes, moment_curve, rank2_fan
 from topecycles.cli import main
+from topecycles.complexes import delta_face_masks, lambda_face_masks
 from topecycles.core import DimensionError, Violation, negate, parse_sign_vector, sign_vector_str
 from topecycles.cycles import (
     CycleError,
@@ -18,6 +20,7 @@ from topecycles.cycles import (
     symmetric_cycle,
 )
 from topecycles.decomposition import decompose
+from topecycles.oracles import census
 
 from reference import (
     all_plus,
@@ -206,6 +209,40 @@ def test_built_from_lists_or_generators_equals_and_hashes_like_tuples():
         assert other.vertices == cycle.vertices and (other.t, other.flips) == (2, (1, 2))
 
 
+def test_a_cycle_holds_its_masks_and_builds_its_vertices_on_request():
+    # no producer and no consumer on the mask path builds the 2t vertex tuples
+    canonical = canonical_hypercube_cycle(4000)
+    found = find_symmetric_cycle(hypercube_topes(6), seed=2)
+    read = io.cycle_from_doc(io.cycle_to_doc(canonical_hypercube_cycle(7)))
+    used = [canonical_hypercube_cycle(5) for _ in range(3)]
+    lambda_face_masks(parse_sign_vector("+-+-+"), used[0])
+    delta_face_masks(parse_sign_vector("+-+-+"), used[1])
+    census(hypercube_topes(5), used[2], list_topes=True)
+    for c in (canonical, found, read, *used):
+        assert "vertices" not in vars(c)
+        again = SymmetricCycle._from_masks(c.masks)
+        assert again == c and hash(again) == hash(c)
+        assert "vertices" not in vars(c)
+    assert canonical.masks[:3] == (0, 1, 3) and canonical.masks[4000] == (1 << 4000) - 1
+
+
+def test_vertices_are_int_tuples_read_off_the_masks():
+    # the vertex lists of canonical and DFS cycles, pinned by an md5 recorded when a cycle stored its tuples
+    cycles = [canonical_hypercube_cycle(t) for t in range(2, 7)]
+    cycles += [find_symmetric_cycle(hypercube_topes(t), seed=s) for t in range(2, 7) for s in (0, 1)]
+    cycles += [find_symmetric_cycle(enumerate_topes(moment_curve(t, r)), seed=s) for t, r in ((6, 3), (7, 4)) for s in range(3)]
+    text = json.dumps([[list(v) for v in c.vertices] for c in cycles])
+    assert hashlib.md5(text.encode()).hexdigest() == "a6a037970458b68e2b8ebb58c7cc936e"
+    for t in range(2, 7):
+        half = [(-1,) * k + (1,) * (t - k) for k in range(t)]
+        assert canonical_hypercube_cycle(t).vertices == tuple(half + [negate(v) for v in half])
+    # the vertices are int tuples read off the masks, whatever entries the cycle was built from
+    floats = SymmetricCycle([tuple(float(x) for x in v) for v in canonical_hypercube_cycle(3)])
+    assert floats.vertices == canonical_hypercube_cycle(3).vertices
+    assert {type(x) for v in floats.vertices for x in v} == {int}
+    assert list(floats) == list(floats.vertices) and len(floats) == 6
+
+
 def test_find_in_hypercube_from_all_plus():
     topes = hypercube_topes(4)
     cycle = find_symmetric_cycle(topes, start=all_plus(4))
@@ -279,6 +316,16 @@ def test_find_requires_start_in_pool():
         find_symmetric_cycle(hypercube_topes(3), start=(1, 1))
     with pytest.raises(ValueError, match=r"start tope \+- is not in the tope set"):
         find_symmetric_cycle([(1, 1), (-1, -1)], start=(1, -1))
+
+
+def test_find_checks_the_pool_before_the_start():
+    # a pool error wins over a start that is not a sign vector: the start is read after the pool checks
+    with pytest.raises(ValueError) as excinfo:
+        find_symmetric_cycle([(1, 1), (1, -1)], start=(1, 0))
+    assert (type(excinfo.value), str(excinfo.value)) == (ValueError, "tope set is not closed under negation: missing -++")
+    with pytest.raises(ValueError) as excinfo:
+        find_symmetric_cycle([(1,), (-1,)], start=(1, 0))
+    assert (type(excinfo.value), str(excinfo.value)) == (ValueError, "ground set must have t >= 2")
 
 
 def test_find_is_deterministic_per_seed():

@@ -7,7 +7,7 @@ import pytest
 from topecycles import io
 from topecycles.arrangements import moment_curve, rank2_fan, totally_cyclic_fan
 from topecycles.core import _minus_mask, parse_sign_vector, sign_vector_str
-from topecycles.cycles import canonical_hypercube_cycle, find_symmetric_cycle
+from topecycles.cycles import CycleError, canonical_hypercube_cycle, find_symmetric_cycle
 from topecycles.decomposition import decompose
 
 
@@ -73,11 +73,19 @@ def test_tope_set_doc_rejects_wrong_length():
     ],
 )
 def test_mask_readers_read_what_the_tuple_readers_read(doc):
-    # tope_masks_from_doc reads strings straight into minus masks; the errors are the same
+    # tope_masks_from_doc reads strings straight into minus masks, and cycle_masks_from_doc reads
+    # what cycle_from_doc reads before it checks the invariants; the errors are the same
     vertices = {"t": doc["t"], "vertices": (doc["topes"] * 6)[: 2 * doc["t"]]}
+
+    def read_cycle(d):
+        try:
+            return io.cycle_from_doc(d).masks
+        except CycleError:
+            return None
+
     for read_tuples, read_masks, d in (
         (io.tope_set_from_doc, io.tope_masks_from_doc, doc),
-        (io.cycle_vertices_from_doc, io.cycle_masks_from_doc, vertices),
+        (read_cycle, io.cycle_masks_from_doc, vertices),
     ):
         try:
             expected = read_tuples(d)
@@ -90,7 +98,8 @@ def test_mask_readers_read_what_the_tuple_readers_read(doc):
             t, vs = expected
             assert masks == (t, {_minus_mask(v): sign_vector_str(v) for v in vs})
         else:
-            assert masks == (d["t"], [_minus_mask(v) for v in expected])
+            assert masks == (d["t"], [_minus_mask(parse_sign_vector(s)) for s in d["vertices"]])
+            assert expected in (None, tuple(masks[1]))
 
 
 def test_load_doc_requires_an_object(tmp_path):
@@ -112,14 +121,12 @@ def test_cycle_doc_is_normalized_and_round_trips():
 
 
 def test_cycle_doc_validation_failure_raises_cycle_error():
-    from topecycles.cycles import CycleError
-
     doc = {"t": 2, "vertices": ["++", "--", "-+", "+-"]}
     with pytest.raises(CycleError):
         io.cycle_from_doc(doc)
     # a vertex count other than 2t is a malformed document, whichever reader reads it
     doc = {"t": 2, "vertices": ["++", "-+", "--", "+-", "++", "-+"]}
-    for read in (io.cycle_vertices_from_doc, io.cycle_from_doc):
+    for read in (io.cycle_masks_from_doc, io.cycle_from_doc):
         with pytest.raises(io.SchemaError, match="t=2 but 6 vertices given"):
             read(doc)
 
@@ -139,7 +146,7 @@ def test_decomposition_doc():
     "read, fields",
     [
         (io.tope_set_from_doc, {"topes": []}),
-        (io.cycle_vertices_from_doc, {"vertices": []}),
+        (io.cycle_masks_from_doc, {"vertices": []}),
         (io.cycle_from_doc, {"vertices": []}),
         (io.arrangement_from_doc, {"dim": 2, "normals": []}),
         (io.fvector_from_doc, {"f": [1]}),
