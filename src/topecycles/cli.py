@@ -177,7 +177,7 @@ def _cmd_cycle_find(args) -> int:
     # find_symmetric_cycle's search, on minus masks read straight from the strings; its starts
     # come '+' before '-', which is ascending order for the strings
     t, members = io.tope_masks_from_doc(io.load_doc(args.topes))
-    starts = sorted(members, key=members.__getitem__) if args.start is None else _start_mask(parse_sign_vector(args.start), t)
+    starts = sorted(members, key=members.__getitem__) if args.start is None else _start_mask(args.start, t, parse_sign_vector)
     cycle = _find_cycle_masks(members, t, starts, args.seed)
     _write(args, {"found": False, "t": t} if cycle is None else io.cycle_to_doc(cycle))
     return EXIT_OK

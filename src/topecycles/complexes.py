@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import DimensionError, _minus_mask
+from .core import DimensionError
 from .cycles import SymmetricCycle
 from .decomposition import DecompositionError, _checked_tope, _coefficients
 
@@ -41,9 +41,9 @@ def lambda_face_masks(tope: Sequence[int], cycle: SymmetricCycle) -> FaceComplex
     member Q.  It equals the delta complex for every symmetric cycle; a
     mismatch is a bug and raises DecompositionError."""
     t = cycle.t
-    T, coeffs = _coefficients(tope, cycle)  # checks the tope, so the delta complex below takes it as it is
+    _, mask, coeffs = _coefficients(tope, cycle)  # checks the tope, so the delta complex below takes it as it is
     # member R^i (c_i = +1) or its antipode R^(i+t) (c_i = -1) agrees with the tope on P ^ its minus mask
-    P = ((1 << t) - 1) ^ _minus_mask(T)
+    P = ((1 << t) - 1) ^ mask
     delta = _delta_complex(P, cycle)
     facets = tuple(sorted({P ^ cycle.masks[i if c > 0 else i + t] for i, c in enumerate(coeffs) if c}))
     if facets != delta.facets:
@@ -73,8 +73,8 @@ def delta_face_masks(tope: Sequence[int], cycle: SymmetricCycle) -> FaceComplex:
     faces whose last element is e are e with any subset of the other |M| - 1
     elements of M: f_m = sum over the t grown masks M of C(|M| - 1, m - 1).
     """
-    T = _checked_tope(tope, cycle)
-    return _delta_complex(((1 << cycle.t) - 1) ^ _minus_mask(T), cycle)
+    _, mask = _checked_tope(tope, cycle)
+    return _delta_complex(((1 << cycle.t) - 1) ^ mask, cycle)
 
 
 def _delta_complex(P: int, cycle: SymmetricCycle) -> FaceComplex:

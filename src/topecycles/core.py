@@ -73,9 +73,9 @@ def sign_vector_str(v: Sequence[int]) -> str:
 def check_sign_vector(v: Sequence[int], t: int | None = None) -> None:
     """Raise unless every entry equals 1 or -1 (and, given t, the length is t).
 
-    Entries are compared by value, so 1.0, True and Fraction(1) count as +1.
-    Results for such a vector equal those for the int signs it equals, though
-    a returned tope or coefficient may keep the type of the entries given."""
+    Entries are compared by value, so 1.0, True and Fraction(1) count as +1:
+    results are those for the int signs they equal, but a returned tope keeps
+    the entries given.  Only the codec calls it, once a read of v has failed."""
     if not _SIGNS.issuperset(v):
         raise ValueError(f"not a sign vector: {tuple(v)!r}")
     if t is not None and len(v) != t:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Collection, Container, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Container, Iterable, Iterator, Sequence
 
 from .core import (
     SignVector,
@@ -151,24 +151,24 @@ def find_symmetric_cycle(
 
     The pool is keyed by minus mask (bit e-1 set where a tope is - on element
     e), so a flip is one XOR and a membership test one int lookup: on a pool
-    that is a single cycle the search tries O(t^2) candidates.  Without a
+    that is a single cycle the search tries O(t^2) candidates.  Every tope is
+    made a tuple, then one codec pass reads and checks the pool: the first
+    tope that is not t signs (t the first tope's length) raises.  Without a
     start, the starts are the topes in lexicographic order, '+' before '-'.
     """
-    members: dict[int, SignVector] = {}  # minus mask -> tope
-    t = None
-    for v in map(tuple, topes):
-        if t is None:
-            t = len(v)
-        members[_minus_mask(v, t)] = v
-    if t is None:
+    pool = list(map(tuple, topes))
+    if not pool:
         return None
+    t = len(pool[0])
+    members = dict(zip(_minus_masks(pool, t), pool))  # minus mask -> tope
     starts = sorted(members, key=members.__getitem__, reverse=True) if start is None else _start_mask(start, t)
     return _find_cycle_masks(members, t, starts, seed)
 
 
-def _start_mask(start: Sequence[int], t: int) -> Iterator[int]:
-    """The minus mask of the start tope, read when the search asks for its first start."""
-    yield _minus_mask(tuple(start), t)
+def _start_mask(start: Sequence[int] | str, t: int, read: Callable = tuple) -> Iterator[int]:
+    """The minus mask of the start tope ``read(start)``, read (and so checked) only when the search
+    asks for its first start, after the pool checks; the CLI reads its string with parse_sign_vector."""
+    yield _minus_mask(read(start), t)
 
 
 def _find_cycle_masks(members: Collection[int], t: int, starts: Iterable[int], seed: int) -> SymmetricCycle | None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import DimensionError, SignVector, check_sign_vector
+from .core import DimensionError, SignVector, _minus_mask
 from .cycles import SymmetricCycle
 
 
@@ -23,10 +23,6 @@ class Decomposition:
     coeffs: tuple[int, ...]
     members: tuple[SignVector, ...]
 
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
 
 def decompose(tope: Sequence[int], cycle: SymmetricCycle) -> Decomposition:
     """The unique representation of the tope over the cycle's first half, and
@@ -38,25 +34,25 @@ def decompose(tope: Sequence[int], cycle: SymmetricCycle) -> Decomposition:
     Each lies in {-1, 0, 1}, and the nonzero ones (the members) are odd in
     number.
     """
-    T, coeffs = _coefficients(tope, cycle)
+    T, _, coeffs = _coefficients(tope, cycle)
     idx = sorted(i if c > 0 else i + cycle.t for i, c in enumerate(coeffs) if c)
     return Decomposition(T, coeffs, tuple(cycle.vertices[i] for i in idx))
 
 
-def _coefficients(tope: Sequence[int], cycle: SymmetricCycle) -> tuple[SignVector, tuple[int, ...]]:
-    """The checked tope (see ``_checked_tope``) and the coefficients c_0..c_(t-1)
-    of ``decompose``, with R^0 read off its minus mask."""
-    T = _checked_tope(tope, cycle)
-    r0 = cycle.masks[0]
-    x = [-T[e - 1] if r0 >> (e - 1) & 1 else T[e - 1] for e in cycle.flips]
-    return T, ((x[0] + x[-1]) // 2,) + tuple((b - a) // 2 for a, b in zip(x, x[1:]))
+def _coefficients(tope: Sequence[int], cycle: SymmetricCycle) -> tuple[SignVector, int, tuple[int, ...]]:
+    """``_checked_tope`` and the int coefficients c_0..c_(t-1) of ``decompose``: with b_j bit e_j - 1
+    of mask ^ masks[0], x_j = 1 - 2 b_j, so c_0 = 1 - b_1 - b_t and c_j = b_j - b_(j+1)."""
+    T, mask = _checked_tope(tope, cycle)
+    d = mask ^ cycle.masks[0]
+    b = [d >> (e - 1) & 1 for e in cycle.flips]
+    return T, mask, (1 - b[0] - b[-1],) + tuple(p - q for p, q in zip(b, b[1:]))
 
 
-def _checked_tope(tope: Sequence[int], cycle: SymmetricCycle) -> SignVector:
-    """The tope as a tuple.  Raises ValueError if it is not a sign vector and
-    DimensionError if its length is not the cycle's t."""
+def _checked_tope(tope: Sequence[int], cycle: SymmetricCycle) -> tuple[SignVector, int]:
+    """The tope as a tuple and its minus mask, read by one codec call that is its one check: raises
+    ValueError if it is not a sign vector, and otherwise DimensionError if its length is not t."""
     T = tuple(tope)
-    check_sign_vector(T)
-    if len(T) != cycle.t:
-        raise DimensionError(f"tope length {len(T)} does not match cycle ground set t={cycle.t}")
-    return T
+    try:
+        return T, _minus_mask(T, cycle.t)
+    except DimensionError:
+        raise DimensionError(f"tope length {len(T)} does not match cycle ground set t={cycle.t}") from None

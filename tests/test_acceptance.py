@@ -44,7 +44,7 @@ def report(num: int, desc: str, ok: bool, detail: str = "") -> None:
 def evaluate(topes, cycle: SymmetricCycle, with_complexes: bool) -> list[Record]:
     records = []
     for tope in sorted(topes, key=sign_vector_str):
-        size = decompose(tope, cycle).size
+        size = len(decompose(tope, cycle).members)
         if with_complexes:
             lam = lambda_face_masks(tope, cycle)
             delta = delta_face_masks(tope, cycle)
@@ -73,7 +73,7 @@ def moment_instance(t: int):
             continue
         if fallback is None:
             fallback = cycle
-        if any(decompose(tope, cycle).size >= 5 for tope in topes):
+        if any(len(decompose(tope, cycle).members) >= 5 for tope in topes):
             return topes, cycle
     return topes, fallback
 
@@ -178,7 +178,7 @@ def test_criterion_07_decomposition_oracle_equivalence():
             d = decompose(tope, cycle)
             assert set(minimal[0]) == set(d.members)
             assert tuple(sum(col) for col in zip(*d.members)) == tope
-            assert d.size % 2 == 1
+            assert len(d.members) % 2 == 1
             checked += 1
     report(7, "brute force finds exactly one minimal subset == decompose(...) for t<=7", True,
            f"{checked} topes")
@@ -218,7 +218,7 @@ def test_criterion_09_geometry_combinatorics_cross_check():
         cycle = find_symmetric_cycle(topes)
         scan = hypercube_topes(t) if t == 5 else [all_plus(t)]
         if t == 7:
-            scan = [r for r in hypercube_topes(7) if decompose(r, cycle).size >= 5]
+            scan = [r for r in hypercube_topes(7) if len(decompose(r, cycle).members) >= 5]
         for tope in scan:
             reoriented = [tuple(tope[e] * c for c in arr.normals[e]) for e in range(t)]
             if not check_halfplane_condition(reoriented).holds:

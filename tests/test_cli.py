@@ -6,7 +6,7 @@ import pytest
 from topecycles import io
 from topecycles.arrangements import Arrangement, enumerate_topes, hypercube_topes, moment_curve, rank2_fan, totally_cyclic_fan
 from topecycles.cli import main
-from topecycles.core import DimensionError, parse_sign_vector, sign_vector_str
+from topecycles.core import DimensionError, _minus_mask, parse_sign_vector, sign_vector_str
 from topecycles.cycles import find_symmetric_cycle
 
 
@@ -108,6 +108,21 @@ def test_cycle_find_with_an_empty_start_exits_2(capsys, tmp_path):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "topecycles: error: empty sign vector\n"
+
+
+def test_cycle_find_reads_a_bad_start_after_the_pool_checks(capsys, tmp_path):
+    # the command reads --start where the library reads start: after the tope set is found closed under negation
+    open_set, closed_set = tmp_path / "open.json", tmp_path / "closed.json"
+    open_set.write_text(json.dumps({"t": 3, "topes": ["+++", "++-"]}))
+    closed_set.write_text(json.dumps({"t": 3, "topes": ["+++", "---"]}))
+    with pytest.raises(ValueError) as excinfo:
+        find_symmetric_cycle([(1, 1, 1), (1, 1, -1)], start=(1, 1, "x"))
+    for topes, message in ((open_set, str(excinfo.value)), (closed_set, "invalid sign character 'x' in '++x'")):
+        assert main(["cycle", "find", "--topes", str(topes), "--start", "++x"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"topecycles: error: {message}\n"
+    assert str(excinfo.value) == "tope set is not closed under negation: missing -+++"
 
 
 def test_cycle_find_with_a_start_of_another_length_exits_2(capsys, tmp_path):
@@ -456,7 +471,7 @@ def test_internal_error_propagates_instead_of_exit_2(monkeypatch, capsys):
     import topecycles.complexes as complexes
     from topecycles.decomposition import DecompositionError
 
-    monkeypatch.setattr(complexes, "_coefficients", lambda T, c: (tuple(T), (1, 1, 0)))
+    monkeypatch.setattr(complexes, "_coefficients", lambda T, c: (tuple(T), _minus_mask(T), (1, 1, 0)))
     assert main(["fvector", "--tope", "+++", "--cycle", "canonical"]) == 4
     err = capsys.readouterr().err
     assert "Traceback" in err and DecompositionError.__name__ in err
@@ -467,7 +482,7 @@ def test_fvector_lambda_delta_mismatch_is_internal_error(monkeypatch, capsys):
     import topecycles.complexes as complexes
     from topecycles.decomposition import DecompositionError
 
-    monkeypatch.setattr(complexes, "_coefficients", lambda T, c: (tuple(T), (0,) * c.t))
+    monkeypatch.setattr(complexes, "_coefficients", lambda T, c: (tuple(T), _minus_mask(T), (0,) * c.t))
     assert main(["fvector", "--tope", "+-+-+", "--cycle", "canonical"]) == 4
     err = capsys.readouterr().err
     assert "Traceback" in err and DecompositionError.__name__ in err

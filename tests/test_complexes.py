@@ -1,4 +1,5 @@
 import functools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from topecycles.complexes import (
     lambda_face_masks,
     long_f_vector,
 )
-from topecycles.core import DimensionError, negate, parse_sign_vector
+from topecycles.core import DimensionError, _minus_mask, negate, parse_sign_vector
 from topecycles.cycles import canonical_hypercube_cycle, find_symmetric_cycle
 from topecycles.decomposition import DecompositionError, decompose
 
@@ -184,7 +185,7 @@ def test_broken_decomposition_raises_not_asserts(monkeypatch):
 
     cycle = canonical_hypercube_cycle(3)
     tope = (1, 1, 1)
-    monkeypatch.setattr(complexes, "_coefficients", lambda T, c: (tuple(T), (1, 1, 0)))
+    monkeypatch.setattr(complexes, "_coefficients", lambda T, c: (tuple(T), _minus_mask(T), (1, 1, 0)))
     with pytest.raises(DecompositionError):
         lambda_face_masks(tope, cycle)
 
@@ -198,7 +199,7 @@ def test_lambda_facets_other_than_delta_facets_raise(monkeypatch):
     coeffs = tuple(c if i in kept else 0 for i, c in enumerate(coeffs))
     members = tuple(C5.vertices[i if coeffs[i] > 0 else i + 5] for i in kept)
     assert sorted(agreement_mask(T5, q) for q in members) != list(delta_face_masks(T5, C5).facets)
-    monkeypatch.setattr(complexes, "_coefficients", lambda T, c: (tuple(T), coeffs))
+    monkeypatch.setattr(complexes, "_coefficients", lambda T, c: (tuple(T), _minus_mask(T), coeffs))
     with pytest.raises(DecompositionError):
         lambda_face_masks(T5, C5)
 
@@ -217,12 +218,38 @@ def test_each_complex_checks_the_tope_once(monkeypatch):
     import topecycles.decomposition as decomposition
 
     checked = []
-    check = decomposition.check_sign_vector
-    monkeypatch.setattr(decomposition, "check_sign_vector", lambda v: checked.append(v) or check(v))
+    read = decomposition._minus_mask
+    monkeypatch.setattr(decomposition, "_minus_mask", lambda v, t: checked.append(v) or read(v, t))
     for build in (lambda_face_masks, delta_face_masks):
         checked.clear()
         assert build(list(T5), C5).f_vector == (1, 5, 10, 5, 0, 0)
         assert checked == [T5]
+
+
+def test_every_tope_is_read_by_one_codec_call(monkeypatch):
+    # decompose, Lambda and Delta read a valid tope with one _minus_mask call; the search reads its pool with one _minus_masks call
+    import topecycles.complexes as complexes
+    import topecycles.core as core
+    import topecycles.cycles as cycles
+    import topecycles.decomposition as decomposition
+    import topecycles.oracles as oracles
+
+    calls = []
+
+    def counted(name, read):
+        return lambda *args: calls.append(name) or read(*args)
+
+    for module in (core, cycles, decomposition, complexes, oracles):
+        for name in ("_minus_mask", "_minus_masks"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    cycle = find_symmetric_cycle(hypercube_topes(5), seed=1)
+    assert calls == ["_minus_masks"]
+    for tope in (T5, list(T5), (1.0, -1, True, Fraction(-1), 1)):
+        for build in (decompose, lambda_face_masks, delta_face_masks):
+            calls.clear()
+            build(tope, cycle)
+            assert calls == ["_minus_mask"], (build, tope)
 
 
 @st.composite

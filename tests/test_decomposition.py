@@ -73,9 +73,9 @@ def test_decomposition_properties_on_canonical_cycles(case):
     t, tope = case
     cycle = canonical_hypercube_cycle(t)
     d = decompose(tope, cycle)
-    assert d.size % 2 == 1
+    assert len(d.members) % 2 == 1
     assert vector_sum(d.members) == tope
-    assert (d.size == 1) == (tope in cycle.vertices)
+    assert (len(d.members) == 1) == (tope in cycle.vertices)
     # no antipodal pair among members
     assert not any(negate(m) in d.members for m in d.members)
     # antipodal equivariance
@@ -138,6 +138,6 @@ def test_closed_form_matches_brute_force_oracle(case):
     tope, cycle = case
     d = decompose(tope, cycle)
     assert set(d.coeffs) <= {-1, 0, 1}
-    assert d.size % 2 == 1
+    assert len(d.members) % 2 == 1
     minimal = [members for members, flag in brute_force_decompose(tope, cycle) if flag]
     assert minimal == [d.members]

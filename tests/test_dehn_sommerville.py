@@ -6,11 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from topecycles.arrangements import enumerate_topes, hypercube_topes, moment_curve
+from topecycles.arrangements import ccw_half_turn_counts, enumerate_topes, hypercube_topes, moment_curve, rank2_fan
 from topecycles.complexes import lambda_face_masks
 from topecycles.cycles import canonical_hypercube_cycle, find_symmetric_cycle
 from topecycles.decomposition import decompose
 from topecycles.dehn_sommerville import check_ds, ds_polynomial_sides
+from topecycles.oracles import FullSystemFeasibleError, nu_counts
 
 from reference import check_recurrence, ds_polynomial_sides_by_binomials
 
@@ -210,7 +211,7 @@ def test_exact_law_on_every_canonical_cycle_tope_for_t_3_to_12():
     for t in range(3, 13):
         cycle = canonical_hypercube_cycle(t)
         for tope in hypercube_topes(t):
-            x, size = flip_order_signs(tope, cycle), decompose(tope, cycle).size
+            x, size = flip_order_signs(tope, cycle), len(decompose(tope, cycle).members)
             assert len(twisted_runs(x)) == 2 * size
             law = exact_law(size, x)
             assert check_ds(lambda_face_masks(tope, cycle).f_vector).passes == law, tope
@@ -237,7 +238,7 @@ def test_exact_law_on_every_dfs_cycle_tope():
             for tope in topes:
                 x, f = flip_order_signs(tope, cycle), lambda_face_masks(tope, cycle).f_vector
                 assert f == lambda_face_masks(tuple(x), canonical).f_vector, (tope, seed)
-                assert check_ds(f).passes == exact_law(decompose(tope, cycle).size, x), (tope, seed)
+                assert check_ds(f).passes == exact_law(len(decompose(tope, cycle).members), x), (tope, seed)
                 pairs += 1
     assert pairs == 4568
 
@@ -258,5 +259,41 @@ def canonical_cycle_topes(draw):
 @given(canonical_cycle_topes())
 def test_exact_law_on_random_topes_up_to_t200(tope):
     cycle = cached_canonical_cycle(len(tope))
-    x, size = flip_order_signs(tope, cycle), decompose(tope, cycle).size
+    x, size = flip_order_signs(tope, cycle), len(decompose(tope, cycle).members)
     assert check_ds(lambda_face_masks(tope, cycle).f_vector).passes == exact_law(size, x)
+
+
+def reoriented_fan(tope):
+    """V(T,R) on the canonical cycle, where x = T: the rows of rank2_fan(t), row e negated where T(e) = -1."""
+    return [tuple(s * c for c in row) for s, row in zip(tope, rank2_fan(len(tope)).rows)]
+
+
+def growing_mask_sizes(tope, cycle):
+    """n_k: the agreement-walk masks of size k+1 that grow the mask before them, counted as the delta complex counts them."""
+    plus = sum(1 << e for e, s in enumerate(tope) if s == 1)
+    walk = [plus ^ m for m in cycle.masks]
+    n = [0] * cycle.t
+    for before, m in zip(walk[-1:] + walk[:-1], walk):
+        if m & ~before:
+            n[m.bit_count() - 1] += 1
+    return n
+
+
+def test_the_law_is_the_two_per_half_plane_condition_on_the_reoriented_fan():
+    # on every canonical-cycle tope for t = 3..11: the verdict, the f-vector as nu counts, and a palindromic n
+    topes = 0
+    for t in range(3, 12):
+        cycle = canonical_hypercube_cycle(t)
+        for tope in hypercube_topes(t):
+            size, f, V = len(decompose(tope, cycle).members), lambda_face_masks(tope, cycle).f_vector, reoriented_fan(tope)
+            assert check_ds(f).passes == (min(ccw_half_turn_counts(V)) >= 2), tope
+            if size >= 3:
+                assert f == nu_counts(V), tope
+            else:  # V lies in one open half-plane: every subset is a face
+                assert f == tuple(comb(t, j) for j in range(t + 1)), tope
+                with pytest.raises(FullSystemFeasibleError):
+                    nu_counts(V)
+            n = growing_mask_sizes(tope, cycle)
+            assert n == n[::-1] and n[0] == (size == 1), tope
+            topes += 1
+    assert topes == 4088

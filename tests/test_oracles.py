@@ -258,7 +258,7 @@ def test_census_tallies_the_decomposition_sizes(case):
     cycle, vectors = case
     histogram, by_size = {}, {}
     for tope in sorted(set(vectors), reverse=True):
-        size = decompose(tope, cycle).size
+        size = len(decompose(tope, cycle).members)
         histogram[size] = histogram.get(size, 0) + 1
         by_size.setdefault(size, []).append(tope)
     expected = CensusResult(cycle.t, dict(sorted(histogram.items())), by_size)
@@ -300,7 +300,7 @@ def wide_topes_and_moved_cycles(draw):
 @given(wide_topes_and_moved_cycles())
 def test_census_reads_topes_wider_than_a_machine_word(case):
     tope, cycle = case
-    size = decompose(tope, cycle).size
+    size = len(decompose(tope, cycle).members)
     assert census([tope], cycle).histogram == {size: 1}
     assert census([tope], cycle, list_topes=True).by_size == {size: [tope]}
 
