@@ -150,11 +150,12 @@ def find_symmetric_cycle(
     exhausted -- a result, not an error.
 
     The pool is keyed by minus mask (bit e-1 set where a tope is - on element
-    e), so a flip is one XOR and a membership test one int lookup: on a pool
-    that is a single cycle the search tries O(t^2) candidates.  Every tope is
-    made a tuple, then one codec pass reads and checks the pool: the first
-    tope that is not t signs (t the first tope's length) raises.  Without a
-    start, the starts are the topes in lexicographic order, '+' before '-'.
+    e), so a flip is one XOR and a membership test one int lookup: a start
+    takes at most (2n+1)*t lookups on n topes, and on a tope set the walk
+    never backs up.  Every tope is made a tuple, then one codec pass reads and
+    checks the pool: the first tope that is not t signs (t the first tope's
+    length) raises.  Without a start, the starts are the topes in
+    lexicographic order, '+' before '-'.
     """
     pool = list(map(tuple, topes))
     if not pool:
@@ -200,21 +201,18 @@ def _half_cycle(m0: int, bits: list[int], members: Container[int]) -> list[int] 
     every element once inside the member set, trying the element bits in
     ``bits`` order at each step, or None.
 
-    The depth-first search keeps an explicit stack of the elements still to
-    try at each step, so its depth t is not bounded by the recursion limit.
-    A path flips each element at most once: it has flipped ``path[-1] ^ m0``."""
+    The walk holds only its path and the masks popped from it.  At a mask it
+    has flipped ``mask ^ m0``, so a popped mask leads nowhere again; skipping
+    those keeps the depth-first order, pushes each mask at most once and makes
+    at most (2n+1)*t membership tests on n member masks.  On a tope set the
+    walk never backs up: tope graphs are isometric in the cube (Bjorner et al., Oriented Matroids, 4.2)."""
     full = sum(bits)
-    path = [m0]
-    untried = [iter(bits)]
-    while (flipped := path[-1] ^ m0) != full:
-        for b in untried[-1]:
-            if not flipped & b and (nxt := path[-1] ^ b) in members:
+    path, dead = [m0], set()
+    while path and (flipped := path[-1] ^ m0) != full:
+        for b in bits:
+            if not flipped & b and (nxt := path[-1] ^ b) in members and nxt not in dead:
                 path.append(nxt)
-                untried.append(iter(bits))
                 break
         else:
-            untried.pop()
-            path.pop()
-            if not path:
-                return None
-    return path[:-1]
+            dead.add(path.pop())
+    return path[:-1] or None  # no path left: every way from m0 led nowhere

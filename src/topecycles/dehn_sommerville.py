@@ -38,6 +38,8 @@ class DSReport:
 def _t_of(f: Sequence[int]) -> int:
     if len(f) < 2:
         raise ValueError("an f-vector needs at least entries f_0, f_1")
+    if bad := [j for j, x in enumerate(f) if not isinstance(x, int) or isinstance(x, bool)]:  # keeps the verdict exact
+        raise TypeError(f"f-vector entry f_{bad[0]} = {f[bad[0]]!r} is not an int")
     return len(f) - 1
 
 

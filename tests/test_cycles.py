@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import sys
 from functools import cache
 
@@ -8,13 +9,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from topecycles import io
-from topecycles.arrangements import enumerate_topes, hypercube_topes, moment_curve, rank2_fan
+from topecycles.arrangements import enumerate_topes, hypercube_topes, moment_curve, rank2_fan, totally_cyclic_fan
 from topecycles.cli import main
 from topecycles.complexes import delta_face_masks, lambda_face_masks
-from topecycles.core import DimensionError, Violation, negate, parse_sign_vector, sign_vector_str
+from topecycles.core import DimensionError, Violation, _minus_masks, negate, parse_sign_vector, sign_vector_str
 from topecycles.cycles import (
     CycleError,
     SymmetricCycle,
+    _half_cycle,
     canonical_hypercube_cycle,
     find_symmetric_cycle,
     symmetric_cycle,
@@ -373,6 +375,65 @@ def test_find_visits_in_the_recursive_search_order(pool, seed, data):
     # the same cycle, or the same None, as the recursive search: cycle find's output depends on it
     start = data.draw(st.one_of(st.none(), st.sampled_from(pool)))
     assert find_symmetric_cycle(pool, start=start, seed=seed) == find_symmetric_cycle_recursively(pool, start, seed)
+
+
+class RecordingMembers:
+    """A member set that counts its membership tests and records the members they find."""
+
+    def __init__(self, masks):
+        self.masks, self.tests, self.found = set(masks), 0, set()
+
+    def __contains__(self, m):
+        self.tests += 1
+        if m in self.masks:
+            self.found.add(m)
+            return True
+        return False
+
+
+def search_bits(t, seed):
+    """The element bits in the order the search tries them for this seed."""
+    bits = [1 << i for i in range(t)]
+    random.Random(seed).shuffle(bits)
+    return bits
+
+
+def middle_free_masks(t):
+    """The minus masks of the t-cube without its middle layer: negation-closed, but no half cycle crosses it."""
+    return [m for m in range(1 << t) if 2 * m.bit_count() != t]
+
+
+def test_the_walk_makes_at_most_2n_plus_1_times_t_lookups_per_start():
+    # a popped mask is never entered again: from all-+ the walk reaches every mask below the middle layer once
+    t = 12
+    members = RecordingMembers(middle_free_masks(t))
+    n = len(members.masks)
+    assert n == 3172
+    assert _half_cycle(0, search_bits(t, 0), members) is None
+    assert members.tests <= (2 * n + 1) * t
+    assert members.found == {m for m in members.masks if 0 < 2 * m.bit_count() < t}
+
+
+def test_the_walk_never_backs_up_on_a_tope_set():
+    # tope graphs are isometric subgraphs of the cube: every member the walk finds is on the half cycle it returns
+    instances = [enumerate_topes(moment_curve(t, r)) for t, r in ((5, 3), (6, 3), (6, 4), (7, 4), (6, 5), (8, 4))]
+    instances += [enumerate_topes(rank2_fan(t)) for t in range(2, 8)]
+    instances += [enumerate_topes(totally_cyclic_fan(t)) for t in range(5, 9)]
+    instances += [hypercube_topes(t) for t in range(2, 7)]
+    for topes in instances:
+        t = len(topes[0])
+        masks = _minus_masks(topes, t)
+        for seed in range(4):
+            bits = search_bits(t, seed)
+            for m0 in masks:
+                members = RecordingMembers(masks)
+                half = _half_cycle(m0, bits, members)
+                assert half is not None and members.found == {*half[1:], m0 ^ ((1 << t) - 1)}, (topes, seed, m0)
+    # the contrast: on the middle-free 6-cube every walk finds members, backs up over them and returns None
+    pool = middle_free_masks(6)
+    for m0 in pool:
+        members = RecordingMembers(pool)
+        assert _half_cycle(m0, search_bits(6, 0), members) is None and members.found
 
 
 def test_every_element_flipped_twice_around_cycle():

@@ -149,6 +149,23 @@ def test_rejects_too_short():
         check_ds((1,))
 
 
+def test_takes_int_entries_only():
+    # a float entry would make the residual float and the verdict inexact, so check_ds names it instead
+    t, rng = 120, random.Random(3)
+    cycle = canonical_hypercube_cycle(t)
+    f = lambda_face_masks(tuple(rng.choice((1, -1)) for _ in range(t)), cycle).f_vector
+    assert check_ds(f).passes  # the first tope of this seed passes, but not with its f-vector as floats
+    for entries, message in [
+        ([float(x) for x in f], "f-vector entry f_0 = 1.0 is not an int"),
+        ([1.0, 5, 10, 5.0, 0, 0], "f-vector entry f_0 = 1.0 is not an int"),
+        ([1, 5, 10, 5.0, 0, 0], "f-vector entry f_3 = 5.0 is not an int"),
+        ([1, True, 0], "f-vector entry f_1 = True is not an int"),  # a bool is not an int, as in io.fvector_from_doc
+    ]:
+        with pytest.raises(TypeError) as excinfo:
+            check_ds(entries)
+        assert str(excinfo.value) == message
+
+
 def boundary_forced_vectors(t, rng, count):
     """f_0..f_2 binomial and f_(t-1) = f_t = 0, with random entries in between (t >= 4)."""
     for _ in range(count):
@@ -297,3 +314,14 @@ def test_the_law_is_the_two_per_half_plane_condition_on_the_reoriented_fan():
             assert n == n[::-1] and n[0] == (size == 1), tope
             topes += 1
     assert topes == 4088
+
+
+@settings(max_examples=100, deadline=None)
+@given(canonical_cycle_topes())
+def test_the_law_is_the_two_per_half_plane_condition_up_to_t200(tope):
+    # the same pins on hypothesis topes up to t = 200: the verdict, and the f-vector as nu counts when |Q| >= 3
+    cycle = cached_canonical_cycle(len(tope))
+    size, f, V = len(decompose(tope, cycle).members), lambda_face_masks(tope, cycle).f_vector, reoriented_fan(tope)
+    assert check_ds(f).passes == (min(ccw_half_turn_counts(V)) >= 2)
+    if size >= 3:
+        assert f == nu_counts(V)
