@@ -191,7 +191,7 @@ def _cmd_cycle_validate(args) -> int:
         if tope_t != t:
             raise DimensionError(f"tope set t={tope_t} does not match cycle ground set t={t}")
     try:
-        SymmetricCycle._from_masks(masks)
+        SymmetricCycle(masks)
         violations = []
     except CycleError as exc:
         violations = exc.violations
@@ -223,7 +223,7 @@ def _cmd_fvector(args) -> int:
     # a Lambda/Delta mismatch raises DecompositionError (exit 4)
     tope = parse_sign_vector(args.tope)
     cycle = _load_cycle_arg(args.cycle, len(tope))
-    _write(args, io.fvector_to_doc(cycle.t, lambda_face_masks(tope, cycle).f_vector))
+    _write(args, io.fvector_to_doc(lambda_face_masks(tope, cycle).f_vector))
     return EXIT_OK
 
 
@@ -238,14 +238,14 @@ def _cmd_census(args) -> int:
     t, topes = io.tope_set_from_doc(io.load_doc(args.topes))
     cycle = _load_cycle_arg(args.cycle, t)
     result = census(topes, cycle, list_topes=args.list_topes)
-    expected = match = None
+    expected = None
     # census counts distinct topes of the cycle's length, so 2^t of them are the whole hypercube;
     # the cycle's t, unlike the document's, is bounded by the data, so 2^t stays cheap
     if sum(result.histogram.values()) == 2**result.t:
         expected = {j: 2 * comb(result.t, j) for j in range(1, result.t + 1, 2)}
-        match = result.histogram == expected
-    _write(args, io.census_to_doc(result, expected, match))
-    return EXIT_VERIFY if match is False else EXIT_OK
+    doc = io.census_to_doc(result, expected)
+    _write(args, doc)
+    return EXIT_VERIFY if doc.get("match") is False else EXIT_OK
 
 
 def _cmd_nu(args) -> int:

@@ -21,49 +21,63 @@ from .core import (
 
 
 class CycleError(_ViolationsError):
-    """A vertex sequence violates the symmetric-cycle invariants."""
+    """A mask or vertex sequence violates the symmetric-cycle invariants."""
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class SymmetricCycle:
     """2t topes R^0..R^(2t-1): consecutive steps flip one element and R^(k+t) = -R^k.
 
-    A cycle is the minus masks ``masks`` of R^0..R^(2t-1), by which it is
-    compared and hashed: bit e-1 of masks[k] is set iff R^k(e) = -1.
-    Construction from the vertices checks every invariant and raises
-    CycleError, whose ``violations`` name each broken one in a fixed order:
-    shape, distinctness, adjacency, antipodal symmetry, flip permutation.  So
-    every instance is a genuine symmetric cycle; membership in a tope set is
-    for the caller to check.  Derived are ``t``, half the vertex count, and
-    the flip order ``flips`` = e_1..e_t: step k (R^(k-1) -> R^k) flips
-    element e_k, a 1-based ground-set element.  ``vertices`` is built on first use.
+    A cycle is built from, compared by and hashed by the minus masks
+    ``masks`` of R^0..R^(2t-1): bit e-1 of masks[k] is set iff R^k(e) = -1.
+    Construction checks every invariant and raises CycleError, whose
+    ``violations`` name each broken one in a fixed order: shape (the mask
+    count, or a mask that is not an int in [0, 2^t)), distinctness, adjacency,
+    antipodal symmetry, flip permutation.  So every instance is a genuine
+    symmetric cycle; membership in a tope set is for the caller to check.
+    Derived are ``t``, half the vertex count, and the flip order ``flips`` =
+    e_1..e_t: step k (R^(k-1) -> R^k) flips element e_k, a 1-based ground-set
+    element.  ``vertices`` is built on first use; ``symmetric_cycle`` reads them.
     """
 
     masks: tuple[int, ...]
-    t: int = field(repr=False, compare=False)
-    flips: tuple[int, ...] = field(repr=False, compare=False)
+    t: int = field(init=False, repr=False, compare=False)
+    flips: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def __init__(self, vertices: Iterable[Sequence[int]]):
-        verts = tuple(map(tuple, vertices))
-        t = _half_count(len(verts))
-        try:
-            masks = tuple(_minus_masks(verts, t))
-        except (TypeError, ValueError):  # name the first vertex that is not t signs
-            for k, v in enumerate(verts):
-                if len(v) != t or not _SIGNS.issuperset(v):
-                    raise CycleError([Violation("shape", (k,), f"vertex {k} is not a +/-1 vector of length t={t}")])
-            raise
-        self._hold(masks)
-
-    @classmethod
-    def _from_masks(cls, masks: Sequence[int]) -> SymmetricCycle:
-        """The cycle whose vertices have these minus masks, each below 2^t; raises as the constructor does."""
-        cycle = object.__new__(cls)
-        cycle._hold(tuple(masks))
-        return cycle
-
-    def _hold(self, masks: tuple[int, ...]) -> None:
-        vars(self).update(flips=_cycle_flips(masks), masks=masks, t=len(masks) // 2)
+    def __post_init__(self) -> None:
+        masks = tuple(self.masks)
+        n = len(masks)
+        t = _half_count(n)
+        full = (1 << t) - 1
+        if not {int}.issuperset(map(type, masks)) or min(masks) < 0 or max(masks) > full:
+            k = next(k for k, m in enumerate(masks) if type(m) is not int or not 0 <= m <= full)
+            raise CycleError([Violation("shape", (k,), f"mask {k} is not an int in [0, 2^t) for t={t}")])
+        out: list[Violation] = []
+        seen: dict[int, int] = {}
+        for k, m in enumerate(masks):
+            if m in seen:
+                out.append(Violation("distinct", (seen[m], k), f"vertices {seen[m]} and {k} coincide"))
+            else:
+                seen[m] = k
+        # each step's mask holds the elements it flips: adjacency, the flip permutation and the flip order read it
+        steps = [m ^ masks[(k + 1) % n] for k, m in enumerate(masks)]
+        adjacency = [
+            Violation("adjacency", (k,), f"step {k} -> {(k + 1) % n} does not flip exactly one element")
+            for k, step in enumerate(steps)
+            if step.bit_count() != 1
+        ]
+        out += adjacency
+        for k in range(t):
+            if masks[k + t] != masks[k] ^ full:
+                out.append(Violation("antipodal", (k,), f"antipodal symmetry fails at k={k}"))
+        flips: tuple[int, ...] = ()
+        if not adjacency:
+            flips = tuple(step.bit_length() for step in steps[:t])
+            if len(set(flips)) != t:
+                out.append(Violation("flip_permutation", (), "first-half flips are not a permutation of the ground set"))
+        if out:
+            raise CycleError(out)
+        vars(self).update(masks=masks, t=t, flips=flips)
 
     @cached_property
     def vertices(self) -> tuple[SignVector, ...]:
@@ -84,47 +98,19 @@ def _half_count(n: int) -> int:
     return n // 2
 
 
-def _cycle_flips(masks: Sequence[int]) -> tuple[int, ...]:
-    """The flip order of the cycle whose vertices have these minus masks.
-
-    Raises CycleError naming every broken invariant in ``SymmetricCycle``'s
-    order; the masks are taken to lie below 2^t, which the vertex shape
-    check ensures."""
-    n = len(masks)
-    t = _half_count(n)
-    out: list[Violation] = []
-    seen: dict[int, int] = {}
-    for k, m in enumerate(masks):
-        if m in seen:
-            out.append(Violation("distinct", (seen[m], k), f"vertices {seen[m]} and {k} coincide"))
-        else:
-            seen[m] = k
-    # each step's mask holds the elements it flips: adjacency, the flip permutation and the flip order read it
-    steps = [m ^ masks[(k + 1) % n] for k, m in enumerate(masks)]
-    adjacency = [
-        Violation("adjacency", (k,), f"step {k} -> {(k + 1) % n} does not flip exactly one element")
-        for k, step in enumerate(steps)
-        if step.bit_count() != 1
-    ]
-    out += adjacency
-    full = (1 << t) - 1
-    for k in range(t):
-        if masks[k + t] != masks[k] ^ full:
-            out.append(Violation("antipodal", (k,), f"antipodal symmetry fails at k={k}"))
-    flips: tuple[int, ...] = ()
-    if not adjacency:
-        flips = tuple(step.bit_length() for step in steps[:t])
-        if len(set(flips)) != t:
-            out.append(Violation("flip_permutation", (), "first-half flips are not a permutation of the ground set"))
-    if out:
-        raise CycleError(out)
-    return flips
-
-
 def symmetric_cycle(vertices: Iterable[Sequence[int]]) -> SymmetricCycle:
-    """The same as ``SymmetricCycle(vertices)``, kept under this name for the
-    benchmark workloads that call it."""
-    return SymmetricCycle(vertices)
+    """The cycle R^0..R^(2t-1) read from its vertices, whose entries are read by value (1.0 is +1):
+    the first vertex that is not t signs is a shape violation, then ``SymmetricCycle`` checks the masks."""
+    verts = tuple(map(tuple, vertices))
+    t = _half_count(len(verts))
+    try:
+        masks = _minus_masks(verts, t)
+    except (TypeError, ValueError):  # name the first vertex that is not t signs
+        for k, v in enumerate(verts):
+            if len(v) != t or not _SIGNS.issuperset(v):
+                raise CycleError([Violation("shape", (k,), f"vertex {k} is not a +/-1 vector of length t={t}")])
+        raise
+    return SymmetricCycle(masks)
 
 
 def canonical_hypercube_cycle(t: int) -> SymmetricCycle:
@@ -133,7 +119,7 @@ def canonical_hypercube_cycle(t: int) -> SymmetricCycle:
         raise ValueError("t must be >= 2")
     full = (1 << t) - 1
     half = [(1 << k) - 1 for k in range(t)]  # R^k is - on elements 1..k
-    return SymmetricCycle._from_masks(half + [m ^ full for m in half])
+    return SymmetricCycle(half + [m ^ full for m in half])
 
 
 def find_symmetric_cycle(
@@ -178,7 +164,13 @@ def _find_cycle_masks(members: Collection[int], t: int, starts: Iterable[int], s
 
     The starts are read only after the member set is checked, so the errors
     about the set (t < 2, a tope without its negation) come before any error
-    that reading a start raises; a start outside the set raises ValueError."""
+    that reading a start raises; a start outside the set raises ValueError.
+
+    A start whose walk fails is dropped, with its antipode, from the set
+    later walks see: a vertex of a symmetric cycle in the set starts a half
+    cycle in it, and the cycle holds -v with v, so neither lies on a cycle.
+    That prunes only dead branches, so every later walk finds what it found
+    before.  The set is copied on the first failure, which a tope set never has."""
     if t < 2:
         raise ValueError("ground set must have t >= 2")
     full = (1 << t) - 1
@@ -187,12 +179,15 @@ def _find_cycle_masks(members: Collection[int], t: int, starts: Iterable[int], s
         raise ValueError(f"tope set is not closed under negation: missing -{min(_mask_text(m, t) for m in unpaired)}")
     bits = [1 << i for i in range(t)]  # bit e-1 flips element e
     random.Random(seed).shuffle(bits)
+    live = members  # the members that may still lie on a cycle
     for m0 in starts:
         if m0 not in members:
             raise ValueError(f"start tope {_mask_text(m0, t)} is not in the tope set")
-        half = _half_cycle(m0, bits, members)
-        if half is not None:
-            return SymmetricCycle._from_masks(half + [m ^ full for m in half])
+        # m0 is out of live when it is the antipode of a failed start
+        if m0 in live and (half := _half_cycle(m0, bits, live)) is not None:
+            return SymmetricCycle(half + [m ^ full for m in half])
+        live = set(live) if live is members else live
+        live -= {m0, m0 ^ full}
     return None
 
 

@@ -154,7 +154,7 @@ def cycle_masks_from_doc(doc: dict) -> tuple[int, list[int]]:
 
 def cycle_from_doc(doc: dict) -> SymmetricCycle:
     """The cycle the document lists; a broken invariant raises CycleError."""
-    return SymmetricCycle._from_masks(cycle_masks_from_doc(doc)[1])
+    return SymmetricCycle(cycle_masks_from_doc(doc)[1])
 
 
 def decomposition_to_doc(d: Decomposition) -> dict:
@@ -165,8 +165,9 @@ def decomposition_to_doc(d: Decomposition) -> dict:
     }
 
 
-def fvector_to_doc(t: int, f: tuple[int, ...]) -> dict:
-    return {"t": t, "f": list(f)}
+def fvector_to_doc(f: tuple[int, ...]) -> dict:
+    """The long f-vector f_0..f_t, with t = len(f) - 1."""
+    return {"t": len(f) - 1, "f": list(f)}
 
 
 def fvector_from_doc(doc: dict) -> tuple[int, tuple[int, ...]]:
@@ -189,14 +190,15 @@ def ds_report_to_doc(report: DSReport) -> dict:
     }
 
 
-def census_to_doc(result: CensusResult, expected: dict[int, int] | None = None, match: bool | None = None) -> dict:
+def census_to_doc(result: CensusResult, expected: dict[int, int] | None = None) -> dict:
+    """The census; given the expected histogram, also that and whether the census matches it."""
     doc: dict[str, Any] = {
         "t": result.t,
         "histogram": {str(j): n for j, n in result.histogram.items()},
     }
     if expected is not None:
         doc["expected"] = {str(j): n for j, n in sorted(expected.items())}
-        doc["match"] = match
+        doc["match"] = result.histogram == expected
     if result.by_size is not None:
         doc["topes"] = {str(j): [sign_vector_str(v) for v in vs] for j, vs in result.by_size.items()}
     return doc

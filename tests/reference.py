@@ -33,7 +33,7 @@ from topecycles.core import (
     negate,
     sign_vector_str,
 )
-from topecycles.cycles import SymmetricCycle
+from topecycles.cycles import SymmetricCycle, symmetric_cycle
 
 
 def all_plus(t: int) -> SignVector:
@@ -270,7 +270,7 @@ def downward_closure(facets: Iterable[int]) -> set[int]:
 
 
 def cycle_violations_by_separation_sets(vertices: Iterable[Sequence[int]]) -> list[Violation]:
-    """The violations ``SymmetricCycle(vertices)`` reports, empty for a
+    """The violations ``symmetric_cycle(vertices)`` reports, empty for a
     symmetric cycle, found on the sign tuples: vertices compared as tuples,
     each step's separation set, and each antipode against the negated
     vertex."""
@@ -319,7 +319,7 @@ def find_symmetric_cycle_recursively(
         path = [w0]
         if _extend_path(path, set(), order, members, t):
             half = path[:t]
-            return SymmetricCycle(half + [negate(v) for v in half])
+            return symmetric_cycle(half + [negate(v) for v in half])
     return None
 
 

@@ -19,7 +19,7 @@ from topecycles.core import (
     parse_sign_vector,
     sign_vector_str,
 )
-from topecycles.cycles import CycleError, SymmetricCycle, canonical_hypercube_cycle, find_symmetric_cycle
+from topecycles.cycles import CycleError, canonical_hypercube_cycle, find_symmetric_cycle, symmetric_cycle
 from topecycles.decomposition import decompose
 from topecycles.oracles import census
 
@@ -124,7 +124,7 @@ def test_every_entry_but_a_sign_is_rejected_naming_the_first_offender(bad):
     vertices = list(cycle.vertices)
     vertices[3], vertices[6] = spoiled(vertices[3], bad), spoiled(vertices[6], 0)
     with pytest.raises(CycleError) as excinfo:
-        SymmetricCycle(vertices)
+        symmetric_cycle(vertices)
     assert excinfo.value.violations == [Violation("shape", (3,), "vertex 3 is not a +/-1 vector of length t=4")]
 
 
@@ -165,7 +165,7 @@ def test_sign_entries_are_compared_by_value():
             assert decompose(U, cycle) == decompose(T, cycle)
         assert census(twins, cycle, list_topes=True) == census(topes, cycle, list_topes=True)
         assert census(topes + twins, cycle) == census(topes, cycle)  # a twin is the same tope
-        twin_cycle = SymmetricCycle([twin(v) for v in cycle.vertices])
+        twin_cycle = symmetric_cycle([twin(v) for v in cycle.vertices])
         assert twin_cycle == cycle and hash(twin_cycle) == hash(cycle)
         assert twin_cycle.flips == cycle.flips
         assert decompose(topes[-1], twin_cycle) == decompose(topes[-1], cycle)

@@ -41,7 +41,7 @@ def strs(vertices):
 def violations(vertices):
     """The violations CycleError reports for the vertices."""
     with pytest.raises(CycleError) as excinfo:
-        SymmetricCycle(vertices)
+        symmetric_cycle(vertices)
     return excinfo.value.violations
 
 
@@ -55,7 +55,7 @@ def test_canonical_t2():
 
 def test_canonical_t5_validates():
     cycle = canonical_hypercube_cycle(5)
-    assert SymmetricCycle(list(cycle.vertices)) == cycle
+    assert symmetric_cycle(list(cycle.vertices)) == cycle
     assert cycle.flips == (1, 2, 3, 4, 5)
 
 
@@ -64,7 +64,7 @@ def test_canonical_is_the_cycle_that_flips_elements_in_turn():
         half = [all_plus(t)]
         for e in range(1, t):
             half.append(flip(half[-1], e))
-        assert canonical_hypercube_cycle(t) == SymmetricCycle(half + [negate(v) for v in half])
+        assert canonical_hypercube_cycle(t) == symmetric_cycle(half + [negate(v) for v in half])
 
 
 def test_canonical_rejects_small_t():
@@ -157,7 +157,7 @@ def test_validation_reports_what_separation_sets_report(verts):
         assert violations(verts) == expected
     else:
         t = len(verts) // 2
-        assert SymmetricCycle(verts).flips == tuple(min(separation_set(verts[k], verts[k + 1])) for k in range(t))
+        assert symmetric_cycle(verts).flips == tuple(min(separation_set(verts[k], verts[k + 1])) for k in range(t))
 
 
 def membership_report(tmp_path, capsys, cycle, pool):
@@ -194,7 +194,7 @@ def test_symmetric_cycle_factory_raises():
 def test_construction_validates_and_records_flip_order():
     cycle = canonical_hypercube_cycle(4)
     assert (cycle.t, cycle.flips) == (4, (1, 2, 3, 4))
-    rotated = SymmetricCycle(cycle.vertices[3:] + cycle.vertices[:3])
+    rotated = symmetric_cycle(cycle.vertices[3:] + cycle.vertices[:3])
     assert rotated.flips == (4, 1, 2, 3)
     vertices = [parse_sign_vector(s) for s in ["+++", "-++", "--+", "+-+", "+--", "++-"]]
     assert [(v.kind, v.where) for v in violations(vertices)] == [("antipodal", (0,)), ("flip_permutation", ())]
@@ -203,9 +203,9 @@ def test_construction_validates_and_records_flip_order():
 def test_built_from_lists_or_generators_equals_and_hashes_like_tuples():
     cycle = canonical_hypercube_cycle(2)
     for other in (
-        SymmetricCycle([[1, 1], [-1, 1], [-1, -1], [1, -1]]),
-        SymmetricCycle(list(v) for v in cycle),
-        symmetric_cycle([list(v) for v in cycle]),
+        symmetric_cycle([[1, 1], [-1, 1], [-1, -1], [1, -1]]),
+        symmetric_cycle(list(v) for v in cycle),
+        SymmetricCycle(m for m in cycle.masks),
     ):
         assert other == cycle and hash(other) == hash(cycle)
         assert other.vertices == cycle.vertices and (other.t, other.flips) == (2, (1, 2))
@@ -222,10 +222,39 @@ def test_a_cycle_holds_its_masks_and_builds_its_vertices_on_request():
     census(hypercube_topes(5), used[2], list_topes=True)
     for c in (canonical, found, read, *used):
         assert "vertices" not in vars(c)
-        again = SymmetricCycle._from_masks(c.masks)
+        again = SymmetricCycle(c.masks)
         assert again == c and hash(again) == hash(c)
         assert "vertices" not in vars(c)
     assert canonical.masks[:3] == (0, 1, 3) and canonical.masks[4000] == (1 << 4000) - 1
+
+
+def test_a_cycle_is_rebuilt_from_its_masks_or_from_its_vertices():
+    cycles = [c for t in range(2, 9) for c in hypercube_cycles(t)]
+    cycles += [find_symmetric_cycle(enumerate_topes(moment_curve(t, r)), seed=s) for t, r in ((6, 3), (7, 4)) for s in range(3)]
+    for c in cycles:
+        assert SymmetricCycle(c.masks) == c and SymmetricCycle(list(c.masks)).flips == c.flips
+        assert symmetric_cycle(c.vertices) == c
+
+
+def test_a_mask_that_is_not_an_int_below_2_to_the_t_is_a_shape_violation():
+    masks = canonical_hypercube_cycle(3).masks
+    shape = [Violation("shape", (0,), "mask 0 is not an int in [0, 2^t) for t=3")]
+    # a stray bit above t, and complements taken as Python ints, which are negative
+    assert violations_of_masks([m | 8 for m in masks]) == shape
+    assert violations_of_masks([~m for m in masks]) == shape
+    for k in range(6):
+        for bad in (-1, 8, 1 << 70, 1.0, True, "1", None):
+            spoiled = list(masks)
+            spoiled[k] = bad
+            assert violations_of_masks(spoiled) == [Violation("shape", (k,), f"mask {k} is not an int in [0, 2^t) for t=3")]
+    assert violations_of_masks(masks[:3]) == [Violation("shape", (), "vertex count 3 is not an even number >= 4")]
+
+
+def violations_of_masks(masks):
+    """The violations CycleError reports for a cycle built from the masks."""
+    with pytest.raises(CycleError) as excinfo:
+        SymmetricCycle(masks)
+    return excinfo.value.violations
 
 
 def test_vertices_are_int_tuples_read_off_the_masks():
@@ -239,7 +268,7 @@ def test_vertices_are_int_tuples_read_off_the_masks():
         half = [(-1,) * k + (1,) * (t - k) for k in range(t)]
         assert canonical_hypercube_cycle(t).vertices == tuple(half + [negate(v) for v in half])
     # the vertices are int tuples read off the masks, whatever entries the cycle was built from
-    floats = SymmetricCycle([tuple(float(x) for x in v) for v in canonical_hypercube_cycle(3)])
+    floats = symmetric_cycle([tuple(float(x) for x in v) for v in canonical_hypercube_cycle(3)])
     assert floats.vertices == canonical_hypercube_cycle(3).vertices
     assert {type(x) for v in floats.vertices for x in v} == {int}
     assert list(floats) == list(floats.vertices) and len(floats) == 6
@@ -414,6 +443,20 @@ def test_the_walk_makes_at_most_2n_plus_1_times_t_lookups_per_start():
     assert members.found == {m for m in members.masks if 0 < 2 * m.bit_count() < t}
 
 
+def test_a_failed_start_and_its_antipode_are_walked_no_more(monkeypatch):
+    # without a start every walk on the middle-free 8-cube fails: one walk per negation pair, not one per mask
+    pool = [v for v in hypercube_topes(8) if 2 * v.count(-1) != 8]
+    walks = []
+
+    def counted(m0, bits, members):
+        walks.append(m0)
+        return _half_cycle(m0, bits, members)
+
+    monkeypatch.setattr("topecycles.cycles._half_cycle", counted)
+    assert find_symmetric_cycle(pool) is None
+    assert len(pool) == 186 and len(walks) == len({min(m, m ^ 255) for m in walks}) <= 93
+
+
 def test_the_walk_never_backs_up_on_a_tope_set():
     # tope graphs are isometric subgraphs of the cube: every member the walk finds is on the half cycle it returns
     instances = [enumerate_topes(moment_curve(t, r)) for t, r in ((5, 3), (6, 3), (6, 4), (7, 4), (6, 5), (8, 4))]
@@ -478,7 +521,7 @@ def test_normalize_cycle():
     assert set(norm) == set(strs(canonical_hypercube_cycle(3).vertices))
     # normalization is idempotent and rotation/reflection independent
     assert io.cycle_to_doc(io.cycle_from_doc(doc)) == doc
-    rotated = SymmetricCycle(map(parse_sign_vector, norm[2:] + norm[:2]))
+    rotated = symmetric_cycle(map(parse_sign_vector, norm[2:] + norm[:2]))
     assert io.cycle_to_doc(rotated) == doc
-    reflected = SymmetricCycle(map(parse_sign_vector, norm[:1] + norm[:0:-1]))
+    reflected = symmetric_cycle(map(parse_sign_vector, norm[:1] + norm[:0:-1]))
     assert io.cycle_to_doc(reflected) == doc

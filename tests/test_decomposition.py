@@ -6,7 +6,7 @@ import pytest
 
 from topecycles.arrangements import enumerate_topes, hypercube_topes, moment_curve, rank2_fan, totally_cyclic_fan
 from topecycles.core import DimensionError, negate, parse_sign_vector
-from topecycles.cycles import CycleError, SymmetricCycle, canonical_hypercube_cycle, find_symmetric_cycle
+from topecycles.cycles import CycleError, canonical_hypercube_cycle, find_symmetric_cycle, symmetric_cycle
 from topecycles.decomposition import decompose
 
 from reference import all_plus, brute_force_decompose
@@ -57,14 +57,14 @@ def test_decompose_input_validation():
 def test_dependent_first_half_rejected_at_construction():
     # the first half is linearly dependent, so no decomposition could exist
     with pytest.raises(CycleError):
-        SymmetricCycle(((1, 1), (-1, -1), (-1, -1), (1, 1)))
+        symmetric_cycle(((1, 1), (-1, -1), (-1, -1), (1, 1)))
 
 
 def test_hadamard_first_half_rejected_at_construction():
     # Hadamard-style first half: invertible, but solutions would land in (1/2)Z
     half = ((1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1))
     with pytest.raises(CycleError):
-        SymmetricCycle(half + tuple(negate(v) for v in half))
+        symmetric_cycle(half + tuple(negate(v) for v in half))
 
 
 @settings(max_examples=60)

@@ -319,9 +319,12 @@ def test_the_law_is_the_two_per_half_plane_condition_on_the_reoriented_fan():
 @settings(max_examples=100, deadline=None)
 @given(canonical_cycle_topes())
 def test_the_law_is_the_two_per_half_plane_condition_up_to_t200(tope):
-    # the same pins on hypothesis topes up to t = 200: the verdict, and the f-vector as nu counts when |Q| >= 3
+    # the same pins on hypothesis topes up to t = 200: the verdict, the f-vector as nu counts when |Q| >= 3,
+    # and a palindromic n with n_0 = [|Q| = 1]
     cycle = cached_canonical_cycle(len(tope))
     size, f, V = len(decompose(tope, cycle).members), lambda_face_masks(tope, cycle).f_vector, reoriented_fan(tope)
     assert check_ds(f).passes == (min(ccw_half_turn_counts(V)) >= 2)
     if size >= 3:
         assert f == nu_counts(V)
+    n = growing_mask_sizes(tope, cycle)
+    assert n == n[::-1] and n[0] == (size == 1)

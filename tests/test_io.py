@@ -158,7 +158,7 @@ def test_readers_reject_nonpositive_t(read, fields, t):
 
 
 def test_fvector_doc_round_trip_and_length_check():
-    t, f = io.fvector_from_doc(io.fvector_to_doc(5, (1, 5, 10, 5, 0, 0)))
+    t, f = io.fvector_from_doc(io.fvector_to_doc((1, 5, 10, 5, 0, 0)))
     assert t == 5 and f == (1, 5, 10, 5, 0, 0)
     with pytest.raises(io.SchemaError):
         io.fvector_from_doc({"t": 5, "f": [1, 5, 10]})

@@ -16,7 +16,7 @@ from topecycles.arrangements import (
 )
 from topecycles.complexes import delta_face_masks, long_f_vector
 from topecycles.core import DimensionError, sign_vector_str
-from topecycles.cycles import CycleError, SymmetricCycle, canonical_hypercube_cycle, find_symmetric_cycle
+from topecycles.cycles import CycleError, canonical_hypercube_cycle, find_symmetric_cycle, symmetric_cycle
 from topecycles.decomposition import decompose
 from topecycles.oracles import (
     CensusResult,
@@ -225,7 +225,7 @@ def test_census_topes_sorted_lexicographically():
 def test_census_cycle_rejected_at_construction():
     # a malformed cycle never reaches census: construction names the violations
     with pytest.raises(CycleError) as excinfo:
-        SymmetricCycle(((1, 1), (-1, -1), (-1, -1), (1, 1)))
+        symmetric_cycle(((1, 1), (-1, -1), (-1, -1), (1, 1)))
     assert {v.kind for v in excinfo.value.violations} >= {"distinct", "adjacency"}
 
 
@@ -286,7 +286,7 @@ def wide_topes_and_moved_cycles(draw):
     verts = canonical_hypercube_cycle(t).vertices
     k = draw(st.integers(0, 2 * t - 1))
     verts = verts[k:] + verts[:k]
-    cycle = SymmetricCycle(verts[::-1] if draw(st.booleans()) else verts)
+    cycle = symmetric_cycle(verts[::-1] if draw(st.booleans()) else verts)
     assume(cycle.flips != tuple(range(1, t + 1)))
     if draw(st.booleans()):  # near a cycle vertex: few members
         near = draw(st.sets(st.integers(0, t - 1), max_size=4))
