@@ -1,14 +1,16 @@
 """Central hyperplane arrangements over exact rationals: simple arrangements
-validated on construction, chamber enumeration by deletion-restriction with
-certified integer witnesses, and instance generators."""
+validated on construction, chamber enumeration by deletion-restriction down
+to a closed form in the plane, with certified integer witnesses, and instance
+generators."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import chain, combinations, product
-from operator import mul, neg
+from operator import itemgetter, mul, neg
 from typing import Sequence
 
 from .core import DimensionError, SignVector, Violation, _ViolationsError, negate, sign_vector_str
@@ -107,17 +109,21 @@ def ccw_half_turn_counts(dirs: Sequence[Sequence]) -> list[int]:
 def enumerate_topes(arr: Arrangement) -> list[SignVector]:
     """All chamber sign vectors, in lexicographic order with '+' before '-'.
 
-    Deletion-restriction (Zaslavsky): the sign prefix grows one hyperplane
-    at a time, and a cell of the first k-1 hyperplanes is split by H_k
-    exactly when it meets H_k in a chamber of their restriction to H_k, one
-    recursive call one dimension lower.  Every cell carries an exact integer
-    interior point; at the end each tope is certified by substituting its
-    point into every row of ``arr.rows``, and a failure (a bug, not bad
-    input) raises RuntimeError.  No feasibility test is run.
+    Deletion-restriction (Zaslavsky) down to the plane: the sign prefix grows
+    one hyperplane at a time, and a cell of the first k-1 hyperplanes is split
+    by H_k exactly when it meets H_k in a chamber of their restriction to H_k,
+    one recursive call one dimension lower; in the plane the chambers are the
+    sectors between the sorted lines, read off in closed form (``_chambers``).
+    Every cell carries an exact integer interior point; at the end each tope
+    is certified by substituting its point into every row of ``arr.rows``,
+    and a failure (a bug, not bad input) raises RuntimeError.  No feasibility
+    test is run.
     """
-    cells = _chambers(arr.rows, arr.dim)
+    rows = arr.rows
+    cells = sorted(_chambers(rows, arr.dim), key=itemgetter(0), reverse=True)
     for sigma, x in cells:
-        if any(_dot(a, x) * s <= 0 for a, s in zip(arr.rows, sigma)):
+        dots = [sum(map(mul, a, x)) for a in rows]
+        if min(map(mul, dots, sigma)) <= 0:
             raise RuntimeError(f"witness {x} does not certify tope {sign_vector_str(sigma)}")
     return [sigma for sigma, _ in cells]
 
@@ -128,11 +134,18 @@ def _dot(a: Sequence[int], x: Sequence[int]) -> int:
 
 def _chambers(rows: Sequence[tuple[int, ...]], dim: int) -> list[tuple[SignVector, tuple[int, ...]]]:
     """Each chamber of the central arrangement of the nonzero primitive integer
-    rows in Z^dim, as (sign vector, integer interior point), in the order of
-    ``enumerate_topes``.  Rows may repeat up to sign: a repeat copies the sign
-    of its first occurrence (negated if antiparallel) and splits nothing.
+    rows in Z^dim, as (sign vector, integer interior point), in no promised
+    order (``enumerate_topes`` sorts them).  Rows may repeat up to sign: a
+    repeat takes the sign of its first occurrence (negated if antiparallel)
+    and splits nothing.
 
-    The dimension is explicit because it cannot be read off an empty row list."""
+    In dimension 2 the chambers come in closed form (``_planar_chambers``), so
+    the recursion stops there; in every other dimension (above 2, or the 1 of
+    a one-dimensional arrangement) the sign prefix grows one row at a time as
+    ``enumerate_topes`` describes.  The dimension is explicit because it
+    cannot be read off an empty row list."""
+    if dim == 2:
+        return _planar_chambers(rows)
     cells: list[tuple[SignVector, tuple[int, ...]]] = [((), (0,) * dim)]
     first: dict[tuple[int, ...], tuple[int, int]] = {}  # row -> (index of its first occurrence, +1 or -1)
     for k, a in enumerate(rows):
@@ -168,6 +181,41 @@ def _chambers(rows: Sequence[tuple[int, ...]], dim: int) -> list[tuple[SignVecto
             nxt.append((sigma + (1,), _primitive([n * c + d for c, d in zip(y, a)])))
             nxt.append((sigma + (-1,), _primitive([n * c - d for c, d in zip(y, a)])))
         cells = nxt
+    return cells
+
+
+def _planar_chambers(rows: Sequence[tuple[int, ...]]) -> list[tuple[SignVector, tuple[int, ...]]]:
+    """The chambers of nonzero primitive rows in Z^2, which may repeat up to
+    sign, in counterclockwise order: the sectors between the distinct lines.
+
+    Each line's direction is taken in the half-open upper half-plane
+    (y > 0, or y = 0 < x), and the directions are sorted by the exact sign of
+    the integer cross product d_x e_y - d_y e_x.  With their negations they
+    are the 2m rays in angular order; consecutive rays are less than a half
+    turn apart, so the sum of a sector's two boundary rays is inside it.
+    Crossing a ray flips the signs of the rows on its line and no other.
+    With one line the witnesses are a normal of it and its negation; with no
+    rows the one chamber is the plane, witnessed by the origin."""
+    if not rows:
+        return [((), (0, 0))]
+    lines: dict[tuple[int, int], list[int]] = {}  # direction -> positions of the rows on its line
+    for k, (a0, a1) in enumerate(rows):
+        lines.setdefault((-a1, a0) if a0 > 0 or a0 == 0 > a1 else (a1, -a0), []).append(k)
+    dirs = sorted(lines, key=cmp_to_key(lambda d, e: d[1] * e[0] - d[0] * e[1]))
+    if len(dirs) == 1:
+        [(x, y)] = dirs
+        witnesses = [(y, -x), (-y, x)]
+    else:
+        rays = dirs + [(-x, -y) for x, y in dirs]
+        witnesses = [(x + u, y + v) for (x, y), (u, v) in zip(rays, rays[1:] + rays[:1])]
+    # the sector after ray k is entered by crossing ray k; start in the sector after ray 0
+    w0, w1 = witnesses[0]
+    signs = [1 if a0 * w0 + a1 * w1 > 0 else -1 for a0, a1 in rows]
+    cells = [(tuple(signs), witnesses[0])]
+    for k in range(1, len(witnesses)):
+        for i in lines[dirs[k % len(dirs)]]:
+            signs[i] = -signs[i]
+        cells.append((tuple(signs), witnesses[k]))
     return cells
 
 

@@ -2,7 +2,8 @@
 kept out of the package: the decomposition by enumerating all 2^(2t) vertex
 subsets, the decomposition of all-plus by maximal positive parts, rank-2
 feasibility by the half-turn count of the distinct directions, strict
-feasibility in any dimension by Fourier-Motzkin elimination, primitive rows
+feasibility in any dimension by Fourier-Motzkin elimination, the chambers of
+an arrangement by deletion-restriction down to dimension 0, primitive rows
 through Fraction arithmetic, (anti)parallel normals by 2x2 minors, the
 chamber count of a rank-3 arrangement by Zaslavsky's theorem, the
 Dehn-Sommerville row recurrence summed row by row, the left side of the
@@ -24,7 +25,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
-from topecycles.arrangements import ccw_half_turn_counts, primitive_vector
+from topecycles.arrangements import _dot, _primitive, ccw_half_turn_counts, primitive_vector
 from topecycles.core import (
     DimensionError,
     SignVector,
@@ -158,6 +159,54 @@ def strict_feasible(vectors: Sequence[Sequence[int | Fraction]]) -> bool:
                     nxt.add(primitive_vector(comb))
         work = nxt
     return True
+
+
+def chambers_by_restriction(rows: Sequence[tuple[int, ...]], dim: int) -> list[tuple[SignVector, tuple[int, ...]]]:
+    """Each chamber of the central arrangement of the nonzero primitive integer
+    rows in Z^dim, as (sign vector, integer interior point), in lexicographic
+    order with '+' before '-'.  Rows may repeat up to sign: a repeat copies
+    the sign of its first occurrence (negated if antiparallel) and splits
+    nothing.
+
+    Deletion-restriction all the way down to dimension 0: the package's own
+    recursion before it stopped at the plane's closed form.  The dimension is
+    explicit because it cannot be read off an empty row list."""
+    cells: list[tuple[SignVector, tuple[int, ...]]] = [((), (0,) * dim)]
+    first: dict[tuple[int, ...], tuple[int, int]] = {}  # row -> (index of its first occurrence, +1 or -1)
+    for k, a in enumerate(rows):
+        if a in first:
+            i, s = first[a]
+            cells = [(sigma + (s * sigma[i],), x) for sigma, x in cells]
+            continue
+        first[a], first[negate(a)] = (k, 1), (k, -1)
+        earlier = rows[:k]
+        # H_k in the coordinates other than a pivot j: b restricts to
+        # sign(a_j) * (a_j * b_l - b_j * a_l) for l != j
+        j = next(l for l, c in enumerate(a) if c)
+        p = abs(a[j])
+        sj = 1 if a[j] > 0 else -1
+        others = [l for l in range(dim) if l != j]
+        restricted = [_primitive([p * b[l] - sj * b[j] * a[l] for l in others]) for b in earlier]
+        splits = dict(chambers_by_restriction(restricted, dim - 1))
+        # each lifted y below is strictly inside its restricted chamber, so every earlier b.y is a nonzero
+        # integer and n > |b.a| keeps n*y +/- a on y's side of b (a looser bound than per cell: bigger witnesses)
+        n = 1 + max((abs(_dot(b, a)) for b in earlier), default=0)
+        nxt: list[tuple[SignVector, tuple[int, ...]]] = []
+        for sigma, x in cells:
+            z = splits.get(sigma)
+            if z is None:  # the cell misses H_k, so its point's side is the whole cell's
+                nxt.append((sigma + ((1 if _dot(a, x) > 0 else -1),), x))
+                continue
+            # lift z to y in H_k, then step off it by a_k on either side, far
+            # enough inside the cell that no earlier row changes sign
+            y = [0] * dim
+            for l, c in zip(others, z):
+                y[l] = p * c
+            y[j] = -sj * _dot([a[l] for l in others], z)
+            nxt.append((sigma + (1,), _primitive([n * c + d for c, d in zip(y, a)])))
+            nxt.append((sigma + (-1,), _primitive([n * c - d for c, d in zip(y, a)])))
+        cells = nxt
+    return cells
 
 
 def primitive_vector_by_fractions(row: Sequence) -> tuple[int, ...]:

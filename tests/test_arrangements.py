@@ -3,7 +3,7 @@ from itertools import combinations, product
 from math import comb
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import topecycles.arrangements as arrangements
@@ -21,6 +21,7 @@ from topecycles.core import DimensionError, negate, sign_vector_str
 from topecycles.oracles import check_halfplane_condition
 
 from reference import (
+    chambers_by_restriction,
     primitive_vector_by_fractions,
     rank2_feasible,
     strict_feasible,
@@ -214,6 +215,71 @@ def test_enumerate_topes_matches_fourier_motzkin_scan(rows):
     # small entries make many restricted rows coincide up to sign, so the copy-a-sign path runs
     scan = [s for s in product((1, -1), repeat=len(rows)) if strict_feasible(signed(rows, s))]
     assert enumerate_topes(Arrangement(rows)) == scan
+
+
+def _line(row):
+    """The key a row shares with every row parallel or antiparallel to it."""
+    r = primitive_vector(row)
+    return max(r, negate(r))
+
+
+def _distinct_lines(coordinate, dim, max_size):
+    return st.lists(st.tuples(*[coordinate] * dim).filter(any), min_size=1, max_size=max_size, unique_by=_line)
+
+
+def _in_a_plane(dim):
+    """Rows c_1 u + c_2 v for independent u, v in Z^dim and pairwise non-parallel (c_1, c_2)."""
+
+    def rows(u, v, coefficients):
+        assume(any(u[i] * v[j] != u[j] * v[i] for i, j in combinations(range(dim), 2)))
+        return [tuple(c * x + d * y for x, y in zip(u, v)) for c, d in coefficients]
+
+    vector = st.tuples(*[st.integers(-4, 4)] * dim)
+    return st.builds(rows, vector, vector, _distinct_lines(st.integers(-5, 5), 2, 8))
+
+
+ARRANGEMENT_FAMILIES = {
+    "rank2_up_to_t40": _distinct_lines(st.integers(-60, 60), 2, 40),
+    "rank3_up_to_t10": _distinct_lines(st.integers(-9, 9), 3, 10),
+    "rank4_up_to_t10": _distinct_lines(st.integers(-9, 9), 4, 10),
+    "in_a_2_plane_of_R3": _in_a_plane(3),
+    "in_a_2_plane_of_R4": _in_a_plane(4),
+    # few distinct lines: many earlier rows restrict to one line, up to sign, on a later hyperplane
+    "restrictions_repeat_R3": _distinct_lines(st.integers(-1, 1), 3, 10),
+    "restrictions_repeat_R4": _distinct_lines(st.integers(-1, 1), 4, 10),
+}
+
+
+@pytest.mark.parametrize("family", ARRANGEMENT_FAMILIES.values(), ids=ARRANGEMENT_FAMILIES.keys())
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_enumerate_topes_matches_deletion_restriction_down_to_dimension_0(family, data):
+    # the closed form in the plane against the recursion it replaced, order included
+    arr = Arrangement(data.draw(family))
+    assert enumerate_topes(arr) == [sigma for sigma, _ in chambers_by_restriction(arr.rows, arr.dim)]
+
+
+def test_chambers_are_never_entered_below_the_plane(monkeypatch):
+    # every rank-2 restriction comes from the closed form, and a rank-2 arrangement takes one call
+    inner, dims = arrangements._chambers, []
+
+    def counting(rows, dim):
+        dims.append(dim)
+        return inner(rows, dim)
+
+    monkeypatch.setattr(arrangements, "_chambers", counting)
+    for arr in (rank2_fan(1), rank2_fan(6), totally_cyclic_fan(9), Arrangement([(3, -1), (-2, 5)])):
+        dims.clear()
+        enumerate_topes(arr)
+        assert dims == [2], arr
+    plane = Arrangement([(1, 0, 1), (0, 1, 1), (1, 1, 2), (1, -1, 0), (2, 1, 3)])  # rows in x + y = z
+    for arr in (moment_curve(7, 4), moment_curve(7, 5), plane):
+        dims.clear()
+        enumerate_topes(arr)
+        assert min(dims) == 2 and dims.count(arr.dim) == 1, arr
+    dims.clear()
+    enumerate_topes(moment_curve(6, 3))
+    assert dims == [3] + [2] * 6
 
 
 def test_enumerate_topes_generic_count_law():

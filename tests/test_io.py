@@ -15,6 +15,10 @@ def test_rational_round_trip():
     for text in ("3", "-7/2", "0", "22/7"):
         assert io.rational_to_str(io.rational_from_str(text)) == text
     assert io.rational_to_str(Fraction(4, 2)) == "2"
+    # an integer string reads as an int, a quotient as a Fraction, each by value
+    for text, value in (("-7", -7), ("007", 7), ("-0", 0), ("6/4", Fraction(3, 2)), ("-8/4", -2)):
+        assert io.rational_from_str(text) == value
+        assert type(io.rational_from_str(text)) is (Fraction if "/" in text else int)
 
 
 def test_rational_rejects_garbage():
