@@ -14,6 +14,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import stat
 import sys
 import traceback
 from math import comb
@@ -136,12 +138,27 @@ def _output_options(p: argparse.ArgumentParser) -> None:
 
 
 def _write(args, doc: dict) -> None:
+    """Write the document to stdout, or over the file ``--output`` names.
+
+    The file is opened without truncation, which can cost many times the write itself,
+    and written from its start; a regular file is then cut at the end of the document,
+    and any other file (/dev/null, a pipe, a terminal) is only written.  A write that
+    fails part way exits 1, as any OSError does, and leaves a prefix of the new document
+    over the old file's tail."""
     text = json.dumps(doc, indent=2) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    if not args.output:
         sys.stdout.write(text)
+        return
+    data = text.encode()
+    fd = os.open(args.output, os.O_WRONLY | os.O_CREAT, 0o666)  # open(path, "w") without O_TRUNC
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _load_cycle_arg(spec: str, t: int):

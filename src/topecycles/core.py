@@ -20,6 +20,7 @@ _BIT_CHAR = str.maketrans("01", "+-")
 # str.translate deletes the sign characters, leaving the others in order; bytes.translate makes '+' 1 and '-' 0xff
 _NOT_A_SIGN = str.maketrans("", "", "+-")
 _SIGN_BYTE = bytes.maketrans(b"+-", b"\x01\xff")
+_SIGN_DIGIT = bytes.maketrans(b"+-", b"01")  # _CHAR_BIT on the encoded text
 _SIGNS = frozenset((1, -1))
 # the by-value read of an entry struct rejects (1.0, Fraction(1), 2**70): a non-sign becomes None, which struct rejects too
 _DIGIT = {1: 1, -1: -1}.get

@@ -8,11 +8,13 @@ from __future__ import annotations
 
 import json
 import re
+import struct
+import sys
 from fractions import Fraction
-from typing import Any, Callable
+from typing import Any
 
 from .arrangements import Arrangement
-from .core import SignVector, _mask_text, _text_mask, parse_sign_vector, sign_vector_str
+from .core import _NOT_A_SIGN, _SIGN_BYTE, _SIGN_DIGIT, SignVector, _mask_text, _text_mask, parse_sign_vector, sign_vector_str
 from .cycles import SymmetricCycle
 from .decomposition import Decomposition
 from .dehn_sommerville import DSReport
@@ -31,15 +33,23 @@ def rational_to_str(q: int | Fraction) -> str:
 
 
 def rational_from_str(text: Any) -> int | Fraction:
-    """'p' as an int and 'p/q' as a Fraction; anything else raises SchemaError."""
+    """'p' as an int and 'p/q' as a Fraction; anything else raises SchemaError, among it
+    an integer longer than the interpreter converts (``sys.get_int_max_str_digits``)."""
     if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise SchemaError(f"rationals must be strings 'p' or 'p/q', got {text!r}")
-    if "/" not in text:  # int() reads an integer string several times faster than Fraction()
-        return int(text)
     try:
+        if "/" not in text:  # int() reads an integer string several times faster than Fraction()
+            return int(text)
         return Fraction(text)
     except ZeroDivisionError:
         raise SchemaError(f"invalid rational {text!r}") from None
+    except ValueError:  # the text matched, so only the interpreter's digit limit is left
+        digits = max(map(len, text.lstrip("-").split("/")))
+        shown = text if len(text) <= 24 else f"{text[:10]}...{text[-10:]}"
+        raise SchemaError(
+            f"rational {shown!r} has {digits} digits, more than the"
+            f" {sys.get_int_max_str_digits()} this interpreter reads"
+        ) from None
 
 
 def load_doc(path: str) -> dict:
@@ -70,8 +80,27 @@ def _ground_set_size(doc: dict) -> int:
     return t
 
 
-def _parse_topes(strings: list, t: int, parse: Callable[[str], Any] = parse_sign_vector) -> list:
-    """Each string read by ``parse``: as a tuple of signs, or as a minus mask by ``_text_mask``."""
+def _parse_topes(strings: list, t: int, masks: bool = False) -> list:
+    """The strings as sign tuples, or as minus masks (bit e-1 set iff character e is '-').
+
+    A list of '+'/'-' strings of length t is checked and read in a few C passes over
+    the joined text: ``struct`` cuts the tuples, and masks take one int() each.  Any
+    other list is read one string at a time by ``parse_sign_vector`` or ``_text_mask``,
+    so the first offender raises SchemaError with its own message."""
+    try:
+        joined = "".join(strings)
+    except TypeError:  # an entry that is not a string
+        pass
+    else:
+        if not joined.translate(_NOT_A_SIGN) and set(map(len, strings)) == {t}:
+            signs = joined.encode()
+            if not masks:
+                return list(struct.iter_unpack(f"{t}b", signs.translate(_SIGN_BYTE)))
+            # reversed, string k is chunk n-1-k and reads as the binary digits of its mask
+            out = [int(bits, 2) for (bits,) in struct.iter_unpack(f"{t}s", signs[::-1].translate(_SIGN_DIGIT))]
+            out.reverse()
+            return out
+    parse = _text_mask if masks else parse_sign_vector
     out = []
     for s in strings:
         if not isinstance(s, str):
@@ -119,10 +148,10 @@ def tope_set_from_doc(doc: dict) -> tuple[int, list[SignVector]]:
 
 
 def tope_masks_from_doc(doc: dict) -> tuple[int, dict[int, str]]:
-    """The distinct listed topes as {minus mask: '+'/'-' string}, read in one C
-    pass each, with no tuple in between; errors as ``tope_set_from_doc``."""
+    """The distinct listed topes as {minus mask: '+'/'-' string}, read straight
+    from the strings with no tuple in between; errors as ``tope_set_from_doc``."""
     t, strings = _tope_strings(doc)
-    return t, dict(zip(_parse_topes(strings, t, _text_mask), strings))
+    return t, dict(zip(_parse_topes(strings, t, masks=True), strings))
 
 
 def _tope_strings(doc: dict) -> tuple[int, list]:
@@ -152,7 +181,7 @@ def cycle_masks_from_doc(doc: dict) -> tuple[int, list[int]]:
     strings = _field(doc, "vertices", list)
     if len(strings) != 2 * t:
         raise SchemaError(f"t={t} but {len(strings)} vertices given")
-    return t, _parse_topes(strings, t, _text_mask)
+    return t, _parse_topes(strings, t, masks=True)
 
 
 def cycle_from_doc(doc: dict) -> SymmetricCycle:

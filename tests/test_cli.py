@@ -1,4 +1,7 @@
 import json
+import os
+import sys
+import threading
 from math import comb
 
 import pytest
@@ -514,3 +517,67 @@ def test_emitted_docs_are_consumable(capsys, tmp_path):
     assert run(capsys, "fvector", "--tope", "++-++", "--cycle", str(cyc), "--output", str(fvec))[0] == 0
     code, _ = run_json(capsys, "verify-ds", "--fvector", str(fvec))
     assert code in (0, 3)  # consumable either way; pass/fail depends on |Q|
+
+
+def test_output_over_a_longer_file_is_the_document_alone(capsys, tmp_path):
+    # the output is written in place from its start, so its old tail must be cut off
+    out = tmp_path / "cycle.json"
+    out.write_bytes(b"junk " * 2048)
+    assert run(capsys, "cycle", "canonical", "--t", "5", "--output", str(out)) == (0, "")
+    code, stdout = run(capsys, "cycle", "canonical", "--t", "5")
+    assert code == 0 and out.read_bytes() == stdout.encode()
+
+
+def test_output_to_dev_null_and_to_a_fifo(capsys, tmp_path):
+    assert run(capsys, "cycle", "canonical", "--t", "5", "--output", os.devnull) == (0, "")
+    expected = run(capsys, "cycle", "canonical", "--t", "5")[1].encode()
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+    reader.start()
+    try:
+        assert run(capsys, "cycle", "canonical", "--t", "5", "--output", str(fifo)) == (0, "")
+    finally:
+        if reader.is_alive():  # the writer failed before opening: let the reader's open return
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        reader.join(5)
+    assert received == [expected]
+
+
+def test_output_to_a_directory_exits_1(capsys, tmp_path):
+    assert main(["cycle", "canonical", "--t", "3", "--output", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("topecycles: error: ") and "Traceback" not in captured.err
+
+
+def test_new_output_has_the_mode_open_gives(capsys, tmp_path):
+    old = os.umask(0o027)
+    try:
+        with open(tmp_path / "by_open.json", "w"):
+            pass
+        assert run(capsys, "cycle", "canonical", "--t", "3", "--output", str(tmp_path / "by_cli.json"))[0] == 0
+    finally:
+        os.umask(old)
+    assert (tmp_path / "by_cli.json").stat().st_mode == (tmp_path / "by_open.json").stat().st_mode
+
+
+def test_validate_reads_its_cycle_before_writing_over_it(capsys, tmp_path):
+    cyc = tmp_path / "c.json"
+    assert run(capsys, "cycle", "canonical", "--t", "4", "--output", str(cyc))[0] == 0
+    assert run(capsys, "cycle", "validate", "--cycle", str(cyc), "--output", str(cyc)) == (0, "")
+    assert json.loads(cyc.read_text()) == {"ok": True, "violations": []}
+
+
+@pytest.mark.parametrize("form", ["{}", "1/{}"])
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no limit on integer strings before 3.10.7")
+def test_rational_over_the_digit_limit_exits_1(capsys, tmp_path, form):
+    # the interpreter's limit on integer strings, not input validation (exit 2) or a bug (exit 4)
+    digits = sys.get_int_max_str_digits() + 700
+    arr = tmp_path / "arr.json"
+    arr.write_text(json.dumps({"t": 2, "dim": 2, "normals": [["1", "0"], ["0", form.format("9" * digits)]]}))
+    assert main(["topes", "--arrangement", str(arr)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert err.startswith("topecycles: error: rational '") and f" has {digits} digits, more than the " in err

@@ -1,12 +1,15 @@
 import json
 import re
+import sys
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
 from topecycles import io
 from topecycles.arrangements import moment_curve, rank2_fan, totally_cyclic_fan
-from topecycles.core import _minus_mask, parse_sign_vector, sign_vector_str
+from topecycles.core import _minus_mask, _text_mask, parse_sign_vector, sign_vector_str
 from topecycles.cycles import CycleError, canonical_hypercube_cycle, find_symmetric_cycle
 from topecycles.decomposition import decompose
 
@@ -25,6 +28,16 @@ def test_rational_rejects_garbage():
     for bad in ("1/0", "x", "", 3, "3.5"):
         with pytest.raises(io.SchemaError):
             io.rational_from_str(bad)
+
+
+@pytest.mark.parametrize("form", ["{}", "-1/{}", "{}/7"])
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no limit on integer strings before 3.10.7")
+def test_rational_over_the_digit_limit_is_a_schema_error(form):
+    # int() refuses more than sys.get_int_max_str_digits() digits with a bare ValueError
+    limit = sys.get_int_max_str_digits()
+    text = form.format("3" * (limit + 700))
+    with pytest.raises(io.SchemaError, match=f"has {limit + 700} digits, more than the {limit} this interpreter reads$"):
+        io.rational_from_str(text)
 
 
 def test_arrangement_doc_round_trip():
@@ -61,6 +74,40 @@ def test_tope_set_doc_rejects_wrong_length():
         io.tope_set_from_doc({"t": 3, "topes": ["+x+"]})
     with pytest.raises(io.SchemaError, match="sign vectors must be strings"):
         io.tope_set_from_doc({"t": 3, "topes": [123]})
+
+
+NOT_A_STRING = "sign vectors must be strings, got 123"
+BAD_CHARACTER = "invalid sign character 'x' in '+x+'"
+WRONG_LENGTH = "sign vector '++' has length 2, expected t=3"
+
+
+@pytest.mark.parametrize(
+    "strings, message",
+    [
+        (["+++", 123, "+x+"], NOT_A_STRING),
+        (["+x+", "+++", 123], BAD_CHARACTER),
+        ([123, "++"], NOT_A_STRING),
+        (["++", 123], WRONG_LENGTH),
+        (["---", "+x+", "++"], BAD_CHARACTER),
+        (["++", "+x+", "---"], WRONG_LENGTH),
+        (["++", "++++"], WRONG_LENGTH),  # six characters, as two strings of length t would have
+    ],
+)
+def test_tope_readers_report_the_first_offender(strings, message):
+    # the batched read fails as a whole, and the per-string read names the first offender
+    for read in (io.tope_set_from_doc, io.tope_masks_from_doc):
+        with pytest.raises(io.SchemaError, match=f"^{re.escape(message)}$"):
+            read({"t": 3, "topes": strings})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 70).flatmap(lambda t: st.tuples(st.just(t), st.lists(st.text("+-", min_size=t, max_size=t), min_size=1))))
+def test_tope_readers_read_each_string_as_the_codec_does(t_strings):
+    t, strings = t_strings
+    assert io.tope_set_from_doc({"t": t, "topes": strings}) == (t, [parse_sign_vector(s) for s in strings])
+    assert io.tope_masks_from_doc({"t": t, "topes": strings}) == (t, {_text_mask(s): s for s in strings})
+    vertices = (strings * 2 * t)[: 2 * t]
+    assert io.cycle_masks_from_doc({"t": t, "vertices": vertices}) == (t, [_text_mask(s) for s in vertices])
 
 
 @pytest.mark.parametrize(
