@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
+from itertools import starmap
 from operator import neg
 from typing import Sequence
 
@@ -26,7 +27,7 @@ _SIGNS = frozenset((1, -1))
 _DIGIT = {1: 1, -1: -1}.get
 
 
-@cache  # one packer per length read
+@lru_cache(maxsize=64)  # one packer per length read: t, or a tope count when columns are read by value
 def _packer(t: int):
     return struct.Struct(f"{t}b").pack
 
@@ -119,6 +120,21 @@ def _minus_masks(vs: Sequence[Sequence[int]], t: int) -> list[int]:
         return [int(pack(*v).translate(_BIT)[::-1], 2) for v in vs]
     except (struct.error, ValueError):  # some v is read by value (1.0, Fraction(-1)), or is not t signs
         return [_minus_mask(v, t) for v in vs]
+
+
+def _minus_columns(vs: Sequence[Sequence[int]], t: int) -> list[int]:
+    """The minus masks of the t columns of n >= 1 sign vectors vs: bit i of the (e-1)-th mask is
+    set iff vs[i](e) = -1.  Each v is packed in C, which checks its length, and each column is one
+    strided slice of the joined bytes.  If some entry is read by value or is not a sign, the
+    lengths are checked (DimensionError) and each column is read by ``_minus_masks``, which
+    raises for the first column that is not n signs."""
+    try:
+        bits = b"".join(starmap(_packer(t), vs)).translate(_BIT)[::-1]  # reversed: the last entry of the last v first
+        return [int(bits[k::t], 2) for k in range(t - 1, -1, -1)]
+    except (struct.error, ValueError):  # a length other than t, an entry such as 1.0, or not a sign
+        if not {t}.issuperset(map(len, vs)):  # zip would cut every column at the shortest v
+            raise DimensionError(f"sign vectors of length {t} expected") from None
+        return _minus_masks(list(zip(*vs)), len(vs))
 
 
 def _text_mask(text: str) -> int:

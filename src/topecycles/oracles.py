@@ -1,21 +1,24 @@
 """Independent counts tying the geometry to the combinatorics: feasible-subsystem
 counts of a simple planar arrangement, read off the half-turn counts of its
 integer rows, the two-per-open-half-plane condition on any planar vectors,
-and the per-tope decomposition census."""
+and the decomposition census of a tope set."""
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from itertools import compress
+from operator import xor
 from typing import Iterable, Sequence
 
 from .arrangements import Arrangement, ccw_half_turn_counts, primitive_vector
 from .complexes import _face_counts
-from .core import DimensionError, SignVector, _mask_text, _minus_masks, _text_mask
+from .core import DimensionError, SignVector, _minus_columns
 from .cycles import SymmetricCycle
 from .decomposition import _checked_tope
+
+
+_BIT_BYTE = bytes.maketrans(b"01", b"\0\1")
 
 
 class FullSystemFeasibleError(ValueError):
@@ -89,33 +92,57 @@ def census(
     cycle: SymmetricCycle,
     list_topes: bool = False,
 ) -> CensusResult:
-    """Tally the distinct topes by decomposition size, read off one integer per tope.
+    """Tally the distinct topes by decomposition size, all topes at once, one column per element.
 
-    A tope's integer is the minus mask of its flip-order signs x_j = T(e_j) * R^0(e_j), read in
-    one C pass: bit j-1 is set iff x_j = -1.  |Q| counts x's sign changes: one where x_1 = x_t and
-    one per j with x_(j+1) != x_j.
+    With x_j = T(e_j) * R^0(e_j), |Q| counts x's sign changes: one where x_1 = x_t and one per j
+    with x_(j+1) != x_j.  Each element's column of the n distinct topes is read in C into an n-bit
+    minus mask (bit i set iff tope i is - on e).  XOR with R^0's sign gives X_j (bit i set iff
+    x_j = -1 on tope i), and the t change planes not(X_1 ^ X_t) and X_j ^ X_(j+1) mark the topes
+    that have a member there.  Full adders on whole planes sum them into about log2(t) count
+    planes (bit i of plane k is bit k of tope i's |Q|), and splitting the topes on those gives one
+    n-bit mask per size class: bit-slicing (Biham, FSE 1997).  That is O(t) operations on n-bit
+    integers and no interpreted step per tope, so a tope set (n >= 2t) costs little more than
+    reading it; but a few topes on a long ground set pay for all t columns (5 topes at t = 1100:
+    about 0.6 ms, where reading them one at a time took 0.3 ms).
 
     Topes are checked in the order given, so an invalid input names its first offender (an
     entry that is not iterable or not hashable raises TypeError before any is checked).
     Each listed class is in lexicographic order, '+' before '-' (descending tuples)."""
     t = cycle.t
     unique = dict.fromkeys(map(tuple, topes))
-    order = itemgetter(*[e - 1 for e in cycle.flips])  # t >= 2 indices, so it returns a tuple
+    n = len(unique)
+    if not n:
+        return CensusResult(t, {}, {} if list_topes else None)
     try:
-        if not {t}.issuperset(map(len, unique)):  # itemgetter would ignore a long tope's extra entries
-            raise DimensionError
-        masks = _minus_masks(list(map(order, unique)), t)
+        columns = _minus_columns(unique, t)
     except ValueError:  # some tope is not a +/-1 vector of length t: name the first, as decompose does
         for tope in unique:
             _checked_tope(tope, cycle)
         raise
-    r0 = _text_mask("".join(order(_mask_text(cycle.masks[0], t))))  # R^0's minus mask in flip order
-    low = (1 << (t - 1)) - 1
-    sizes = [(((x := m ^ r0) ^ (x >> 1)) & low).bit_count() + (not (x ^ (x >> (t - 1))) & 1) for m in masks]
+    full, r0 = (1 << n) - 1, cycle.masks[0]
+    x = [columns[e - 1] ^ (full if r0 >> (e - 1) & 1 else 0) for e in cycle.flips]  # X_1..X_t
+    planes = [full ^ x[0] ^ x[-1], *map(xor, x, x[1:])]  # bit i set iff tope i gains a member at j
+    counts: list[int] = []  # bit i of counts[k] is bit k of tope i's member count
+    while planes:  # full adders sum the planes of weight 2^k into count plane k and carries of weight 2^(k+1)
+        total, carries = planes.pop(), []
+        while planes:
+            a = planes.pop()
+            b = planes.pop() if planes else 0
+            ab = a ^ b
+            carries.append(total & ab | a & b)
+            total ^= ab
+        counts.append(total)
+        planes = carries
+    classes = [(0, full)]  # (size read so far, topes of that size), split on each count plane
+    for k, c in enumerate(counts):
+        classes = [(size, m) for s, mask in classes for size, m in ((s, mask & ~c), (s | 1 << k, mask & c)) if m]
+    classes.sort()
     listed = None
     if list_topes:
-        by_size: dict[int, list[SignVector]] = {}
-        for size, tope in zip(sizes, unique):
-            by_size.setdefault(size, []).append(tope)
-        listed = {j: sorted(by_size[j], reverse=True) for j in sorted(by_size)}
-    return CensusResult(t, dict(sorted(Counter(sizes).items())), listed)
+        listed = {s: sorted(compress(unique, _selectors(m, n)), reverse=True) for s, m in classes}
+    return CensusResult(t, {s: m.bit_count() for s, m in classes}, listed)
+
+
+def _selectors(m: int, n: int) -> bytes:
+    """Bit i of the n-bit mask m as byte i, 0 or 1: selectors for ``itertools.compress``."""
+    return format(m, f"0{n}b")[::-1].encode().translate(_BIT_BYTE)

@@ -10,7 +10,8 @@ Dehn-Sommerville row recurrence summed row by row, the left side of the
 Dehn-Sommerville polynomial identity expanded by binomials, long f-vectors
 by counting listed faces and by summing binomials, the faces of a complex
 listed from its facets, the depth-first search for a symmetric cycle by
-recursion, and the symmetric-cycle checks by separation sets of sign tuples.
+recursion, the symmetric-cycle checks by separation sets of sign tuples, and
+the decomposition census read one tope mask at a time.
 Also here are the sign-vector helpers only tests use: ``all_plus``, ``flip``
 and ``separation_set``."""
 
@@ -23,6 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from topecycles.arrangements import _dot, _primitive, ccw_half_turn_counts, primitive_vector
@@ -30,11 +32,16 @@ from topecycles.core import (
     DimensionError,
     SignVector,
     Violation,
+    _mask_text,
+    _minus_masks,
+    _text_mask,
     check_sign_vector,
     negate,
     sign_vector_str,
 )
 from topecycles.cycles import SymmetricCycle, symmetric_cycle
+from topecycles.decomposition import _checked_tope
+from topecycles.oracles import CensusResult
 
 
 def all_plus(t: int) -> SignVector:
@@ -388,3 +395,37 @@ def _extend_path(path: list[SignVector], used: set[int], order: list[int], membe
             path.pop()
             used.remove(e)
     return False
+
+
+def census_by_tope_masks(
+    topes: Iterable[Sequence[int]],
+    cycle: SymmetricCycle,
+    list_topes: bool = False,
+) -> CensusResult:
+    """The decomposition census read off one integer per tope, one interpreted step each.
+
+    A tope's integer is the minus mask of its flip-order signs x_j = T(e_j) * R^0(e_j): bit j-1 is
+    set iff x_j = -1.  |Q| counts x's sign changes: one where x_1 = x_t and one per j with
+    x_(j+1) != x_j.  Topes are checked in the order given, as ``census`` checks them, and each
+    listed class is in lexicographic order, '+' before '-' (descending tuples)."""
+    t = cycle.t
+    unique = dict.fromkeys(map(tuple, topes))
+    order = itemgetter(*[e - 1 for e in cycle.flips])  # t >= 2 indices, so it returns a tuple
+    try:
+        if not {t}.issuperset(map(len, unique)):  # itemgetter would ignore a long tope's extra entries
+            raise DimensionError
+        masks = _minus_masks(list(map(order, unique)), t)
+    except ValueError:  # some tope is not a +/-1 vector of length t: name the first, as decompose does
+        for tope in unique:
+            _checked_tope(tope, cycle)
+        raise
+    r0 = _text_mask("".join(order(_mask_text(cycle.masks[0], t))))  # R^0's minus mask in flip order
+    low = (1 << (t - 1)) - 1
+    sizes = [(((x := m ^ r0) ^ (x >> 1)) & low).bit_count() + (not (x ^ (x >> (t - 1))) & 1) for m in masks]
+    listed = None
+    if list_topes:
+        by_size: dict[int, list[SignVector]] = {}
+        for size, tope in zip(sizes, unique):
+            by_size.setdefault(size, []).append(tope)
+        listed = {j: sorted(by_size[j], reverse=True) for j in sorted(by_size)}
+    return CensusResult(t, dict(sorted(Counter(sizes).items())), listed)

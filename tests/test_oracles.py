@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -15,7 +16,7 @@ from topecycles.arrangements import (
     totally_cyclic_fan,
 )
 from topecycles.complexes import delta_face_masks, long_f_vector
-from topecycles.core import DimensionError, sign_vector_str
+from topecycles.core import DimensionError, _packer, sign_vector_str
 from topecycles.cycles import CycleError, canonical_hypercube_cycle, find_symmetric_cycle, symmetric_cycle
 from topecycles.decomposition import decompose
 from topecycles.oracles import (
@@ -26,7 +27,7 @@ from topecycles.oracles import (
     nu_counts,
 )
 
-from reference import strict_feasible, validate_simple_by_minors
+from reference import census_by_tope_masks, strict_feasible, validate_simple_by_minors
 from test_decomposition import _tope_set
 
 SPREAD5 = [(1, 0), (0, 1), (-1, 1), (-1, -1), (1, -2)]
@@ -303,6 +304,84 @@ def test_census_reads_topes_wider_than_a_machine_word(case):
     size = len(decompose(tope, cycle).members)
     assert census([tope], cycle).histogram == {size: 1}
     assert census([tope], cycle, list_topes=True).by_size == {size: [tope]}
+
+
+BY_VALUE = {1: (1.0, True, Fraction(1)), -1: (-1.0, Fraction(-1))}
+
+
+@st.composite
+def wide_tope_lists_and_moved_cycles(draw):
+    # a canonical cycle with its elements permuted and sign-flipped, so its flips and R^0 are any;
+    # more than 64 distinct topes (all 2^t when fewer), so every column is wider than a machine word,
+    # some near a cycle vertex (few members); by-value entries in up to three columns, repeats and a shuffle
+    t = draw(st.integers(2, 70))
+    rng = random.Random(draw(st.integers(0, 2**32)))  # the bulk draws: a seed keeps hypothesis' input small
+    perm, signs = rng.sample(range(t), t), [rng.choice((1, -1)) for _ in range(t)]
+    cycle = symmetric_cycle(tuple(s * v[i] for s, i in zip(signs, perm)) for v in canonical_hypercube_cycle(t).vertices)
+    n = min(2**t, draw(st.integers(65, 200)))
+    masks = set()
+    while len(masks) < n:
+        mask = cycle.masks[rng.randrange(2 * t)] if rng.random() < 0.3 else rng.getrandbits(t)
+        for _ in range(rng.randrange(3)):
+            mask ^= 1 << rng.randrange(t)
+        masks.add(mask)
+    distinct = sorted((tuple(-1 if m >> i & 1 else 1 for i in range(t)) for m in masks), reverse=True)
+    columns = rng.sample(range(t), min(t, draw(st.integers(0, 3))))
+
+    def by_value(v):
+        return tuple(rng.choice(BY_VALUE[x]) if i in columns and rng.random() < 0.5 else x for i, x in enumerate(v))
+
+    vectors = [by_value(v) for v in distinct + rng.choices(distinct, k=n // 3)]
+    rng.shuffle(vectors)
+    return cycle, distinct, vectors
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_tope_lists_and_moved_cycles())
+def test_census_matches_the_per_tope_oracle_and_decompose_on_wide_columns(case):
+    cycle, distinct, vectors = case
+    histogram, by_size = {}, {}
+    for tope in distinct:
+        size = len(decompose(tope, cycle).members)
+        histogram[size] = histogram.get(size, 0) + 1
+        by_size.setdefault(size, []).append(tope)
+    expected = CensusResult(cycle.t, dict(sorted(histogram.items())), dict(sorted(by_size.items())))
+    for list_topes in (False, True):
+        result = census(vectors, cycle, list_topes=list_topes)
+        assert result == census_by_tope_masks(vectors, cycle, list_topes=list_topes)
+        assert result == (expected if list_topes else CensusResult(cycle.t, expected.histogram))
+        assert list(result.histogram) == list(expected.histogram)
+    assert list(result.by_size) == list(expected.by_size)
+
+
+def test_census_edge_cases():
+    cycle = canonical_hypercube_cycle(4)
+    assert census([], cycle) == CensusResult(4, {}, None)
+    assert census([], cycle, list_topes=True) == CensusResult(4, {}, {})
+    assert census(iter(()), cycle, list_topes=True) == CensusResult(4, {}, {})
+    tope = (1, -1, -1, 1)
+    size = len(decompose(tope, cycle).members)
+    one = CensusResult(4, {size: 1}, {size: [tope]})
+    assert census([tope], cycle, list_topes=True) == one
+    assert census([tope] * 7, cycle, list_topes=True) == one
+    assert census([list(tope)], cycle, list_topes=True) == one
+    assert census([tope], cycle) == CensusResult(4, {size: 1})
+    whole = census(hypercube_topes(4), cycle, list_topes=True)
+    assert census((v for v in hypercube_topes(4)), cycle, list_topes=True) == whole
+    assert whole.histogram == {1: 8, 3: 8}
+
+
+def test_census_on_many_set_sizes_keeps_the_packer_cache_bounded():
+    # a set with a by-value entry reads its columns by value, one packer per set size n
+    cycle, topes = canonical_hypercube_cycle(8), hypercube_topes(8)
+    _packer.cache_clear()
+    for n in range(1, 257):
+        pool = [tuple(map(float, topes[0]))] + topes[1:n]
+        assert census(pool, cycle) == census_by_tope_masks(pool, cycle)
+        assert census(topes[:n], cycle) == census_by_tope_masks(topes[:n], cycle)
+    info = _packer.cache_info()
+    assert info.misses >= 200
+    assert info.currsize <= info.maxsize
 
 
 # each invalid input names its first offender given; reversed, it names the other one
