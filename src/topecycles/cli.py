@@ -24,8 +24,8 @@ from typing import Sequence
 from . import io
 from .arrangements import enumerate_topes, hypercube_topes, moment_curve, rank2_fan, totally_cyclic_fan
 from .complexes import lambda_face_masks
-from .core import DimensionError, Violation, _mask_text, parse_sign_vector
-from .cycles import CycleError, SymmetricCycle, _find_cycle_masks, _start_mask, canonical_hypercube_cycle
+from .core import DimensionError, Violation, _mask_text, _minus_mask, parse_sign_vector
+from .cycles import CycleError, SymmetricCycle, _find_cycle_masks, canonical_hypercube_cycle
 from .decomposition import decompose
 from .dehn_sommerville import check_ds
 from .oracles import census, nu_counts
@@ -194,7 +194,10 @@ def _cmd_cycle_find(args) -> int:
     # find_symmetric_cycle's search, on minus masks read straight from the strings; its starts
     # come '+' before '-', which is ascending order for the strings
     t, members = io.tope_masks_from_doc(io.load_doc(args.topes))
-    starts = sorted(members, key=members.__getitem__) if args.start is None else _start_mask(args.start, t, parse_sign_vector)
+    if args.start is None:
+        starts = sorted(members, key=members.__getitem__)
+    else:  # read where find_symmetric_cycle reads start: when the search asks for it, after the pool checks
+        starts = (_minus_mask(parse_sign_vector(s), t) for s in [args.start])
     cycle = _find_cycle_masks(members, t, starts, args.seed)
     _write(args, {"found": False, "t": t} if cycle is None else io.cycle_to_doc(cycle))
     return EXIT_OK

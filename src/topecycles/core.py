@@ -1,4 +1,10 @@
-"""Sign-vector arithmetic over the ground set {1, ..., t}."""
+"""Sign-vector arithmetic over the ground set {1, ..., t}, and the one codec for sign vectors.
+
+Its form is a byte per entry: "0" for +1, "1" for -1, "!" for anything else, which every reader
+rejects.  Tuples reach it through struct and a table (entries struct cannot pack, such as 1.0, are
+read by value), '+'/'-' strings by encode and a table.  Each output is one C pass over it: minus
+masks (bit e-1 set iff v(e) = -1) int(..., 2) of the reversed form, columns strided slices, tuples
+struct.iter_unpack, text a translate.  No other module knows the form."""
 
 from __future__ import annotations
 
@@ -7,27 +13,21 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import starmap
 from operator import neg
-from typing import Sequence
+from typing import Collection, Iterable, Sequence
 
 SignVector = tuple[int, ...]
 
-# The sign-vector codec reads a sign vector into a minus mask (bit e-1 set iff v(e) = -1) in one C
-# pass: struct packs +1 and -1 as the bytes 01 and ff, which _BIT translates to '0' and '1'.  Every
-# other byte becomes '!', never a digit, whitespace or '_', which int(..., 2) would accept.
-_BIT = bytes(48 if b == 1 else 49 if b == 255 else 33 for b in range(256))
-_SIGN_CHAR = bytes(43 if b == 1 else 45 if b == 255 else 33 for b in range(256))  # the same, to "+" and "-"
-_CHAR_BIT = str.maketrans("+-", "01")
-_BIT_CHAR = str.maketrans("01", "+-")
-# str.translate deletes the sign characters, leaving the others in order; bytes.translate makes '+' 1 and '-' 0xff
-_NOT_A_SIGN = str.maketrans("", "", "+-")
-_SIGN_BYTE = bytes.maketrans(b"+-", b"\x01\xff")
-_SIGN_DIGIT = bytes.maketrans(b"+-", b"01")  # _CHAR_BIT on the encoded text
-_SIGNS = frozenset((1, -1))
+_REJECT = ord("!")  # the form's byte for a non-sign: not a digit, whitespace or "_", which int(..., 2) accepts
+_PACKED_FORM = bytes(48 if b == 1 else 49 if b == 255 else _REJECT for b in range(256))  # struct's bytes of +1, -1
+_TEXT_FORM = bytes(48 if b == 43 else 49 if b == 45 else _REJECT for b in range(256))  # the encoded "+" and "-"
+_FORM_PACKED = bytes.maketrans(b"01", b"\x01\xff")
+_FORM_TEXT = bytes.maketrans(b"01", b"+-")
+_FORM_SELECTOR = bytes.maketrans(b"01", b"\0\1")
 # the by-value read of an entry struct rejects (1.0, Fraction(1), 2**70): a non-sign becomes None, which struct rejects too
 _DIGIT = {1: 1, -1: -1}.get
 
 
-@lru_cache(maxsize=64)  # one packer per length read: t, or a tope count when columns are read by value
+@lru_cache(maxsize=64)  # one packer per length t read
 def _packer(t: int):
     return struct.Struct(f"{t}b").pack
 
@@ -55,21 +55,13 @@ class _ViolationsError(ValueError):
 
 def parse_sign_vector(text: str) -> SignVector:
     """Parse a '+'/'-' string; character k is the sign of element k+1."""
-    _check_text(text)
-    # the string is ASCII '+'/'-' now: one byte each, read as signed bytes 1 and -1 in C
-    return struct.unpack(f"{len(text)}b", text.encode().translate(_SIGN_BYTE))
+    return _signs(_text_form(text), len(text))[0]
 
 
 def sign_vector_str(v: Sequence[int]) -> str:
     """The '+'/'-' string of the sign vector v; anything else raises what ``check_sign_vector`` raises."""
     v = tuple(v)
-    try:
-        text = _packer(len(v))(*v).translate(_SIGN_CHAR).decode()
-    except struct.error:
-        text = "!"
-    if "!" in text:  # an entry to read by value, or not a sign
-        return _mask_text(_minus_mask(v), len(v))
-    return text
+    return _form(v, len(v)).translate(_FORM_TEXT).decode()
 
 
 def check_sign_vector(v: Sequence[int], t: int | None = None) -> None:
@@ -78,7 +70,7 @@ def check_sign_vector(v: Sequence[int], t: int | None = None) -> None:
     Entries are compared by value, so 1.0, True and Fraction(1) count as +1:
     results are those for the int signs they equal, but a returned tope keeps
     the entries given.  Only the codec calls it, once a read of v has failed."""
-    if not _SIGNS.issuperset(v):
+    if None in map(_DIGIT, v):
         raise ValueError(f"not a sign vector: {tuple(v)!r}")
     if t is not None and len(v) != t:
         raise DimensionError(f"sign vector has length {len(v)}, expected {t}")
@@ -88,11 +80,81 @@ def negate(v: Sequence[int]) -> SignVector:
     return tuple(map(neg, v))
 
 
-def _check_text(text: str) -> None:
+def _first_offender(vs: Iterable[Sequence[int]], t: int) -> tuple[int, Sequence[int]] | None:
+    """The first v in vs that is not t signs read by value, with its index, or None; a v of length t
+    raises TypeError at an unhashable entry met before any entry that is not a sign."""
+    return next(((k, v) for k, v in enumerate(vs) if len(v) != t or None in map(_DIGIT, v)), None)
+
+
+def _form(v: Sequence[int], t: int) -> bytes:
+    """``_forms((v,), t)``, with the struct pass over the one sign vector v made directly."""
+    try:
+        form = _packer(t)(*v).translate(_PACKED_FORM)
+        if _REJECT not in form:
+            return form
+    except (struct.error, TypeError):  # an entry to read by value, or v is not t signs
+        pass
+    return _forms((v,), t)
+
+
+def _forms(vs: Collection[Sequence[int]], t: int) -> bytes:
+    """The forms of the sign vectors vs, joined, in one struct pass or, for entries such as 1.0, one
+    by-value pass; the first v that is not t signs raises what ``check_sign_vector`` raises."""
+    pack = _packer(t)
+    try:
+        form = b"".join(starmap(pack, vs)).translate(_PACKED_FORM)
+        if _REJECT not in form:
+            return form
+    except (struct.error, TypeError):  # an entry such as 1.0 or Fraction(-1), or some v is not t signs
+        pass
+    if offender := _first_offender(vs, t):
+        check_sign_vector(offender[1], t)  # raises: the offender is not t signs
+    return b"".join([pack(*map(_DIGIT, v)) for v in vs]).translate(_PACKED_FORM)
+
+
+def _text_form(text: str) -> bytes:
+    """The form of a '+'/'-' string; an empty string, or one with another character, raises ValueError."""
     if not text:
         raise ValueError("empty sign vector")
-    if other := text.translate(_NOT_A_SIGN):
-        raise ValueError(f"invalid sign character {other[0]!r} in {text!r}")
+    form = text.encode().translate(_TEXT_FORM)
+    if _REJECT in form:  # lstrip leaves the first other character first
+        raise ValueError(f"invalid sign character {text.lstrip('+-')[0]!r} in {text!r}")
+    return form
+
+
+def _text_forms(texts: list, t: int) -> bytes:
+    """The forms of a list of '+'/'-' strings of length t, joined, in a few C passes over their joined text.
+    Any other list raises ValueError for its first offender: a non-string, a bad string or a wrong length."""
+    try:
+        form = "".join(texts).encode().translate(_TEXT_FORM)
+        if _REJECT not in form and {t}.issuperset(map(len, texts)):
+            return form
+    except TypeError:  # an entry that is not a string
+        pass
+    for text in texts:  # one string at a time, so the first offender raises
+        if not isinstance(text, str):
+            raise ValueError(f"sign vectors must be strings, got {text!r}")
+        if len(_text_form(text)) != t:  # all '+' and '-', one byte per character
+            raise DimensionError(f"sign vector {text!r} has length {len(text)}, expected t={t}")
+    return b"".join(map(_text_form, texts))
+
+
+def _signs(form: bytes, t: int) -> list[SignVector]:
+    """The sign tuples of the t-byte forms joined in form."""
+    return list(struct.iter_unpack(f"{t}b", form.translate(_FORM_PACKED)))
+
+
+def _masks(form: bytes, t: int) -> list[int]:
+    """The minus masks of the t-byte forms joined in form: reversed, form k is chunk n-1-k and reads
+    as the binary digits of its mask."""
+    masks = [int(bits, 2) for (bits,) in struct.iter_unpack(f"{t}s", form[::-1])]
+    masks.reverse()
+    return masks
+
+
+def _mask_form(m: int, t: int) -> bytes:
+    """The form of the sign vector of length t whose minus mask is m (0 <= m < 2^t)."""
+    return format(m, f"0{t}b")[::-1].encode()
 
 
 def _minus_mask(v: Sequence[int], t: int | None = None) -> int:
@@ -100,49 +162,33 @@ def _minus_mask(v: Sequence[int], t: int | None = None) -> int:
 
     Entries are read by value, as ``check_sign_vector`` reads them, and anything else (an entry
     other than +1 or -1, or a length other than t, when t is given) raises what it raises."""
-    pack = _packer(len(v) if t is None else t)
-    try:
-        try:
-            signs = pack(*v)
-        except struct.error:  # an entry such as 1.0 or Fraction(-1), or the wrong length: read v by value
-            signs = pack(*map(_DIGIT, v))
-        return int(signs.translate(_BIT)[::-1] or b"0", 2)
-    except (struct.error, TypeError, ValueError):
-        check_sign_vector(v, t)
-        raise
+    return int(_form(v, len(v) if t is None else t)[::-1], 2)
 
 
 def _minus_masks(vs: Sequence[Sequence[int]], t: int) -> list[int]:
-    """``_minus_mask(v, t)`` for each v in vs, in one comprehension while every v packs as signs;
-    otherwise one at a time, so the first v that is not t signs raises."""
-    pack = _packer(t)
-    try:
-        return [int(pack(*v).translate(_BIT)[::-1], 2) for v in vs]
-    except (struct.error, ValueError):  # some v is read by value (1.0, Fraction(-1)), or is not t signs
-        return [_minus_mask(v, t) for v in vs]
+    """``_minus_mask(v, t)`` for each v in vs, read in one pass; the first v that is not t signs raises."""
+    form = _forms(vs, t)
+    return _masks(form, t) if t else [0] * len(vs)  # at t = 0 every v is ()
 
 
-def _minus_columns(vs: Sequence[Sequence[int]], t: int) -> list[int]:
-    """The minus masks of the t columns of n >= 1 sign vectors vs: bit i of the (e-1)-th mask is
-    set iff vs[i](e) = -1.  Each v is packed in C, which checks its length, and each column is one
-    strided slice of the joined bytes.  If some entry is read by value or is not a sign, the
-    lengths are checked (DimensionError) and each column is read by ``_minus_masks``, which
-    raises for the first column that is not n signs."""
-    try:
-        bits = b"".join(starmap(_packer(t), vs)).translate(_BIT)[::-1]  # reversed: the last entry of the last v first
-        return [int(bits[k::t], 2) for k in range(t - 1, -1, -1)]
-    except (struct.error, ValueError):  # a length other than t, an entry such as 1.0, or not a sign
-        if not {t}.issuperset(map(len, vs)):  # zip would cut every column at the shortest v
-            raise DimensionError(f"sign vectors of length {t} expected") from None
-        return _minus_masks(list(zip(*vs)), len(vs))
+def _minus_columns(vs: Collection[Sequence[int]], t: int) -> list[int]:
+    """The minus masks of the t columns of n >= 1 sign vectors vs: bit i of the (e-1)-th mask is set
+    iff vs[i](e) = -1.  Each column is one strided slice of the joined forms, and the first v that is
+    not t signs raises what ``check_sign_vector`` raises."""
+    bits = _forms(vs, t)[::-1]  # reversed: the last entry of the last v first
+    return [int(bits[k::t], 2) for k in range(t - 1, -1, -1)]
 
 
 def _text_mask(text: str) -> int:
     """The minus mask of a '+'/'-' string; raises as ``parse_sign_vector`` does."""
-    _check_text(text)
-    return int(text[::-1].translate(_CHAR_BIT), 2)
+    return int(_text_form(text)[::-1], 2)
 
 
 def _mask_text(m: int, t: int) -> str:
     """The '+'/'-' string of the minus mask m (0 <= m < 2^t) of a sign vector of length t >= 1."""
-    return format(m, f"0{t}b")[::-1].translate(_BIT_CHAR)
+    return _mask_form(m, t).translate(_FORM_TEXT).decode()
+
+
+def _selectors(m: int, n: int) -> bytes:
+    """Bit i of the n-bit mask m as byte i, 0 or 1: selectors for ``itertools.compress``."""
+    return _mask_form(m, n).translate(_FORM_SELECTOR)

@@ -6,18 +6,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Collection, Container, Iterable, Iterator, Sequence
+from typing import Collection, Container, Iterable, Sequence
 
-from .core import (
-    SignVector,
-    Violation,
-    _SIGNS,
-    _ViolationsError,
-    _mask_text,
-    _minus_mask,
-    _minus_masks,
-    parse_sign_vector,
-)
+from .core import SignVector, Violation, _ViolationsError, parse_sign_vector
+from .core import _first_offender, _mask_text, _minus_mask, _minus_masks
 
 
 class CycleError(_ViolationsError):
@@ -105,11 +97,9 @@ def symmetric_cycle(vertices: Iterable[Sequence[int]]) -> SymmetricCycle:
     t = _half_count(len(verts))
     try:
         masks = _minus_masks(verts, t)
-    except (TypeError, ValueError):  # name the first vertex that is not t signs
-        for k, v in enumerate(verts):
-            if len(v) != t or not _SIGNS.issuperset(v):
-                raise CycleError([Violation("shape", (k,), f"vertex {k} is not a +/-1 vector of length t={t}")])
-        raise
+    except (TypeError, ValueError):  # the first vertex that is not t signs is a shape violation
+        k, _ = _first_offender(verts, t)
+        raise CycleError([Violation("shape", (k,), f"vertex {k} is not a +/-1 vector of length t={t}")])
     return SymmetricCycle(masks)
 
 
@@ -148,14 +138,11 @@ def find_symmetric_cycle(
         return None
     t = len(pool[0])
     members = dict(zip(_minus_masks(pool, t), pool))  # minus mask -> tope
-    starts = sorted(members, key=members.__getitem__, reverse=True) if start is None else _start_mask(start, t)
+    if start is None:
+        starts = sorted(members, key=members.__getitem__, reverse=True)
+    else:  # read (and so checked) only when the search asks for its first start, after the pool checks
+        starts = (_minus_mask(tuple(s), t) for s in [start])
     return _find_cycle_masks(members, t, starts, seed)
-
-
-def _start_mask(start: Sequence[int] | str, t: int, read: Callable = tuple) -> Iterator[int]:
-    """The minus mask of the start tope ``read(start)``, read (and so checked) only when the search
-    asks for its first start, after the pool checks; the CLI reads its string with parse_sign_vector."""
-    yield _minus_mask(read(start), t)
 
 
 def _find_cycle_masks(members: Collection[int], t: int, starts: Iterable[int], seed: int) -> SymmetricCycle | None:

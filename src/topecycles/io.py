@@ -1,20 +1,19 @@
 """JSON document formats shared by the CLI and test fixtures.
 
 Rationals travel as strings "p" or "p/q" (JSON numbers cannot carry exact
-rationals); sign vectors as '+'/'-' strings with index 1 leftmost; cycles are
-serialized in normalized order."""
+rationals); sign vectors as '+'/'-' strings with index 1 leftmost, which the
+codec in ``core`` reads and writes; cycles are serialized in normalized order."""
 
 from __future__ import annotations
 
 import json
 import re
-import struct
 import sys
 from fractions import Fraction
 from typing import Any
 
 from .arrangements import Arrangement
-from .core import _NOT_A_SIGN, _SIGN_BYTE, _SIGN_DIGIT, SignVector, _mask_text, _text_mask, parse_sign_vector, sign_vector_str
+from .core import SignVector, _mask_text, _masks, _signs, _text_forms, sign_vector_str
 from .cycles import SymmetricCycle
 from .decomposition import Decomposition
 from .dehn_sommerville import DSReport
@@ -80,39 +79,12 @@ def _ground_set_size(doc: dict) -> int:
     return t
 
 
-def _parse_topes(strings: list, t: int, masks: bool = False) -> list:
-    """The strings as sign tuples, or as minus masks (bit e-1 set iff character e is '-').
-
-    A list of '+'/'-' strings of length t is checked and read in a few C passes over
-    the joined text: ``struct`` cuts the tuples, and masks take one int() each.  Any
-    other list is read one string at a time by ``parse_sign_vector`` or ``_text_mask``,
-    so the first offender raises SchemaError with its own message."""
+def _read_forms(strings: list, t: int) -> bytes:
+    """The codec's form of a list of '+'/'-' strings of length t; its first offender raises SchemaError."""
     try:
-        joined = "".join(strings)
-    except TypeError:  # an entry that is not a string
-        pass
-    else:
-        if not joined.translate(_NOT_A_SIGN) and set(map(len, strings)) == {t}:
-            signs = joined.encode()
-            if not masks:
-                return list(struct.iter_unpack(f"{t}b", signs.translate(_SIGN_BYTE)))
-            # reversed, string k is chunk n-1-k and reads as the binary digits of its mask
-            out = [int(bits, 2) for (bits,) in struct.iter_unpack(f"{t}s", signs[::-1].translate(_SIGN_DIGIT))]
-            out.reverse()
-            return out
-    parse = _text_mask if masks else parse_sign_vector
-    out = []
-    for s in strings:
-        if not isinstance(s, str):
-            raise SchemaError(f"sign vectors must be strings, got {s!r}")
-        try:
-            v = parse(s)
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from None
-        if len(s) != t:  # s is all '+' and '-' now, one entry per character
-            raise SchemaError(f"sign vector {s!r} has length {len(s)}, expected t={t}")
-        out.append(v)
-    return out
+        return _text_forms(strings, t)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from None
 
 
 def arrangement_to_doc(arr: Arrangement) -> dict:
@@ -144,14 +116,14 @@ def tope_set_to_doc(t: int, topes: list[SignVector]) -> dict:
 def tope_set_from_doc(doc: dict) -> tuple[int, list[SignVector]]:
     """The listed topes; an empty list raises SchemaError, since no tope backs its t."""
     t, strings = _tope_strings(doc)
-    return t, _parse_topes(strings, t)
+    return t, _signs(_read_forms(strings, t), t)
 
 
 def tope_masks_from_doc(doc: dict) -> tuple[int, dict[int, str]]:
     """The distinct listed topes as {minus mask: '+'/'-' string}, read straight
     from the strings with no tuple in between; errors as ``tope_set_from_doc``."""
     t, strings = _tope_strings(doc)
-    return t, dict(zip(_parse_topes(strings, t, masks=True), strings))
+    return t, dict(zip(_masks(_read_forms(strings, t), t), strings))
 
 
 def _tope_strings(doc: dict) -> tuple[int, list]:
@@ -181,7 +153,7 @@ def cycle_masks_from_doc(doc: dict) -> tuple[int, list[int]]:
     strings = _field(doc, "vertices", list)
     if len(strings) != 2 * t:
         raise SchemaError(f"t={t} but {len(strings)} vertices given")
-    return t, _parse_topes(strings, t, masks=True)
+    return t, _masks(_read_forms(strings, t), t)
 
 
 def cycle_from_doc(doc: dict) -> SymmetricCycle:

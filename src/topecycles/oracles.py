@@ -13,12 +13,9 @@ from typing import Iterable, Sequence
 
 from .arrangements import Arrangement, ccw_half_turn_counts, primitive_vector
 from .complexes import _face_counts
-from .core import DimensionError, SignVector, _minus_columns
+from .core import DimensionError, SignVector, _first_offender, _minus_columns, _selectors
 from .cycles import SymmetricCycle
 from .decomposition import _checked_tope
-
-
-_BIT_BYTE = bytes.maketrans(b"01", b"\0\1")
 
 
 class FullSystemFeasibleError(ValueError):
@@ -115,9 +112,8 @@ def census(
         return CensusResult(t, {}, {} if list_topes else None)
     try:
         columns = _minus_columns(unique, t)
-    except ValueError:  # some tope is not a +/-1 vector of length t: name the first, as decompose does
-        for tope in unique:
-            _checked_tope(tope, cycle)
+    except DimensionError:  # the first offender is signs of another length: say so in decompose's words
+        _checked_tope(_first_offender(unique, t)[1], cycle)
         raise
     full, r0 = (1 << n) - 1, cycle.masks[0]
     x = [columns[e - 1] ^ (full if r0 >> (e - 1) & 1 else 0) for e in cycle.flips]  # X_1..X_t
@@ -141,8 +137,3 @@ def census(
     if list_topes:
         listed = {s: sorted(compress(unique, _selectors(m, n)), reverse=True) for s, m in classes}
     return CensusResult(t, {s: m.bit_count() for s, m in classes}, listed)
-
-
-def _selectors(m: int, n: int) -> bytes:
-    """Bit i of the n-bit mask m as byte i, 0 or 1: selectors for ``itertools.compress``."""
-    return format(m, f"0{n}b")[::-1].encode().translate(_BIT_BYTE)

@@ -11,6 +11,7 @@ from topecycles.core import (
     DimensionError,
     Violation,
     _mask_text,
+    _minus_columns,
     _minus_mask,
     _minus_masks,
     _text_mask,
@@ -131,7 +132,13 @@ def test_every_entry_but_a_sign_is_rejected_naming_the_first_offender(bad):
 @pytest.mark.parametrize("bad", NOT_SIGNS + (1.5, -1.0 + 1e-9, None, "+"))
 def test_the_codec_rejects_every_entry_but_a_sign(bad):
     v = (1, -1, bad, 1)
-    for call in (lambda: _minus_mask(v), lambda: _minus_mask(v, 4), lambda: _minus_masks([(1,) * 4, v], 4), lambda: sign_vector_str(v)):
+    for call in (
+        lambda: _minus_mask(v),
+        lambda: _minus_mask(v, 4),
+        lambda: _minus_masks([(1,) * 4, v], 4),
+        lambda: _minus_columns([(1,) * 4, v], 4),
+        lambda: sign_vector_str(v),
+    ):
         with pytest.raises(ValueError, match=f"^{re.escape(f'not a sign vector: {v!r}')}$"):
             call()
     with pytest.raises(DimensionError, match="^sign vector has length 4, expected 5$"):

@@ -81,23 +81,34 @@ BAD_CHARACTER = "invalid sign character 'x' in '+x+'"
 WRONG_LENGTH = "sign vector '++' has length 2, expected t=3"
 
 
-@pytest.mark.parametrize(
-    "strings, message",
-    [
-        (["+++", 123, "+x+"], NOT_A_STRING),
-        (["+x+", "+++", 123], BAD_CHARACTER),
-        ([123, "++"], NOT_A_STRING),
-        (["++", 123], WRONG_LENGTH),
-        (["---", "+x+", "++"], BAD_CHARACTER),
-        (["++", "+x+", "---"], WRONG_LENGTH),
-        (["++", "++++"], WRONG_LENGTH),  # six characters, as two strings of length t would have
-    ],
-)
+FIRST_OFFENDERS = [
+    (["+++", 123, "+x+"], NOT_A_STRING),
+    (["+x+", "+++", 123], BAD_CHARACTER),
+    ([123, "++"], NOT_A_STRING),
+    (["++", 123], WRONG_LENGTH),
+    (["---", "+x+", "++"], BAD_CHARACTER),
+    (["++", "+x+", "---"], WRONG_LENGTH),
+    (["++", "++++"], WRONG_LENGTH),  # six characters, as two strings of length t would have
+    # a character outside ASCII encodes to more than one byte, so the string has more bytes than characters
+    (["+++", "+é+"], "invalid sign character 'é' in '+é+'"),
+    (["+++", "+＋+"], "invalid sign character '＋' in '+＋+'"),  # a fullwidth plus
+    (["+++", "é+"], "invalid sign character 'é' in 'é+'"),  # t = 3 bytes in 2 characters: the character is named
+]
+
+
+@pytest.mark.parametrize("strings, message", FIRST_OFFENDERS)
 def test_tope_readers_report_the_first_offender(strings, message):
     # the batched read fails as a whole, and the per-string read names the first offender
     for read in (io.tope_set_from_doc, io.tope_masks_from_doc):
         with pytest.raises(io.SchemaError, match=f"^{re.escape(message)}$"):
             read({"t": 3, "topes": strings})
+
+
+@pytest.mark.parametrize("strings, message", FIRST_OFFENDERS)
+def test_the_vertex_reader_reports_the_first_offender(strings, message):
+    # the 2t = 6 vertices repeat the strings, so their first offender is the strings' first offender
+    with pytest.raises(io.SchemaError, match=f"^{re.escape(message)}$"):
+        io.cycle_masks_from_doc({"t": 3, "vertices": (strings * 6)[:6]})
 
 
 @settings(max_examples=60, deadline=None)

@@ -372,7 +372,7 @@ def test_census_edge_cases():
 
 
 def test_census_on_many_set_sizes_keeps_the_packer_cache_bounded():
-    # a set with a by-value entry reads its columns by value, one packer per set size n
+    # a set with a by-value entry reads each tope by value, with the one packer of length t
     cycle, topes = canonical_hypercube_cycle(8), hypercube_topes(8)
     _packer.cache_clear()
     for n in range(1, 257):
@@ -380,7 +380,7 @@ def test_census_on_many_set_sizes_keeps_the_packer_cache_bounded():
         assert census(pool, cycle) == census_by_tope_masks(pool, cycle)
         assert census(topes[:n], cycle) == census_by_tope_masks(topes[:n], cycle)
     info = _packer.cache_info()
-    assert info.misses >= 200
+    assert info.misses == 1
     assert info.currsize <= info.maxsize
 
 
