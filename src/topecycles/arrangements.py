@@ -9,11 +9,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import chain, combinations, product
-from operator import itemgetter, mul, neg
+from itertools import chain, combinations, product, repeat
+from operator import add, itemgetter, mul, neg
 from typing import Sequence
 
-from .core import DimensionError, SignVector, Violation, _ViolationsError, negate, sign_vector_str
+from .core import DimensionError, SignVector, Violation, _minus_columns, _ViolationsError, negate, sign_vector_str
 
 
 class ArrangementError(_ViolationsError):
@@ -114,22 +114,63 @@ def enumerate_topes(arr: Arrangement) -> list[SignVector]:
     by H_k exactly when it meets H_k in a chamber of their restriction to H_k,
     one recursive call one dimension lower; in the plane the chambers are the
     sectors between the sorted lines, read off in closed form (``_chambers``).
-    Every cell carries an exact integer interior point; at the end each tope
-    is certified by substituting its point into every row of ``arr.rows``,
-    and a failure (a bug, not bad input) raises RuntimeError.  No feasibility
-    test is run.
+    Every cell carries an exact integer interior point x, and at the end each
+    tope sigma is certified by checking sigma(e) * a_e.x >= 1 for every row
+    a_e of ``arr.rows``; a failure (a bug, not bad input) raises RuntimeError
+    naming the first failing tope.  No feasibility test is run.
+
+    The certificate runs one pass per row over all n chambers at once
+    (``_certify``), in exact integer arithmetic.  Coordinate i of the points
+    is one big integer X_i with one slot of W bits per chamber, holding
+    x_i + M_i, where M_i is the largest |x_i|, so no slot is negative.  For a
+    row a, S = sum_i a_i X_i holds a.x + c in each slot, c = sum_i a_i M_i.
+    Every |a.x| is at most B - 1, with the bound B = max_a sum_i |a_i| M_i + 1,
+    and W is the least multiple of 8 with 2^(W-1) > B.  Then
+    S + (2^(W-1) - 1 - c) * ones holds 2^(W-1) + a.x - 1 in every slot, which
+    lies in [0, 2^W): the integer is exactly these base-2^W digits, so no slot
+    borrows from or carries into its neighbour, and a slot's top (guard) bit
+    is set iff a.x >= 1.  Subtracted from (2^W - 2) * ones it leaves
+    2^(W-1) - a.x - 1, also in [0, 2^W), whose guard bit is set iff a.x <= -1.
     """
-    rows = arr.rows
-    cells = sorted(_chambers(rows, arr.dim), key=itemgetter(0), reverse=True)
-    for sigma, x in cells:
-        dots = [sum(map(mul, a, x)) for a in rows]
-        if min(map(mul, dots, sigma)) <= 0:
-            raise RuntimeError(f"witness {x} does not certify tope {sign_vector_str(sigma)}")
+    cells = sorted(_chambers(arr.rows, arr.dim), key=itemgetter(0), reverse=True)
+    _certify(arr.rows, cells)
     return [sigma for sigma, _ in cells]
 
 
-def _dot(a: Sequence[int], x: Sequence[int]) -> int:
-    return sum(map(mul, a, x))
+_GUARD_DIGIT = bytes(49 if b & 128 else 48 for b in range(256))  # a byte's top bit as the digit "0" or "1"
+
+
+def _certify(rows: Sequence[tuple[int, ...]], cells: Sequence[tuple[SignVector, tuple[int, ...]]]) -> None:
+    """Raise RuntimeError naming the first cell, in list order, whose point x is not strictly on its
+    sign's side of every row, or return: the bit-sliced certificate ``enumerate_topes`` describes.
+    Each row's guard bits for all cells are read at once, as the top bits of the slots' top bytes, and
+    compared with the row's column of minus signs; the lowest bit of the rows' ORed mismatches is the
+    first bad cell."""
+    n = len(cells)
+    columns = list(zip(*[x for _, x in cells]))
+    bounds = [max(map(abs, column)) for column in columns]
+    w = (max(sum(map(mul, map(abs, a), bounds)) for a in rows) + 1).bit_length() // 8 + 1  # least with 2^(8w-1) > B
+    slots = [
+        int.from_bytes(b"".join(map(int.to_bytes, map(add, column, repeat(m)), repeat(w), repeat("little"))), "little")
+        for column, m in zip(columns, bounds)
+    ]
+    ones = int.from_bytes(b"\1".ljust(w, b"\0") * n, "little")
+    half, size, everyone = 1 << (8 * w - 1), n * w, (1 << n) - 1
+    mirror = (2 * half - 2) * ones  # 2^W - 2 in every slot
+    bad = 0
+    for a, minus in zip(rows, _minus_columns([sigma for sigma, _ in cells], len(rows))):
+        plus_side = sum(map(mul, a, slots)) + (half - 1 - sum(map(mul, a, bounds))) * ones  # 2^(W-1) + a.x - 1
+        minus_side = mirror - plus_side  # 2^(W-1) - a.x - 1
+        plus_ok, minus_ok = _guard_bits(plus_side, size, w), _guard_bits(minus_side, size, w)
+        bad |= (plus_ok ^ minus ^ everyone) | (minus_ok ^ minus)
+    if bad:
+        sigma, x = cells[(bad & -bad).bit_length() - 1]
+        raise RuntimeError(f"witness {x} does not certify tope {sign_vector_str(sigma)}")
+
+
+def _guard_bits(v: int, size: int, w: int) -> int:
+    """The top bit of each w-byte slot of the size-byte integer v, slot k as bit k."""
+    return int(v.to_bytes(size, "big")[::w].translate(_GUARD_DIGIT), 2)
 
 
 def _chambers(rows: Sequence[tuple[int, ...]], dim: int) -> list[tuple[SignVector, tuple[int, ...]]]:
@@ -165,21 +206,22 @@ def _chambers(rows: Sequence[tuple[int, ...]], dim: int) -> list[tuple[SignVecto
         splits = dict(_chambers(restricted, dim - 1))
         # each lifted y below is strictly inside its restricted chamber, so every earlier b.y is a nonzero
         # integer and n > |b.a| keeps n*y +/- a on y's side of b (a looser bound than per cell: bigger witnesses)
-        n = 1 + max((abs(_dot(b, a)) for b in earlier), default=0)
+        n = 1 + max((abs(sum(map(mul, b, a))) for b in earlier), default=0)
+        lift, pivot, a_others = n * p, -n * sj, [a[l] for l in others]
         nxt: list[tuple[SignVector, tuple[int, ...]]] = []
         for sigma, x in cells:
             z = splits.get(sigma)
             if z is None:  # the cell misses H_k, so its point's side is the whole cell's
-                nxt.append((sigma + ((1 if _dot(a, x) > 0 else -1),), x))
+                nxt.append((sigma + ((1 if sum(map(mul, a, x)) > 0 else -1),), x))
                 continue
-            # lift z to y in H_k, then step off it by a_k on either side, far
-            # enough inside the cell that no earlier row changes sign
-            y = [0] * dim
-            for l, c in zip(others, z):
-                y[l] = p * c
-            y[j] = -sj * _dot([a[l] for l in others], z)
-            nxt.append((sigma + (1,), _primitive([n * c + d for c, d in zip(y, a)])))
-            nxt.append((sigma + (-1,), _primitive([n * c - d for c, d in zip(y, a)])))
+            # lift z to y in H_k (n*y: p*z in the other coordinates, -sj*a.z at the pivot), then step
+            # off it by a_k on either side, far enough inside the cell that no earlier row changes sign
+            ny = [lift * c for c in z]
+            ny.insert(j, pivot * sum(map(mul, a_others, z)))
+            up, down = [c + d for c, d in zip(ny, a)], [c - d for c, d in zip(ny, a)]
+            g, h = math.gcd(*up), math.gcd(*down)
+            nxt.append((sigma + (1,), tuple([c // g for c in up]) if g > 1 else tuple(up)))
+            nxt.append((sigma + (-1,), tuple([c // h for c in down]) if h > 1 else tuple(down)))
         cells = nxt
     return cells
 

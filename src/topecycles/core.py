@@ -4,7 +4,8 @@ Its form is a byte per entry: "0" for +1, "1" for -1, "!" for anything else, whi
 rejects.  Tuples reach it through struct and a table (entries struct cannot pack, such as 1.0, are
 read by value), '+'/'-' strings by encode and a table.  Each output is one C pass over it: minus
 masks (bit e-1 set iff v(e) = -1) int(..., 2) of the reversed form, columns strided slices, tuples
-struct.iter_unpack, text a translate.  No other module knows the form."""
+struct.iter_unpack, text a translate (cut every t characters for a list).  No other module knows the
+form."""
 
 from __future__ import annotations
 
@@ -54,7 +55,8 @@ class _ViolationsError(ValueError):
 
 
 def parse_sign_vector(text: str) -> SignVector:
-    """Parse a '+'/'-' string; character k is the sign of element k+1."""
+    """Parse a '+'/'-' string; character k is the sign of element k+1.  Anything but a str raises
+    TypeError naming its type."""
     return _signs(_text_form(text), len(text))[0]
 
 
@@ -113,7 +115,10 @@ def _forms(vs: Collection[Sequence[int]], t: int) -> bytes:
 
 
 def _text_form(text: str) -> bytes:
-    """The form of a '+'/'-' string; an empty string, or one with another character, raises ValueError."""
+    """The form of a '+'/'-' string; an empty string, or one with another character, raises ValueError,
+    and anything but a str TypeError."""
+    if not isinstance(text, str):
+        raise TypeError(f"a sign vector to parse must be a str, got {type(text).__name__}")
     if not text:
         raise ValueError("empty sign vector")
     form = text.encode().translate(_TEXT_FORM)
@@ -137,6 +142,13 @@ def _text_forms(texts: list, t: int) -> bytes:
         if len(_text_form(text)) != t:  # all '+' and '-', one byte per character
             raise DimensionError(f"sign vector {text!r} has length {len(text)}, expected t={t}")
     return b"".join(map(_text_form, texts))
+
+
+def _texts(vs: Collection[Sequence[int]], t: int) -> list[str]:
+    """The '+'/'-' strings of the sign vectors vs: their joined forms as text in one translate, cut
+    every t characters.  The first v that is not t signs raises what ``check_sign_vector`` raises."""
+    text = _forms(vs, t).translate(_FORM_TEXT).decode()
+    return [text[k : k + t] for k in range(0, len(text), t)] if t else [""] * len(vs)
 
 
 def _signs(form: bytes, t: int) -> list[SignVector]:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Any
 
 from .arrangements import Arrangement
-from .core import SignVector, _mask_text, _masks, _signs, _text_forms, sign_vector_str
+from .core import SignVector, _mask_text, _masks, _signs, _text_forms, _texts, sign_vector_str
 from .cycles import SymmetricCycle
 from .decomposition import Decomposition
 from .dehn_sommerville import DSReport
@@ -110,7 +110,8 @@ def arrangement_from_doc(doc: dict) -> Arrangement:
 
 
 def tope_set_to_doc(t: int, topes: list[SignVector]) -> dict:
-    return {"t": t, "topes": [sign_vector_str(v) for v in topes]}
+    """The topes as '+'/'-' strings; a tope that is not t signs raises what ``check_sign_vector`` raises."""
+    return {"t": t, "topes": _texts(topes, t)}
 
 
 def tope_set_from_doc(doc: dict) -> tuple[int, list[SignVector]]:
@@ -204,5 +205,5 @@ def census_to_doc(result: CensusResult, expected: dict[int, int] | None = None) 
         doc["expected"] = {str(j): n for j, n in sorted(expected.items())}
         doc["match"] = result.histogram == expected
     if result.by_size is not None:
-        doc["topes"] = {str(j): [sign_vector_str(v) for v in vs] for j, vs in result.by_size.items()}
+        doc["topes"] = {str(j): _texts(vs, result.t) for j, vs in result.by_size.items()}
     return doc

@@ -3,7 +3,8 @@ kept out of the package: the decomposition by enumerating all 2^(2t) vertex
 subsets, the decomposition of all-plus by maximal positive parts, rank-2
 feasibility by the half-turn count of the distinct directions, strict
 feasibility in any dimension by Fourier-Motzkin elimination, the chambers of
-an arrangement by deletion-restriction down to dimension 0, primitive rows
+an arrangement by deletion-restriction down to dimension 0, the chamber
+certificate by substituting each witness into every row, primitive rows
 through Fraction arithmetic, (anti)parallel normals by 2x2 minors, the
 chamber count of a rank-3 arrangement by Zaslavsky's theorem, the
 Dehn-Sommerville row recurrence summed row by row, the left side of the
@@ -24,10 +25,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
-from topecycles.arrangements import _dot, _primitive, ccw_half_turn_counts, primitive_vector
+from topecycles.arrangements import _primitive, ccw_half_turn_counts, primitive_vector
 from topecycles.core import (
     DimensionError,
     SignVector,
@@ -214,6 +215,20 @@ def chambers_by_restriction(rows: Sequence[tuple[int, ...]], dim: int) -> list[t
             nxt.append((sigma + (-1,), _primitive([n * c - d for c, d in zip(y, a)])))
         cells = nxt
     return cells
+
+
+def _dot(a: Sequence[int], x: Sequence[int]) -> int:
+    return sum(map(mul, a, x))
+
+
+def certify_by_substitution(rows: Sequence[tuple[int, ...]], cells: Sequence[tuple[SignVector, tuple[int, ...]]]) -> None:
+    """Raise RuntimeError naming the first cell (sigma, x), in list order, with sigma(e) * a_e.x <= 0
+    for some row a_e: one dot product per cell and row, the package's certificate before it read
+    all cells at once."""
+    for sigma, x in cells:
+        dots = [_dot(a, x) for a in rows]
+        if min(map(mul, dots, sigma)) <= 0:
+            raise RuntimeError(f"witness {x} does not certify tope {sign_vector_str(sigma)}")
 
 
 def primitive_vector_by_fractions(row: Sequence) -> tuple[int, ...]:

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
+from operator import itemgetter
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -21,6 +22,7 @@ from topecycles.core import DimensionError, negate, sign_vector_str
 from topecycles.oracles import check_halfplane_condition
 
 from reference import (
+    certify_by_substitution,
     chambers_by_restriction,
     primitive_vector_by_fractions,
     rank2_feasible,
@@ -296,6 +298,104 @@ def test_enumerate_topes_witness_failure_is_an_internal_error(monkeypatch):
     with pytest.raises(RuntimeError) as excinfo:
         enumerate_topes(arr)
     assert not isinstance(excinfo.value, ValueError)
+
+
+def _raised(check, *args):
+    """The message of the RuntimeError check(*args) raises, or None if it returns."""
+    try:
+        check(*args)
+    except RuntimeError as exc:
+        return str(exc)
+    return None
+
+
+def _mutated(cells, data):
+    """cells with one drawn change that may or may not break their certificate: none, a sign flipped,
+    a witness zeroed, scaled by a power of 2, negated, shifted, or swapped with another cell's."""
+    cells = list(cells)
+    k = data.draw(st.integers(0, len(cells) - 1))
+    sigma, x = cells[k]
+    kind = data.draw(st.sampled_from(["none", "flip", "zero", "scale", "negate", "shift", "swap"]))
+    if kind == "flip":
+        e = data.draw(st.integers(0, len(sigma) - 1))
+        sigma = sigma[:e] + (-sigma[e],) + sigma[e + 1 :]
+    elif kind == "zero":
+        x = (0,) * len(x)
+    elif kind == "scale":
+        x = tuple(c << data.draw(st.integers(1, 300)) for c in x)
+    elif kind == "negate":
+        x = negate(x)
+    elif kind == "shift":
+        x = tuple(c + d for c, d in zip(x, data.draw(st.tuples(*[st.integers(-2, 2)] * len(x)))))
+    elif kind == "swap":
+        x = cells[data.draw(st.integers(0, len(cells) - 1))][1]
+    cells[k] = (sigma, x)
+    return cells
+
+
+@pytest.mark.parametrize("family", ARRANGEMENT_FAMILIES.values(), ids=ARRANGEMENT_FAMILIES.keys())
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_the_certificate_accepts_exactly_what_substitution_accepts(family, data):
+    # on the enumerated chambers in output order, as they are, or with one drawn change
+    arr = Arrangement(data.draw(family))
+    cells = sorted(arrangements._chambers(arr.rows, arr.dim), key=itemgetter(0), reverse=True)
+    assert _raised(arrangements._certify, arr.rows, cells) is None
+    cells = _mutated(cells, data)
+    assert _raised(arrangements._certify, arr.rows, cells) == _raised(certify_by_substitution, arr.rows, cells)
+
+
+def _flip(cells, k, e):
+    """cells with the sign of element e (0-based) of cell k flipped."""
+    sigma, x = cells[k]
+    return cells[:k] + [(sigma[:e] + (-sigma[e],) + sigma[e + 1 :], x)] + cells[k + 1 :]
+
+
+def _rewitness(cells, k, x):
+    return cells[:k] + [(cells[k][0], x)] + cells[k + 1 :]
+
+
+def _certificate_cases():
+    """(arrangement, cells, whether they certify): the chambers of a moment curve, a fan and a line,
+    changed the ways a bug could change them."""
+    cases = []
+    for arr in (moment_curve(7, 4), totally_cyclic_fan(9), Arrangement([(3,)])):
+        cells = sorted(arrangements._chambers(arr.rows, arr.dim), key=itemgetter(0), reverse=True)
+        n, t, last = len(cells), arr.t, len(cells) - 1
+        huge = [(sigma, tuple(c << 300 for c in x)) for sigma, x in cells]
+        cases += [
+            (arr, cells, True),
+            (arr, huge, True),  # 300 bits wider slots, every sign still right
+            (arr, _rewitness(cells, last, huge[last][1]), True),  # one huge witness among small ones
+            (arr, cells[:1], True),
+            (arr, cells[last:], True),
+            (arr, _flip(cells, 0, 0), False),
+            (arr, _flip(cells, 0, t - 1), False),
+            (arr, _flip(cells, last, 0), False),
+            (arr, _flip(cells, last, t - 1), False),
+            (arr, _flip(cells, n // 2, t // 2), False),
+            (arr, _flip(_flip(cells, last, 0), last // 2, t - 1), False),  # the first bad cell is named
+            (arr, _flip(huge, last, t - 1), False),
+            (arr, _flip(cells[:1], 0, t - 1), False),
+            (arr, _rewitness(cells, 0, (0,) * arr.dim), False),  # a point on every hyperplane
+            (arr, _rewitness(cells, last, (0,) * arr.dim), False),
+            (arr, _rewitness(cells[last:], 0, (0,) * arr.dim), False),
+            (arr, _rewitness(cells, 0, negate(cells[0][1])), False),
+            (arr, [(sigma, x) for (sigma, _), (_, x) in zip(cells, cells[1:] + cells[:1])], False),
+        ]
+    return cases
+
+
+@pytest.mark.parametrize("arr, cells, certified", _certificate_cases())
+def test_the_certificate_names_the_tope_and_witness_substitution_names(monkeypatch, arr, cells, certified):
+    # through enumerate_topes, which sorts the cells, against the oracle on the sorted cells
+    monkeypatch.setattr(arrangements, "_chambers", lambda rows, dim: list(cells))
+    ordered = sorted(cells, key=itemgetter(0), reverse=True)
+    expected = _raised(certify_by_substitution, arr.rows, ordered)
+    assert (expected is None) == certified
+    assert _raised(enumerate_topes, arr) == expected
+    if certified:
+        assert enumerate_topes(arr) == [sigma for sigma, _ in ordered]
 
 
 @settings(max_examples=150, deadline=None)

@@ -48,6 +48,12 @@ def test_parse_rejects_garbage():
         parse_sign_vector("+-x")
 
 
+@pytest.mark.parametrize("arg", [None, [], 0, 7, 1.0, b"+-", bytearray(b"+"), ["+", "-"], (1, -1), {"+": 1}])
+def test_parse_sign_vector_rejects_a_non_string_naming_its_type(arg):
+    with pytest.raises(TypeError, match=f"must be a str, got {type(arg).__name__}$"):
+        parse_sign_vector(arg)
+
+
 def test_separation_set_examples():
     T = parse_sign_vector("+-+-+")
     assert separation_set(T, all_plus(5)) == {2, 4}

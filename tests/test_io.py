@@ -9,9 +9,10 @@ import pytest
 
 from topecycles import io
 from topecycles.arrangements import moment_curve, rank2_fan, totally_cyclic_fan
-from topecycles.core import _minus_mask, _text_mask, parse_sign_vector, sign_vector_str
+from topecycles.core import DimensionError, _minus_mask, _text_mask, parse_sign_vector, sign_vector_str
 from topecycles.cycles import CycleError, canonical_hypercube_cycle, find_symmetric_cycle
 from topecycles.decomposition import decompose
+from topecycles.oracles import CensusResult
 
 
 def test_rational_round_trip():
@@ -74,6 +75,30 @@ def test_tope_set_doc_rejects_wrong_length():
         io.tope_set_from_doc({"t": 3, "topes": ["+x+"]})
     with pytest.raises(io.SchemaError, match="sign vectors must be strings"):
         io.tope_set_from_doc({"t": 3, "topes": [123]})
+
+
+def test_tope_writers_write_only_what_the_reader_reads():
+    # a tope of another length than t, or with an entry other than a sign, raises instead of being written
+    with pytest.raises(DimensionError, match="has length 2, expected 3"):
+        io.tope_set_to_doc(3, [(1, 1), (1, -1, 1)])
+    with pytest.raises(DimensionError, match="has length 4, expected 3"):
+        io.tope_set_to_doc(3, [(1, -1, 1), (1, 1, 1, 1)])
+    with pytest.raises(ValueError, match="not a sign vector"):
+        io.tope_set_to_doc(3, [(1, -1, 1), (1, 0, 1)])
+    with pytest.raises(DimensionError, match="has length 2, expected 3"):
+        io.census_to_doc(CensusResult(3, {1: 2}, {1: [(1, 1, 1), (1, -1)]}))
+    with pytest.raises(ValueError, match="not a sign vector"):
+        io.census_to_doc(CensusResult(3, {1: 1, 3: 1}, {1: [(1, 1, 1)], 3: [(1, 2, 1)]}))
+    # entries are read by value, as the reader reads them
+    assert io.tope_set_to_doc(2, [(1.0, Fraction(-1)), (True, -1), (-1, 1)]) == {"t": 2, "topes": ["+-", "+-", "-+"]}
+    doc = io.census_to_doc(CensusResult(2, {1: 2, 3: 1}, {1: [(1, 1), (-1, -1)], 3: [(1.0, -1)]}))
+    assert doc["topes"] == {"1": ["++", "--"], "3": ["+-"]}
+
+
+@given(st.integers(1, 12).flatmap(lambda t: st.tuples(st.just(t), st.lists(st.tuples(*[st.sampled_from((1, -1))] * t)))))
+def test_tope_set_doc_writes_each_tope_as_sign_vector_str_does(t_topes):
+    t, topes = t_topes
+    assert io.tope_set_to_doc(t, topes) == {"t": t, "topes": [sign_vector_str(v) for v in topes]}
 
 
 NOT_A_STRING = "sign vectors must be strings, got 123"
