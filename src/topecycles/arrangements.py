@@ -13,7 +13,7 @@ from itertools import chain, combinations, product, repeat
 from operator import add, itemgetter, mul, neg
 from typing import Sequence
 
-from .core import DimensionError, SignVector, Violation, _minus_columns, _ViolationsError, negate, sign_vector_str
+from .core import DimensionError, SignVector, Violation, _form_columns, _form_texts, _key_form, _signs, _ViolationsError, negate
 
 
 class ArrangementError(_ViolationsError):
@@ -114,10 +114,13 @@ def enumerate_topes(arr: Arrangement) -> list[SignVector]:
     by H_k exactly when it meets H_k in a chamber of their restriction to H_k,
     one recursive call one dimension lower; in the plane the chambers are the
     sectors between the sorted lines, read off in closed form (``_chambers``).
-    Every cell carries an exact integer interior point x, and at the end each
-    tope sigma is certified by checking sigma(e) * a_e.x >= 1 for every row
-    a_e of ``arr.rows``; a failure (a bug, not bad input) raises RuntimeError
-    naming the first failing tope.  No feasibility test is run.
+    A sign prefix is an int key: element 1 is its top bit and a set bit means
+    -, so growing the prefix by one sign is ``(key << 1) | bit``, and the
+    sorted keys are the topes in this order.  Every cell carries an exact
+    integer interior point x, and at the end each tope sigma is certified by
+    checking sigma(e) * a_e.x >= 1 for every row a_e of ``arr.rows``; a
+    failure (a bug, not bad input) raises RuntimeError naming the first
+    failing tope.  No feasibility test is run.
 
     The certificate runs one pass per row over all n chambers at once
     (``_certify``), in exact integer arithmetic.  Coordinate i of the points
@@ -132,22 +135,29 @@ def enumerate_topes(arr: Arrangement) -> list[SignVector]:
     is set iff a.x >= 1.  Subtracted from (2^W - 2) * ones it leaves
     2^(W-1) - a.x - 1, also in [0, 2^W), whose guard bit is set iff a.x <= -1.
     """
-    cells = sorted(_chambers(arr.rows, arr.dim), key=itemgetter(0), reverse=True)
-    _certify(arr.rows, cells)
-    return [sigma for sigma, _ in cells]
+    return _signs(_tope_form(arr), arr.t)
+
+
+def _tope_form(arr: Arrangement) -> bytes:
+    """The codec's joined form of the certified topes ``enumerate_topes`` lists, in its order: the
+    sorted keys are read into the form once, and the certificate and every output cut from it."""
+    cells = sorted(_chambers(arr.rows, arr.dim), key=itemgetter(0))
+    form = _key_form([key for key, _ in cells], arr.t)
+    _certify(arr.rows, form, [x for _, x in cells])
+    return form
 
 
 _GUARD_DIGIT = bytes(49 if b & 128 else 48 for b in range(256))  # a byte's top bit as the digit "0" or "1"
 
 
-def _certify(rows: Sequence[tuple[int, ...]], cells: Sequence[tuple[SignVector, tuple[int, ...]]]) -> None:
-    """Raise RuntimeError naming the first cell, in list order, whose point x is not strictly on its
-    sign's side of every row, or return: the bit-sliced certificate ``enumerate_topes`` describes.
-    Each row's guard bits for all cells are read at once, as the top bits of the slots' top bytes, and
-    compared with the row's column of minus signs; the lowest bit of the rows' ORed mismatches is the
-    first bad cell."""
-    n = len(cells)
-    columns = list(zip(*[x for _, x in cells]))
+def _certify(rows: Sequence[tuple[int, ...]], form: bytes, points: Sequence[tuple[int, ...]]) -> None:
+    """Raise RuntimeError naming the first tope of the joined form, with its point, in list order, whose
+    point x is not strictly on its sign's side of every row, or return: the bit-sliced certificate
+    ``enumerate_topes`` describes.  Each row's guard bits for all cells are read at once, as the top bits
+    of the slots' top bytes, and compared with the row's column of minus signs, cut from the form; the
+    lowest bit of the rows' ORed mismatches is the first bad cell."""
+    n = len(points)
+    columns = list(zip(*points))
     bounds = [max(map(abs, column)) for column in columns]
     w = (max(sum(map(mul, map(abs, a), bounds)) for a in rows) + 1).bit_length() // 8 + 1  # least with 2^(8w-1) > B
     slots = [
@@ -158,14 +168,14 @@ def _certify(rows: Sequence[tuple[int, ...]], cells: Sequence[tuple[SignVector, 
     half, size, everyone = 1 << (8 * w - 1), n * w, (1 << n) - 1
     mirror = (2 * half - 2) * ones  # 2^W - 2 in every slot
     bad = 0
-    for a, minus in zip(rows, _minus_columns([sigma for sigma, _ in cells], len(rows))):
+    for a, minus in zip(rows, _form_columns(form, len(rows))):
         plus_side = sum(map(mul, a, slots)) + (half - 1 - sum(map(mul, a, bounds))) * ones  # 2^(W-1) + a.x - 1
         minus_side = mirror - plus_side  # 2^(W-1) - a.x - 1
         plus_ok, minus_ok = _guard_bits(plus_side, size, w), _guard_bits(minus_side, size, w)
         bad |= (plus_ok ^ minus ^ everyone) | (minus_ok ^ minus)
     if bad:
-        sigma, x = cells[(bad & -bad).bit_length() - 1]
-        raise RuntimeError(f"witness {x} does not certify tope {sign_vector_str(sigma)}")
+        k = (bad & -bad).bit_length() - 1
+        raise RuntimeError(f"witness {points[k]} does not certify tope {_form_texts(form, len(rows))[k]}")
 
 
 def _guard_bits(v: int, size: int, w: int) -> int:
@@ -173,12 +183,13 @@ def _guard_bits(v: int, size: int, w: int) -> int:
     return int(v.to_bytes(size, "big")[::w].translate(_GUARD_DIGIT), 2)
 
 
-def _chambers(rows: Sequence[tuple[int, ...]], dim: int) -> list[tuple[SignVector, tuple[int, ...]]]:
+def _chambers(rows: Sequence[tuple[int, ...]], dim: int) -> list[tuple[int, tuple[int, ...]]]:
     """Each chamber of the central arrangement of the nonzero primitive integer
-    rows in Z^dim, as (sign vector, integer interior point), in no promised
-    order (``enumerate_topes`` sorts them).  Rows may repeat up to sign: a
-    repeat takes the sign of its first occurrence (negated if antiparallel)
-    and splits nothing.
+    rows in Z^dim, as (key, integer interior point), in no promised order
+    (``enumerate_topes`` sorts them).  The key is the sign vector over the
+    rows: row 1 is its top bit and a set bit means -.  Rows may repeat up to
+    sign: a repeat takes the sign of its first occurrence (negated if
+    antiparallel) and splits nothing.
 
     In dimension 2 the chambers come in closed form (``_planar_chambers``), so
     the recursion stops there; in every other dimension (above 2, or the 1 of
@@ -187,14 +198,15 @@ def _chambers(rows: Sequence[tuple[int, ...]], dim: int) -> list[tuple[SignVecto
     cannot be read off an empty row list."""
     if dim == 2:
         return _planar_chambers(rows)
-    cells: list[tuple[SignVector, tuple[int, ...]]] = [((), (0,) * dim)]
-    first: dict[tuple[int, ...], tuple[int, int]] = {}  # row -> (index of its first occurrence, +1 or -1)
+    cells: list[tuple[int, tuple[int, ...]]] = [(0, (0,) * dim)]
+    first: dict[tuple[int, ...], tuple[int, int]] = {}  # row -> (index of its first occurrence, 0 or 1 to flip)
     for k, a in enumerate(rows):
         if a in first:
-            i, s = first[a]
-            cells = [(sigma + (s * sigma[i],), x) for sigma, x in cells]
+            i, flip = first[a]
+            shift = k - 1 - i  # the bit of row i in a k-row key
+            cells = [((key << 1) | (((key >> shift) & 1) ^ flip), x) for key, x in cells]
             continue
-        first[a], first[negate(a)] = (k, 1), (k, -1)
+        first[a], first[negate(a)] = (k, 0), (k, 1)
         earlier = rows[:k]
         # H_k in the coordinates other than a pivot j: b restricts to
         # sign(a_j) * (a_j * b_l - b_j * a_l) for l != j
@@ -208,11 +220,12 @@ def _chambers(rows: Sequence[tuple[int, ...]], dim: int) -> list[tuple[SignVecto
         # integer and n > |b.a| keeps n*y +/- a on y's side of b (a looser bound than per cell: bigger witnesses)
         n = 1 + max((abs(sum(map(mul, b, a))) for b in earlier), default=0)
         lift, pivot, a_others = n * p, -n * sj, [a[l] for l in others]
-        nxt: list[tuple[SignVector, tuple[int, ...]]] = []
-        for sigma, x in cells:
-            z = splits.get(sigma)
+        nxt: list[tuple[int, tuple[int, ...]]] = []
+        for key, x in cells:
+            z = splits.get(key)
+            key <<= 1
             if z is None:  # the cell misses H_k, so its point's side is the whole cell's
-                nxt.append((sigma + ((1 if sum(map(mul, a, x)) > 0 else -1),), x))
+                nxt.append((key | (sum(map(mul, a, x)) <= 0), x))
                 continue
             # lift z to y in H_k (n*y: p*z in the other coordinates, -sj*a.z at the pivot), then step
             # off it by a_k on either side, far enough inside the cell that no earlier row changes sign
@@ -220,29 +233,33 @@ def _chambers(rows: Sequence[tuple[int, ...]], dim: int) -> list[tuple[SignVecto
             ny.insert(j, pivot * sum(map(mul, a_others, z)))
             up, down = [c + d for c, d in zip(ny, a)], [c - d for c, d in zip(ny, a)]
             g, h = math.gcd(*up), math.gcd(*down)
-            nxt.append((sigma + (1,), tuple([c // g for c in up]) if g > 1 else tuple(up)))
-            nxt.append((sigma + (-1,), tuple([c // h for c in down]) if h > 1 else tuple(down)))
+            nxt.append((key, tuple([c // g for c in up]) if g > 1 else tuple(up)))
+            nxt.append((key | 1, tuple([c // h for c in down]) if h > 1 else tuple(down)))
         cells = nxt
     return cells
 
 
-def _planar_chambers(rows: Sequence[tuple[int, ...]]) -> list[tuple[SignVector, tuple[int, ...]]]:
+def _planar_chambers(rows: Sequence[tuple[int, ...]]) -> list[tuple[int, tuple[int, ...]]]:
     """The chambers of nonzero primitive rows in Z^2, which may repeat up to
-    sign, in counterclockwise order: the sectors between the distinct lines.
+    sign, in counterclockwise order: the sectors between the distinct lines,
+    keyed as in ``_chambers``.
 
     Each line's direction is taken in the half-open upper half-plane
     (y > 0, or y = 0 < x), and the directions are sorted by the exact sign of
     the integer cross product d_x e_y - d_y e_x.  With their negations they
     are the 2m rays in angular order; consecutive rays are less than a half
     turn apart, so the sum of a sector's two boundary rays is inside it.
-    Crossing a ray flips the signs of the rows on its line and no other.
-    With one line the witnesses are a normal of it and its negation; with no
-    rows the one chamber is the plane, witnessed by the origin."""
+    Crossing a ray flips the signs of the rows on its line and no other: one
+    XOR of the key with the line's bits.  With one line the witnesses are a
+    normal of it and its negation; with no rows the one chamber is the plane,
+    witnessed by the origin."""
     if not rows:
-        return [((), (0, 0))]
-    lines: dict[tuple[int, int], list[int]] = {}  # direction -> positions of the rows on its line
+        return [(0, (0, 0))]
+    top = len(rows) - 1
+    lines: dict[tuple[int, int], int] = {}  # direction -> the key bits of the rows on its line
     for k, (a0, a1) in enumerate(rows):
-        lines.setdefault((-a1, a0) if a0 > 0 or a0 == 0 > a1 else (a1, -a0), []).append(k)
+        d = (-a1, a0) if a0 > 0 or a0 == 0 > a1 else (a1, -a0)
+        lines[d] = lines.get(d, 0) | 1 << (top - k)
     dirs = sorted(lines, key=cmp_to_key(lambda d, e: d[1] * e[0] - d[0] * e[1]))
     if len(dirs) == 1:
         [(x, y)] = dirs
@@ -252,12 +269,11 @@ def _planar_chambers(rows: Sequence[tuple[int, ...]]) -> list[tuple[SignVector, 
         witnesses = [(x + u, y + v) for (x, y), (u, v) in zip(rays, rays[1:] + rays[:1])]
     # the sector after ray k is entered by crossing ray k; start in the sector after ray 0
     w0, w1 = witnesses[0]
-    signs = [1 if a0 * w0 + a1 * w1 > 0 else -1 for a0, a1 in rows]
-    cells = [(tuple(signs), witnesses[0])]
+    key = int("".join(["0" if a0 * w0 + a1 * w1 > 0 else "1" for a0, a1 in rows]), 2)
+    cells = [(key, witnesses[0])]
     for k in range(1, len(witnesses)):
-        for i in lines[dirs[k % len(dirs)]]:
-            signs[i] = -signs[i]
-        cells.append((tuple(signs), witnesses[k]))
+        key ^= lines[dirs[k % len(dirs)]]
+        cells.append((key, witnesses[k]))
     return cells
 
 

@@ -1,13 +1,21 @@
 """Composable subcommands over JSON documents: generation, enumeration, cycles, decompositions, f-vectors, verification.
 
 Exit codes: 0 success, 1 usage or I/O error (an argument the command cannot
-use, or a document that is not UTF-8 JSON, is a usage error), 2 input
-validation failure, 3 verification failure (a violated identity, or a census
-of the whole hypercube whose histogram is not 2*C(t,j)), 4 internal error.
+use, or a document that is not UTF-8 JSON or nests deeper than the JSON
+decoder reads, is a usage error), 2 input validation failure, 3 verification
+failure (a violated identity, or a census of the whole hypercube whose
+histogram is not 2*C(t,j)), 4 internal error.
 An internal error, such as a DecompositionError (among them Lambda and Delta
 complexes that do not coincide) or a chamber whose integer witness fails its
 check, is a bug, not bad input: its traceback goes to stderr and the exit
-code is 4."""
+code is 4.
+
+``main`` parses an argument list with the parser of the command its leading
+words name, a leaf of the one ``build_parser`` tree, and only an argument
+list that names no command (``-h``, an unknown command, none at all) with the
+whole tree.  Every document is written as ``json.dumps(doc, indent=2)``
+writes it, by ``_dumps``.  ``topes`` cuts its strings from the one form in
+which the chambers are certified."""
 
 from __future__ import annotations
 
@@ -18,13 +26,14 @@ import os
 import stat
 import sys
 import traceback
+from json.encoder import encode_basestring_ascii
 from math import comb
 from typing import Sequence
 
 from . import io
-from .arrangements import enumerate_topes, hypercube_topes, moment_curve, rank2_fan, totally_cyclic_fan
+from .arrangements import _tope_form, hypercube_topes, moment_curve, rank2_fan, totally_cyclic_fan
 from .complexes import lambda_face_masks
-from .core import DimensionError, Violation, _mask_text, _minus_mask, parse_sign_vector
+from .core import DimensionError, Violation, _form_texts, _mask_text, _minus_mask, parse_sign_vector
 from .cycles import CycleError, SymmetricCycle, _find_cycle_masks, canonical_hypercube_cycle
 from .decomposition import decompose
 from .dehn_sommerville import check_ds
@@ -133,8 +142,76 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _leaf_parsers() -> dict[tuple[str, ...], argparse.ArgumentParser]:
+    """The parser of each command in the ``build_parser`` tree, keyed by the words that name it:
+    ("topes",), ("cycle", "find") and so on."""
+    leaves = {}
+    branches = [((), build_parser())]
+    while branches:
+        words, parser = branches.pop()
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            leaves[words] = parser
+        for action in subs:
+            branches += [(words + (name,), p) for name, p in action.choices.items()]
+    return leaves
+
+
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """The arguments of the command the leading words of argv name, parsed by that command's parser
+    alone; an argv whose words name no command goes through the whole tree, which words the top-level
+    usage and "invalid choice" errors.  Both routes use the same parser objects."""
+    leaves = _leaf_parsers()
+    for n in (1, 2):
+        leaf = leaves.get(tuple(argv[:n]))
+        if leaf is not None:
+            return leaf.parse_args(argv[n:])
+    return build_parser().parse_args(argv)
+
+
 def _output_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", metavar="FILE", help="write here instead of stdout")
+
+
+def _json_text(v, pad: str) -> str:
+    """``json.dumps(v, indent=2)``, its lines after the first indented by pad, for the values a document
+    holds: dicts with str keys, lists, str, int, bool and None.  Anything else raises TypeError."""
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    inner = pad + "  "
+    if isinstance(v, (list, tuple)):
+        if not v:
+            return "[]"
+        try:  # a list of strings, such as the topes, in one C pass
+            items = list(map(encode_basestring_ascii, v))
+        except TypeError:
+            items = [_json_text(x, inner) for x in v]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _json_text(x, inner) for k, x in v.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    raise TypeError(f"not written by the document writer: {type(v).__name__}")
+
+
+def _dumps(doc: dict) -> str:
+    """The text of ``json.dumps(doc, indent=2)``, built by ``_json_text``, whose parts are the encoder's
+    C string escaping and ``int.__repr__``; a value it does not write sends the whole document to
+    ``json.dumps``."""
+    try:
+        return _json_text(doc, "")
+    except TypeError:
+        return json.dumps(doc, indent=2)
 
 
 def _write(args, doc: dict) -> None:
@@ -144,8 +221,9 @@ def _write(args, doc: dict) -> None:
     and written from its start; a regular file is then cut at the end of the document,
     and any other file (/dev/null, a pipe, a terminal) is only written.  A write that
     fails part way exits 1, as any OSError does, and leaves a prefix of the new document
-    over the old file's tail."""
-    text = json.dumps(doc, indent=2) + "\n"
+    over the old file's tail.  The text is what ``json.dumps(doc, indent=2)`` writes, built by
+    ``_dumps`` rather than by the standard library's pure-Python indenting encoder."""
+    text = _dumps(doc) + "\n"
     if not args.output:
         sys.stdout.write(text)
         return
@@ -180,8 +258,10 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_topes(args) -> int:
+    # the document io.tope_set_to_doc(arr.t, enumerate_topes(arr)) gives, its strings cut from the
+    # form the topes were certified in, so no tope is packed twice
     arr = io.arrangement_from_doc(io.load_doc(args.arrangement))
-    _write(args, io.tope_set_to_doc(arr.t, enumerate_topes(arr)))
+    _write(args, {"t": arr.t, "topes": _form_texts(_tope_form(arr), arr.t)})
     return EXIT_OK
 
 
@@ -277,7 +357,7 @@ def _cmd_nu(args) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
         return args.func(args)
     except (_UsageError, io.SchemaError, OSError, json.JSONDecodeError) as exc:
         print(f"topecycles: error: {exc}", file=sys.stderr)

@@ -2,17 +2,18 @@
 
 Its form is a byte per entry: "0" for +1, "1" for -1, "!" for anything else, which every reader
 rejects.  Tuples reach it through struct and a table (entries struct cannot pack, such as 1.0, are
-read by value), '+'/'-' strings by encode and a table.  Each output is one C pass over it: minus
-masks (bit e-1 set iff v(e) = -1) int(..., 2) of the reversed form, columns strided slices, tuples
-struct.iter_unpack, text a translate (cut every t characters for a list).  No other module knows the
-form."""
+read by value), '+'/'-' strings by encode and a table, and the int keys of chamber enumeration
+(element 1 the top bit, a set bit -1) by formatting each as t binary digits.  Each output is one C
+pass over it: minus masks (bit e-1 set iff v(e) = -1) int(..., 2) of the reversed form, columns
+strided slices, tuples struct.iter_unpack, text a translate (cut every t characters for a list).  No
+other module knows the form."""
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import starmap
+from itertools import repeat, starmap
 from operator import neg
 from typing import Collection, Iterable, Sequence
 
@@ -145,10 +146,23 @@ def _text_forms(texts: list, t: int) -> bytes:
 
 
 def _texts(vs: Collection[Sequence[int]], t: int) -> list[str]:
-    """The '+'/'-' strings of the sign vectors vs: their joined forms as text in one translate, cut
-    every t characters.  The first v that is not t signs raises what ``check_sign_vector`` raises."""
-    text = _forms(vs, t).translate(_FORM_TEXT).decode()
-    return [text[k : k + t] for k in range(0, len(text), t)] if t else [""] * len(vs)
+    """The '+'/'-' strings of the sign vectors vs, from their joined forms (``_form_texts``).  The
+    first v that is not t signs raises what ``check_sign_vector`` raises."""
+    form = _forms(vs, t)
+    return _form_texts(form, t) if t else [""] * len(vs)
+
+
+def _form_texts(form: bytes, t: int) -> list[str]:
+    """The '+'/'-' strings of the t-byte forms (t >= 1) joined in form: one translate to text, cut
+    every t characters."""
+    text = form.translate(_FORM_TEXT).decode()
+    return [text[k : k + t] for k in range(0, len(text), t)]
+
+
+def _key_form(keys: Iterable[int], t: int) -> bytes:
+    """The joined forms of the sign vectors of length t >= 1 whose keys are keys: element 1 is a key's
+    top bit, and a set bit means -1, so a key written as t binary digits is its form."""
+    return "".join(map(format, keys, repeat(f"0{t}b"))).encode()
 
 
 def _signs(form: bytes, t: int) -> list[SignVector]:
@@ -184,10 +198,15 @@ def _minus_masks(vs: Sequence[Sequence[int]], t: int) -> list[int]:
 
 
 def _minus_columns(vs: Collection[Sequence[int]], t: int) -> list[int]:
-    """The minus masks of the t columns of n >= 1 sign vectors vs: bit i of the (e-1)-th mask is set
-    iff vs[i](e) = -1.  Each column is one strided slice of the joined forms, and the first v that is
-    not t signs raises what ``check_sign_vector`` raises."""
-    bits = _forms(vs, t)[::-1]  # reversed: the last entry of the last v first
+    """``_form_columns`` of the joined forms of n >= 1 sign vectors vs; the first v that is not t
+    signs raises what ``check_sign_vector`` raises."""
+    return _form_columns(_forms(vs, t), t)
+
+
+def _form_columns(form: bytes, t: int) -> list[int]:
+    """The minus masks of the t columns of the n >= 1 t-byte forms joined in form: bit i of the
+    (e-1)-th mask is set iff sign vector i is -1 on e.  Each column is one strided slice."""
+    bits = form[::-1]  # reversed: the last entry of the last form first
     return [int(bits[k::t], 2) for k in range(t - 1, -1, -1)]
 
 

@@ -52,11 +52,15 @@ def rational_from_str(text: Any) -> int | Fraction:
 
 
 def load_doc(path: str) -> dict:
+    """The JSON object in the file at path.  A file that is not UTF-8 text, nests deeper than the
+    decoder reads or holds no object raises SchemaError naming the path."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except UnicodeDecodeError as exc:  # a ValueError, which would read as invalid input (exit 2)
             raise SchemaError(f"{path}: not UTF-8 text: {exc}") from None
+        except RecursionError:  # not a bug in the package (exit 4), but a document the decoder cannot read
+            raise SchemaError(f"{path}: nested deeper than the JSON decoder reads") from None
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: expected a JSON object")
     return doc

@@ -18,7 +18,7 @@ from topecycles.arrangements import (
     rank2_fan,
     totally_cyclic_fan,
 )
-from topecycles.core import DimensionError, negate, sign_vector_str
+from topecycles.core import DimensionError, _key_form, negate, sign_vector_str
 from topecycles.oracles import check_halfplane_condition
 
 from reference import (
@@ -294,10 +294,21 @@ def test_enumerate_topes_generic_count_law():
 def test_enumerate_topes_witness_failure_is_an_internal_error(monkeypatch):
     # a witness on a hyperplane certifies no chamber; that is a bug in the enumeration, not bad input
     arr = rank2_fan(2)
-    monkeypatch.setattr(arrangements, "_chambers", lambda rows, dim: [((1, 1), (1, 0)), ((1, -1), (1, -1))])
+    monkeypatch.setattr(arrangements, "_chambers", lambda rows, dim: [(0b00, (1, 0)), (0b01, (1, -1))])
     with pytest.raises(RuntimeError) as excinfo:
         enumerate_topes(arr)
     assert not isinstance(excinfo.value, ValueError)
+
+
+def _sign_tuples(cells, t):
+    """cells with each int key (element 1 the top bit, a set bit -1) as its sign tuple, as
+    ``certify_by_substitution`` reads them."""
+    return [(tuple(-1 if key >> (t - 1 - e) & 1 else 1 for e in range(t)), x) for key, x in cells]
+
+
+def _certify_cells(rows, cells):
+    """``_certify`` on int-key cells, their keys read into the joined form as ``_tope_form`` reads them."""
+    arrangements._certify(rows, _key_form([key for key, _ in cells], len(rows)), [x for _, x in cells])
 
 
 def _raised(check, *args):
@@ -309,16 +320,17 @@ def _raised(check, *args):
     return None
 
 
-def _mutated(cells, data):
-    """cells with one drawn change that may or may not break their certificate: none, a sign flipped,
-    a witness zeroed, scaled by a power of 2, negated, shifted, or swapped with another cell's."""
+def _mutated(cells, data, t):
+    """int-key cells over t elements with one drawn change that may or may not break their certificate:
+    none, a sign flipped, a witness zeroed, scaled by a power of 2, negated, shifted, or swapped with
+    another cell's."""
     cells = list(cells)
     k = data.draw(st.integers(0, len(cells) - 1))
-    sigma, x = cells[k]
+    key, x = cells[k]
     kind = data.draw(st.sampled_from(["none", "flip", "zero", "scale", "negate", "shift", "swap"]))
     if kind == "flip":
-        e = data.draw(st.integers(0, len(sigma) - 1))
-        sigma = sigma[:e] + (-sigma[e],) + sigma[e + 1 :]
+        e = data.draw(st.integers(0, t - 1))
+        key ^= 1 << (t - 1 - e)
     elif kind == "zero":
         x = (0,) * len(x)
     elif kind == "scale":
@@ -329,7 +341,7 @@ def _mutated(cells, data):
         x = tuple(c + d for c, d in zip(x, data.draw(st.tuples(*[st.integers(-2, 2)] * len(x)))))
     elif kind == "swap":
         x = cells[data.draw(st.integers(0, len(cells) - 1))][1]
-    cells[k] = (sigma, x)
+    cells[k] = (key, x)
     return cells
 
 
@@ -339,16 +351,16 @@ def _mutated(cells, data):
 def test_the_certificate_accepts_exactly_what_substitution_accepts(family, data):
     # on the enumerated chambers in output order, as they are, or with one drawn change
     arr = Arrangement(data.draw(family))
-    cells = sorted(arrangements._chambers(arr.rows, arr.dim), key=itemgetter(0), reverse=True)
-    assert _raised(arrangements._certify, arr.rows, cells) is None
-    cells = _mutated(cells, data)
-    assert _raised(arrangements._certify, arr.rows, cells) == _raised(certify_by_substitution, arr.rows, cells)
+    cells = sorted(arrangements._chambers(arr.rows, arr.dim), key=itemgetter(0))
+    assert _raised(_certify_cells, arr.rows, cells) is None
+    cells = _mutated(cells, data, arr.t)
+    assert _raised(_certify_cells, arr.rows, cells) == _raised(certify_by_substitution, arr.rows, _sign_tuples(cells, arr.t))
 
 
-def _flip(cells, k, e):
-    """cells with the sign of element e (0-based) of cell k flipped."""
-    sigma, x = cells[k]
-    return cells[:k] + [(sigma[:e] + (-sigma[e],) + sigma[e + 1 :], x)] + cells[k + 1 :]
+def _flip(cells, k, e, t):
+    """int-key cells over t elements with the sign of element e (0-based) of cell k flipped."""
+    key, x = cells[k]
+    return cells[:k] + [(key ^ 1 << (t - 1 - e), x)] + cells[k + 1 :]
 
 
 def _rewitness(cells, k, x):
@@ -360,28 +372,28 @@ def _certificate_cases():
     changed the ways a bug could change them."""
     cases = []
     for arr in (moment_curve(7, 4), totally_cyclic_fan(9), Arrangement([(3,)])):
-        cells = sorted(arrangements._chambers(arr.rows, arr.dim), key=itemgetter(0), reverse=True)
+        cells = sorted(arrangements._chambers(arr.rows, arr.dim), key=itemgetter(0))
         n, t, last = len(cells), arr.t, len(cells) - 1
-        huge = [(sigma, tuple(c << 300 for c in x)) for sigma, x in cells]
+        huge = [(key, tuple(c << 300 for c in x)) for key, x in cells]
         cases += [
             (arr, cells, True),
             (arr, huge, True),  # 300 bits wider slots, every sign still right
             (arr, _rewitness(cells, last, huge[last][1]), True),  # one huge witness among small ones
             (arr, cells[:1], True),
             (arr, cells[last:], True),
-            (arr, _flip(cells, 0, 0), False),
-            (arr, _flip(cells, 0, t - 1), False),
-            (arr, _flip(cells, last, 0), False),
-            (arr, _flip(cells, last, t - 1), False),
-            (arr, _flip(cells, n // 2, t // 2), False),
-            (arr, _flip(_flip(cells, last, 0), last // 2, t - 1), False),  # the first bad cell is named
-            (arr, _flip(huge, last, t - 1), False),
-            (arr, _flip(cells[:1], 0, t - 1), False),
+            (arr, _flip(cells, 0, 0, t), False),
+            (arr, _flip(cells, 0, t - 1, t), False),
+            (arr, _flip(cells, last, 0, t), False),
+            (arr, _flip(cells, last, t - 1, t), False),
+            (arr, _flip(cells, n // 2, t // 2, t), False),
+            (arr, _flip(_flip(cells, last, 0, t), last // 2, t - 1, t), False),  # the first bad cell is named
+            (arr, _flip(huge, last, t - 1, t), False),
+            (arr, _flip(cells[:1], 0, t - 1, t), False),
             (arr, _rewitness(cells, 0, (0,) * arr.dim), False),  # a point on every hyperplane
             (arr, _rewitness(cells, last, (0,) * arr.dim), False),
             (arr, _rewitness(cells[last:], 0, (0,) * arr.dim), False),
             (arr, _rewitness(cells, 0, negate(cells[0][1])), False),
-            (arr, [(sigma, x) for (sigma, _), (_, x) in zip(cells, cells[1:] + cells[:1])], False),
+            (arr, [(key, x) for (key, _), (_, x) in zip(cells, cells[1:] + cells[:1])], False),
         ]
     return cases
 
@@ -390,7 +402,7 @@ def _certificate_cases():
 def test_the_certificate_names_the_tope_and_witness_substitution_names(monkeypatch, arr, cells, certified):
     # through enumerate_topes, which sorts the cells, against the oracle on the sorted cells
     monkeypatch.setattr(arrangements, "_chambers", lambda rows, dim: list(cells))
-    ordered = sorted(cells, key=itemgetter(0), reverse=True)
+    ordered = sorted(_sign_tuples(cells, arr.t), key=itemgetter(0), reverse=True)
     expected = _raised(certify_by_substitution, arr.rows, ordered)
     assert (expected is None) == certified
     assert _raised(enumerate_topes, arr) == expected

@@ -2,11 +2,14 @@ import json
 import os
 import sys
 import threading
+from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from topecycles import io
+from topecycles import cli, io
 from topecycles.arrangements import Arrangement, enumerate_topes, hypercube_topes, moment_curve, rank2_fan, totally_cyclic_fan
 from topecycles.cli import main
 from topecycles.core import DimensionError, _minus_mask, parse_sign_vector, sign_vector_str
@@ -581,3 +584,185 @@ def test_rational_over_the_digit_limit_exits_1(capsys, tmp_path, form):
     assert captured.out == ""
     err = captured.err
     assert err.startswith("topecycles: error: rational '") and f" has {digits} digits, more than the " in err
+
+
+def test_a_document_nested_deeper_than_the_decoder_reads_exits_1(capsys, tmp_path):
+    # the decoder's RecursionError is bad input, not a bug in the package (exit 4)
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"t": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    with pytest.raises(io.SchemaError) as excinfo:
+        io.load_doc(str(deep))
+    assert str(excinfo.value) == f"{deep}: nested deeper than the JSON decoder reads"
+    assert main(["topes", "--arrangement", str(deep)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"topecycles: error: {excinfo.value}\n"
+
+
+@pytest.mark.parametrize(
+    "arr",
+    [rank2_fan(1), Arrangement([(3,)]), rank2_fan(5), totally_cyclic_fan(9), moment_curve(7, 4), moment_curve(6, 5), moment_curve(9, 3),
+     Arrangement([(Fraction(1, 2), 1, 0), (0, Fraction(2, 3), 1), (1, Fraction(-1, 3), Fraction(1, 5)), (Fraction(-3, 4), Fraction(1, 2), 1)])],
+    ids=["line", "dim1", "fan5", "cyclic9", "mc74", "mc65", "mc93", "rational"],
+)
+def test_topes_writes_the_library_topes_as_the_standard_encoder_writes_them(capsys, tmp_path, arr):
+    # the command's one form on the way from the chambers to the strings changes no byte
+    doc = tmp_path / "arr.json"
+    doc.write_text(json.dumps(io.arrangement_to_doc(arr)))
+    expected = json.dumps(io.tope_set_to_doc(arr.t, enumerate_topes(arr)), indent=2) + "\n"
+    assert run(capsys, "topes", "--arrangement", str(doc)) == (0, expected)
+
+
+_text = st.text(st.characters(exclude_categories=())) | st.sampled_from(['"', "\\", "\n\t\x00\x1f\x7f", "é€😀", "\ud800", "+-+"])
+_scalars = _text | st.integers() | st.integers(min_value=-(2**200), max_value=2**200) | st.booleans() | st.none()
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=5) | st.lists(inner, max_size=3).map(tuple) | st.dictionaries(_text, inner, max_size=5),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.dictionaries(_text, _values, max_size=6))
+def test_the_writer_writes_what_json_dumps_indent_2_writes(doc):
+    assert cli._dumps(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"a": [1, 2.5]}, {"a": {"b": float("nan")}}, {"a": {1: "x"}}, {"a": {None: [True]}}, {"k": [[], {}, [{}], {"": []}]}, {}],
+    ids=["float", "nan", "int-key", "none-key", "empty-containers", "empty"],
+)
+def test_the_writer_hands_any_other_value_to_json_dumps(doc):
+    assert cli._dumps(doc) == json.dumps(doc, indent=2)
+
+
+def test_the_writer_raises_what_json_dumps_raises():
+    for doc in ({"a": [Fraction(1, 2)]}, {"a": {(1,): 2}}):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(doc, indent=2)
+        with pytest.raises(TypeError) as got:
+            cli._dumps(doc)
+        assert str(got.value) == str(expected.value)
+
+
+def _every_document():
+    """One document of each shape the commands write, from every io builder and the inline ones."""
+    from topecycles.complexes import lambda_face_masks
+    from topecycles.cycles import canonical_hypercube_cycle
+    from topecycles.decomposition import decompose
+    from topecycles.dehn_sommerville import check_ds
+    from topecycles.oracles import census, nu_counts
+
+    cycle = canonical_hypercube_cycle(5)
+    tope = parse_sign_vector("+-+-+")
+    fan = totally_cyclic_fan(7)
+    topes = hypercube_topes(5)
+    f = lambda_face_masks(tope, cycle).f_vector
+    bad_f = (1, 5, 10, 6, 0, 0)
+    return {
+        "arrangement": io.arrangement_to_doc(Arrangement([(Fraction(1, 2), -1), (3, Fraction(-7, 3))])),
+        "moment_curve": io.arrangement_to_doc(moment_curve(6, 3)),
+        "tope_set": io.tope_set_to_doc(5, topes),
+        "cycle": io.cycle_to_doc(cycle),
+        "not_found": {"found": False, "t": 2},
+        "decomposition": io.decomposition_to_doc(decompose(tope, cycle)),
+        "fvector": io.fvector_to_doc(f),
+        "ds_report": io.ds_report_to_doc(check_ds(f)),
+        "ds_report_failing": io.ds_report_to_doc(check_ds(bad_f)),
+        "census": io.census_to_doc(census(topes, cycle)),
+        "census_listed": io.census_to_doc(census(topes, cycle, list_topes=True), {1: 10, 3: 20, 5: 2}),
+        "validate_ok": {"ok": True, "violations": []},
+        "validate_failing": {"ok": False, "violations": [{"kind": "adjacency", "where": [0, 1], "detail": 'vertices 0 and 1 "differ"'}]},
+        "nu": {"t": fan.t, "nu": list(nu_counts(fan))},
+    }
+
+
+@pytest.mark.parametrize("name", list(_every_document()))
+def test_every_document_is_written_as_json_dumps_indent_2_writes_it(name):
+    doc = _every_document()[name]
+    assert cli._dumps(doc) == json.dumps(doc, indent=2)
+
+
+# argvs every command parses, from the tests above and the README
+_VALID_ARGVS = [
+    ["gen", "hypercube", "--t", "5", "--output", "topes5.json"],
+    ["gen", "moment_curve", "--t", "6", "--r", "3"],
+    ["gen", "rank2_fan", "--t", "4"],
+    ["gen", "totally_cyclic_fan", "--t", "5", "--output", "fan.json"],
+    ["topes", "--arrangement", "arr.json", "--output", "topes.json"],
+    ["cycle", "canonical", "--t", "5", "--output", "cycle5.json"],
+    ["cycle", "find", "--topes", "topes.json"],
+    ["cycle", "find", "--topes", "topes.json", "--seed", "2", "--output", "cycle.json"],
+    ["cycle", "find", "--topes", "topes.json", "--seed", "3", "--start", "-++"],
+    ["cycle", "find", "--topes", "topes.json", "--start=-++"],
+    ["cycle", "validate", "--cycle", "cycle.json", "--topes", "topes.json"],
+    ["cycle", "validate", "--cycle", "cycle.json"],
+    ["decompose", "--tope", "+-+-+", "--cycle", "cycle5.json"],
+    ["decompose", "--cycle", "canonical", "--tope", "-+-"],
+    ["decompose", "--tope=-+-", "--cycle", "canonical"],
+    ["fvector", "--tope", "+-+-+", "--cycle", "canonical", "--output", "fvector5.json"],
+    ["fvector", "--cycle", "canonical", "--tope", "-+-+-"],
+    ["verify-ds", "--fvector", "fvector5.json"],
+    ["census", "--topes", "topes5.json", "--cycle", "canonical"],
+    ["census", "--topes", "topes.json", "--cycle", "cycle.json", "--list-topes", "--output", "census.json"],
+    ["nu", "--arrangement", "fan.json"],
+]
+
+
+def test_the_leaf_parsers_are_the_commands():
+    assert set(cli._leaf_parsers()) == {
+        ("gen",), ("topes",), ("cycle", "canonical"), ("cycle", "find"), ("cycle", "validate"),
+        ("decompose",), ("fvector",), ("verify-ds",), ("census",), ("nu",),
+    }
+
+
+@pytest.mark.parametrize("argv", _VALID_ARGVS, ids=[" ".join(a[:2]) for a in _VALID_ARGVS])
+def test_the_leaf_parses_what_the_tree_parses(monkeypatch, argv):
+    tree = vars(cli.build_parser().parse_args(argv))
+    del tree["command"]
+    tree.pop("cycle_command", None)
+
+    def unreachable():
+        raise AssertionError("the tree was reached for an argv that names a command")
+
+    cli._leaf_parsers()  # built from the tree once, before the tree is made unreachable
+    monkeypatch.setattr(cli, "build_parser", unreachable)
+    assert vars(cli._parse(argv)) == tree
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # -h prints its help and exits, on either route
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_usage_errors_and_help_read_the_same_on_both_routes(capsys, monkeypatch, tmp_path):
+    # the argvs of test_usage_errors_exit_1 and test_option_prefixes_are_usage_errors, an argv that
+    # names only a command group, an empty one and help: exit code, stdout and stderr as the tree gives them
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.json").write_text(json.dumps({"t": 5, "f": [1, 5, 10, 5, 0, 0]}))
+    (tmp_path / "neg.json").write_text(json.dumps({"t": -3, "topes": []}))
+    assert run(capsys, "gen", "hypercube", "--t", "3", "--output", "topes.json")[0] == 0
+    argvs = [
+        ["nosuchcommand"], ["gen", "hypercube"], ["gen", "klein_bottle", "--t", "5"],
+        ["decompose", "--tope", "+-+", "--cycle", "missing.json"], ["gen", "moment_curve", "--t", "5"],
+        ["gen", "rank2_fan", "--t", "3", "--r", "7"], ["gen", "hypercube", "--t", "3", "--r", "3"],
+        ["verify-ds", "--fvector", "f.json", "--tope", "+-+-+"], ["verify-ds", "--fvector", "f.json", "--cycle", "canonical"],
+        ["verify-ds", "--fvector", "f.json", "--tope", "+-+-+", "--cycle", "canonical"], ["cycle", "find", "--topes", "neg.json"],
+        ["decompose", "--top", "-+-", "--cycle", "canonical"], ["decompose", "--top", "+--", "--cycle", "canonical"],
+        ["cycle", "find", "--topes", "topes.json", "--sta", "-++"], ["cycle", "find", "--topes", "topes.json", "--sta", "+-+"],
+        ["cycle", "find", "--top", "topes.json"], ["gen", "hypercube", "--t", "3", "--out", "cube.json"],
+        ["topes", "--arrangement", "arr.json", "extra"], ["cycle", "nosuch"],
+        ["cycle"], [], ["topes", "-h"], ["cycle", "find", "-h"], ["cycle", "-h"], ["-h"],
+    ]
+    leaf = [_outcome(capsys, argv) for argv in argvs]
+    monkeypatch.setattr(cli, "_leaf_parsers", lambda: {})  # every argv through the whole tree
+    assert [_outcome(capsys, argv) for argv in argvs] == leaf
+    for argv, (code, _, err) in zip(argvs, leaf):
+        assert code == (("SystemExit", 0) if "-h" in argv else 1), argv
+        assert err.startswith("topecycles: error: ") or "-h" in argv, argv
+    assert not (tmp_path / "cube.json").exists()
