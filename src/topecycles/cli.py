@@ -1,21 +1,23 @@
 """Composable subcommands over JSON documents: generation, enumeration, cycles, decompositions, f-vectors, verification.
 
 Exit codes: 0 success, 1 usage or I/O error (an argument the command cannot
-use, or a document that is not UTF-8 JSON or nests deeper than the JSON
-decoder reads, is a usage error), 2 input validation failure, 3 verification
-failure (a violated identity, or a census of the whole hypercube whose
-histogram is not 2*C(t,j)), 4 internal error.
+use, a document that is not UTF-8 JSON or nests deeper than the JSON decoder
+reads, and an integer past the interpreter's digit limit in a document read or
+written are usage errors), 2 input validation failure, 3 verification failure
+(a violated identity, or a census of the whole hypercube whose histogram is
+not 2*C(t,j)), 4 internal error.
 An internal error, such as a DecompositionError (among them Lambda and Delta
 complexes that do not coincide) or a chamber whose integer witness fails its
 check, is a bug, not bad input: its traceback goes to stderr and the exit
 code is 4.
 
 ``main`` parses an argument list with the parser of the command its leading
-words name, a leaf of the one ``build_parser`` tree, and only an argument
-list that names no command (``-h``, an unknown command, none at all) with the
-whole tree.  Every document is written as ``json.dumps(doc, indent=2)``
-writes it, by ``_dumps``.  ``topes`` cuts its strings from the one form in
-which the chambers are certified."""
+words name, recorded in ``_COMMANDS`` as ``build_parser`` adds it, and only an
+argument list that names no command (``-h``, an unknown command, none at all)
+with the whole tree.  ``_json_text`` writes every document as
+``json.dumps(doc, indent=2)`` does, and raises TypeError for a value no
+document holds.  ``topes`` cuts its strings from the one form in which the
+chambers are certified."""
 
 from __future__ import annotations
 
@@ -47,6 +49,7 @@ EXIT_INTERNAL = 4
 
 _ARRANGEMENTS = {"rank2_fan": rank2_fan, "moment_curve": moment_curve, "totally_cyclic_fan": totally_cyclic_fan}
 _SIGN_OPTIONS = ("--tope", "--start")  # options whose value is a '+'/'-' string
+_COMMANDS: dict[tuple[str, ...], argparse.ArgumentParser] = {}  # each command's parser, by the words that name it
 
 
 class _UsageError(Exception):
@@ -72,6 +75,13 @@ class _Parser(argparse.ArgumentParser):
         return super().parse_known_args(joined, namespace)
 
 
+def _command(p: argparse.ArgumentParser, func, *words: str) -> None:
+    """Finish a command's parser: --output last in its help, func as its handler, p in _COMMANDS under words."""
+    p.add_argument("--output", metavar="FILE", help="write here instead of stdout")
+    p.set_defaults(func=func)
+    _COMMANDS[words] = p
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="topecycles", description=__doc__.splitlines()[0])
@@ -81,97 +91,68 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["hypercube", *_ARRANGEMENTS])
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--r", type=int, help="ambient dimension (moment_curve only)")
-    _output_options(p)
-    p.set_defaults(func=_cmd_gen)
+    _command(p, _cmd_gen, "gen")
 
     p = sub.add_parser("topes", help="enumerate the chambers of an arrangement")
     p.add_argument("--arrangement", required=True, metavar="FILE")
-    _output_options(p)
-    p.set_defaults(func=_cmd_topes)
+    _command(p, _cmd_topes, "topes")
 
     cyc = sub.add_parser("cycle", help="symmetric-cycle operations")
     cyc_sub = cyc.add_subparsers(dest="cycle_command", required=True, parser_class=_Parser)
 
     p = cyc_sub.add_parser("canonical", help="the canonical hypercube cycle")
     p.add_argument("--t", type=int, required=True)
-    _output_options(p)
-    p.set_defaults(func=_cmd_cycle_canonical)
+    _command(p, _cmd_cycle_canonical, "cycle", "canonical")
 
     p = cyc_sub.add_parser("find", help="search a tope set for a symmetric cycle")
     p.add_argument("--topes", required=True, metavar="FILE")
     p.add_argument("--start", help="start tope as a '+'/'-' string")
     p.add_argument("--seed", type=int, default=0)
-    _output_options(p)
-    p.set_defaults(func=_cmd_cycle_find)
+    _command(p, _cmd_cycle_find, "cycle", "find")
 
     p = cyc_sub.add_parser("validate", help="check the symmetric-cycle invariants")
     p.add_argument("--cycle", required=True, metavar="FILE")
     p.add_argument("--topes", metavar="FILE", help="additionally require membership in this tope set")
-    _output_options(p)
-    p.set_defaults(func=_cmd_cycle_validate)
+    _command(p, _cmd_cycle_validate, "cycle", "validate")
 
     p = sub.add_parser("decompose", help="minimal decomposition of a tope over a cycle")
     p.add_argument("--tope", required=True)
     p.add_argument("--cycle", required=True, metavar="FILE|canonical")
-    _output_options(p)
-    p.set_defaults(func=_cmd_decompose)
+    _command(p, _cmd_decompose, "decompose")
 
     p = sub.add_parser("fvector", help="long f-vector of the complex attached to a tope")
     p.add_argument("--tope", required=True)
     p.add_argument("--cycle", required=True, metavar="FILE|canonical")
-    _output_options(p)
-    p.set_defaults(func=_cmd_fvector)
+    _command(p, _cmd_fvector, "fvector")
 
     p = sub.add_parser("verify-ds", help="check the Dehn-Sommerville type relations")
     p.add_argument("--fvector", required=True, metavar="FILE", help="f-vector document to check")
-    _output_options(p)
-    p.set_defaults(func=_cmd_verify_ds)
+    _command(p, _cmd_verify_ds, "verify-ds")
 
     p = sub.add_parser("census", help="decomposition-size histogram over a tope set")
     p.add_argument("--topes", required=True, metavar="FILE")
     p.add_argument("--cycle", required=True, metavar="FILE|canonical")
     p.add_argument("--list-topes", action="store_true", help="include the topes of each size class")
-    _output_options(p)
-    p.set_defaults(func=_cmd_census)
+    _command(p, _cmd_census, "census")
 
     p = sub.add_parser("nu", help="feasible-subsystem counts of a rank-2 arrangement")
     p.add_argument("--arrangement", required=True, metavar="FILE")
-    _output_options(p)
-    p.set_defaults(func=_cmd_nu)
+    _command(p, _cmd_nu, "nu")
 
     return parser
-
-
-@functools.cache
-def _leaf_parsers() -> dict[tuple[str, ...], argparse.ArgumentParser]:
-    """The parser of each command in the ``build_parser`` tree, keyed by the words that name it:
-    ("topes",), ("cycle", "find") and so on."""
-    leaves = {}
-    branches = [((), build_parser())]
-    while branches:
-        words, parser = branches.pop()
-        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        if not subs:
-            leaves[words] = parser
-        for action in subs:
-            branches += [(words + (name,), p) for name, p in action.choices.items()]
-    return leaves
 
 
 def _parse(argv: Sequence[str]) -> argparse.Namespace:
     """The arguments of the command the leading words of argv name, parsed by that command's parser
     alone; an argv whose words name no command goes through the whole tree, which words the top-level
     usage and "invalid choice" errors.  Both routes use the same parser objects."""
-    leaves = _leaf_parsers()
+    if not _COMMANDS:
+        build_parser()  # records each command's parser in _COMMANDS
     for n in (1, 2):
-        leaf = leaves.get(tuple(argv[:n]))
+        leaf = _COMMANDS.get(tuple(argv[:n]))
         if leaf is not None:
             return leaf.parse_args(argv[n:])
     return build_parser().parse_args(argv)
-
-
-def _output_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--output", metavar="FILE", help="write here instead of stdout")
 
 
 def _json_text(v, pad: str) -> str:
@@ -204,16 +185,6 @@ def _json_text(v, pad: str) -> str:
     raise TypeError(f"not written by the document writer: {type(v).__name__}")
 
 
-def _dumps(doc: dict) -> str:
-    """The text of ``json.dumps(doc, indent=2)``, built by ``_json_text``, whose parts are the encoder's
-    C string escaping and ``int.__repr__``; a value it does not write sends the whole document to
-    ``json.dumps``."""
-    try:
-        return _json_text(doc, "")
-    except TypeError:
-        return json.dumps(doc, indent=2)
-
-
 def _write(args, doc: dict) -> None:
     """Write the document to stdout, or over the file ``--output`` names.
 
@@ -222,8 +193,13 @@ def _write(args, doc: dict) -> None:
     and any other file (/dev/null, a pipe, a terminal) is only written.  A write that
     fails part way exits 1, as any OSError does, and leaves a prefix of the new document
     over the old file's tail.  The text is what ``json.dumps(doc, indent=2)`` writes, built by
-    ``_dumps`` rather than by the standard library's pure-Python indenting encoder."""
-    text = _dumps(doc) + "\n"
+    ``_json_text`` rather than by the standard library's pure-Python indenting encoder, before
+    the file is opened, so an integer past the interpreter's digit limit writes nothing."""
+    try:
+        text = _json_text(doc, "") + "\n"
+    except ValueError:  # raised by int.__repr__ alone, for an integer past the digit limit
+        limit = f"{sys.get_int_max_str_digits()} digits this interpreter writes"
+        raise _UsageError(f"{args.output or 'stdout'}: an integer has more than the {limit}") from None
     if not args.output:
         sys.stdout.write(text)
         return

@@ -210,11 +210,6 @@ def _form_columns(form: bytes, t: int) -> list[int]:
     return [int(bits[k::t], 2) for k in range(t - 1, -1, -1)]
 
 
-def _text_mask(text: str) -> int:
-    """The minus mask of a '+'/'-' string; raises as ``parse_sign_vector`` does."""
-    return int(_text_form(text)[::-1], 2)
-
-
 def _mask_text(m: int, t: int) -> str:
     """The '+'/'-' string of the minus mask m (0 <= m < 2^t) of a sign vector of length t >= 1."""
     return _mask_form(m, t).translate(_FORM_TEXT).decode()

@@ -53,14 +53,20 @@ def rational_from_str(text: Any) -> int | Fraction:
 
 def load_doc(path: str) -> dict:
     """The JSON object in the file at path.  A file that is not UTF-8 text, nests deeper than the
-    decoder reads or holds no object raises SchemaError naming the path."""
+    decoder reads, holds an integer past the interpreter's digit limit or holds no object raises
+    SchemaError naming the path; text that is not JSON raises json.JSONDecodeError."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
+        except json.JSONDecodeError:
+            raise
         except UnicodeDecodeError as exc:  # a ValueError, which would read as invalid input (exit 2)
             raise SchemaError(f"{path}: not UTF-8 text: {exc}") from None
         except RecursionError:  # not a bug in the package (exit 4), but a document the decoder cannot read
             raise SchemaError(f"{path}: nested deeper than the JSON decoder reads") from None
+        except ValueError:  # the decoder's int() past sys.get_int_max_str_digits, its one other ValueError
+            limit = sys.get_int_max_str_digits()
+            raise SchemaError(f"{path}: an integer has more than the {limit} digits this interpreter reads") from None
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: expected a JSON object")
     return doc

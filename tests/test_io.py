@@ -9,10 +9,12 @@ import pytest
 
 from topecycles import io
 from topecycles.arrangements import moment_curve, rank2_fan, totally_cyclic_fan
-from topecycles.core import DimensionError, _minus_mask, _text_mask, parse_sign_vector, sign_vector_str
+from topecycles.core import DimensionError, _minus_mask, parse_sign_vector, sign_vector_str
 from topecycles.cycles import CycleError, canonical_hypercube_cycle, find_symmetric_cycle
 from topecycles.decomposition import decompose
 from topecycles.oracles import CensusResult
+
+from reference import text_mask
 
 
 def test_rational_round_trip():
@@ -141,9 +143,9 @@ def test_the_vertex_reader_reports_the_first_offender(strings, message):
 def test_tope_readers_read_each_string_as_the_codec_does(t_strings):
     t, strings = t_strings
     assert io.tope_set_from_doc({"t": t, "topes": strings}) == (t, [parse_sign_vector(s) for s in strings])
-    assert io.tope_masks_from_doc({"t": t, "topes": strings}) == (t, {_text_mask(s): s for s in strings})
+    assert io.tope_masks_from_doc({"t": t, "topes": strings}) == (t, {text_mask(s): s for s in strings})
     vertices = (strings * 2 * t)[: 2 * t]
-    assert io.cycle_masks_from_doc({"t": t, "vertices": vertices}) == (t, [_text_mask(s) for s in vertices])
+    assert io.cycle_masks_from_doc({"t": t, "vertices": vertices}) == (t, [text_mask(s) for s in vertices])
 
 
 @pytest.mark.parametrize(
