@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import chain, combinations, product, repeat
-from operator import add, itemgetter, mul, neg
+from operator import add, itemgetter, mul, neg, sub
 from typing import Sequence
 
 from .core import DimensionError, SignVector, Violation, _form_columns, _form_texts, _key_form, _signs, _ViolationsError, negate
@@ -85,7 +85,10 @@ def primitive_vector(row: Sequence[int | Fraction]) -> tuple[int, ...]:
     """Scale a vector of ints and Fractions to coprime integers, preserving its direction.
 
     Rationals become integers here, read off each coordinate's numerator and
-    denominator; any other coordinate type (a float, say) raises TypeError."""
+    denominator; any other coordinate type (a float, say) raises TypeError.
+    A row of ints alone (no bool) is already integer and goes straight to the gcd."""
+    if {int}.issuperset(map(type, row)):
+        return _primitive(row)
     for c in row:
         if not isinstance(c, (int, Fraction)):
             raise TypeError(f"coordinates must be ints or Fractions, got {c!r}")
@@ -93,7 +96,7 @@ def primitive_vector(row: Sequence[int | Fraction]) -> tuple[int, ...]:
     return _primitive([c.numerator * (scale // c.denominator) for c in row])
 
 
-def _primitive(v: list[int]) -> tuple[int, ...]:
+def _primitive(v: Sequence[int]) -> tuple[int, ...]:
     """The integer vector divided by the gcd of its entries."""
     g = math.gcd(*v)
     return tuple([c // g for c in v]) if g > 1 else tuple(v)
@@ -113,7 +116,7 @@ def enumerate_topes(arr: Arrangement) -> list[SignVector]:
     one hyperplane at a time, and a cell of the first k-1 hyperplanes is split
     by H_k exactly when it meets H_k in a chamber of their restriction to H_k,
     one recursive call one dimension lower; in the plane the chambers are the
-    sectors between the sorted lines, read off in closed form (``_chambers``).
+    sectors between the sorted lines, read off in closed form (``_planar_chambers``).
     A sign prefix is an int key: element 1 is its top bit and a set bit means
     -, so growing the prefix by one sign is ``(key << 1) | bit``, and the
     sorted keys are the topes in this order.  Every cell carries an exact
@@ -121,6 +124,14 @@ def enumerate_topes(arr: Arrangement) -> list[SignVector]:
     checking sigma(e) * a_e.x >= 1 for every row a_e of ``arr.rows``; a
     failure (a bug, not bad input) raises RuntimeError naming the first
     failing tope.  No feasibility test is run.
+
+    Only the chambers on the + side of hyperplane 1 are built.  The
+    arrangement is central, so C is a chamber with interior point x exactly
+    when -C is one with interior point -x, and every restriction of a central
+    arrangement is central too: the same half is all the recursion needs at
+    every level, and the other half is the negations of the first, keys and
+    points (``_chambers``).  The certificate still checks every chamber's
+    point, the negated ones included.
 
     The certificate runs one pass per row over all n chambers at once
     (``_certify``), in exact integer arithmetic.  Coordinate i of the points
@@ -140,7 +151,8 @@ def enumerate_topes(arr: Arrangement) -> list[SignVector]:
 
 def _tope_form(arr: Arrangement) -> bytes:
     """The codec's joined form of the certified topes ``enumerate_topes`` lists, in its order: the
-    sorted keys are read into the form once, and the certificate and every output cut from it."""
+    sorted keys are read into the form once, and the certificate and every output cut from it.
+    ``_chambers`` lists the cells in key order already, so the sort is one pass over them."""
     cells = sorted(_chambers(arr.rows, arr.dim), key=itemgetter(0))
     form = _key_form([key for key, _ in cells], arr.t)
     _certify(arr.rows, form, [x for _, x in cells])
@@ -184,23 +196,43 @@ def _guard_bits(v: int, size: int, w: int) -> int:
 
 
 def _chambers(rows: Sequence[tuple[int, ...]], dim: int) -> list[tuple[int, tuple[int, ...]]]:
-    """Each chamber of the central arrangement of the nonzero primitive integer
-    rows in Z^dim, as (key, integer interior point), in no promised order
-    (``enumerate_topes`` sorts them).  The key is the sign vector over the
-    rows: row 1 is its top bit and a set bit means -.  Rows may repeat up to
-    sign: a repeat takes the sign of its first occurrence (negated if
-    antiparallel) and splits nothing.
+    """Each chamber of the central arrangement of at least one nonzero
+    primitive integer row in Z^dim, as (key, integer interior point), sorted
+    by key (the order ``enumerate_topes`` lists).  The key is the sign vector
+    over the rows: row 1 is its top bit and a set bit means -.  Rows may
+    repeat up to sign: a repeat takes the sign of its first occurrence
+    (negated if antiparallel) and splits nothing.
+
+    The arrangement is central, so x is inside a chamber C exactly when -x is
+    inside -C: the chambers come in antipodal pairs, one of each on the +
+    side of row 1.  ``_half_chambers`` builds that side alone; sorted, its
+    keys all lie below 2^(t-1), and the complements of the keys, taken in
+    reverse, are the other side in order, each witnessed by the negated point."""
+    half = sorted(_half_chambers(rows, dim), key=itemgetter(0))
+    everyone = (1 << len(rows)) - 1
+    return half + [(key ^ everyone, tuple(map(neg, x))) for key, x in reversed(half)]
+
+
+def _half_chambers(rows: Sequence[tuple[int, ...]], dim: int) -> list[tuple[int, tuple[int, ...]]]:
+    """The chambers of ``_chambers`` on the + side of row 1 (their keys' top
+    bit clear), for at least one row, in no promised order.
 
     In dimension 2 the chambers come in closed form (``_planar_chambers``), so
     the recursion stops there; in every other dimension (above 2, or the 1 of
     a one-dimensional arrangement) the sign prefix grows one row at a time as
-    ``enumerate_topes`` describes.  The dimension is explicit because it
-    cannot be read off an empty row list."""
+    ``enumerate_topes`` describes.  Row 1 makes one cell, its + side,
+    witnessed by the row itself.  Every restriction of a central arrangement
+    is central again, and a cell's sign on row 1 is its chamber's sign on the
+    restricted row 1 wherever it meets H_k, so the cells that H_k splits are
+    the chambers on the + side of the restricted row 1: the same half, one
+    dimension lower."""
     if dim == 2:
         return _planar_chambers(rows)
-    cells: list[tuple[int, tuple[int, ...]]] = [(0, (0,) * dim)]
-    first: dict[tuple[int, ...], tuple[int, int]] = {}  # row -> (index of its first occurrence, 0 or 1 to flip)
-    for k, a in enumerate(rows):
+    cells: list[tuple[int, tuple[int, ...]]] = [(0, rows[0])]
+    # row -> (index of its first occurrence, 0 or 1 to flip)
+    first: dict[tuple[int, ...], tuple[int, int]] = {rows[0]: (0, 0), negate(rows[0]): (0, 1)}
+    for k in range(1, len(rows)):
+        a = rows[k]
         if a in first:
             i, flip = first[a]
             shift = k - 1 - i  # the bit of row i in a k-row key
@@ -215,10 +247,10 @@ def _chambers(rows: Sequence[tuple[int, ...]], dim: int) -> list[tuple[int, tupl
         sj = 1 if a[j] > 0 else -1
         others = [l for l in range(dim) if l != j]
         restricted = [_primitive([p * b[l] - sj * b[j] * a[l] for l in others]) for b in earlier]
-        splits = dict(_chambers(restricted, dim - 1))
+        splits = dict(_half_chambers(restricted, dim - 1))
         # each lifted y below is strictly inside its restricted chamber, so every earlier b.y is a nonzero
         # integer and n > |b.a| keeps n*y +/- a on y's side of b (a looser bound than per cell: bigger witnesses)
-        n = 1 + max((abs(sum(map(mul, b, a))) for b in earlier), default=0)
+        n = 1 + max(abs(sum(map(mul, b, a))) for b in earlier)
         lift, pivot, a_others = n * p, -n * sj, [a[l] for l in others]
         nxt: list[tuple[int, tuple[int, ...]]] = []
         for key, x in cells:
@@ -228,51 +260,50 @@ def _chambers(rows: Sequence[tuple[int, ...]], dim: int) -> list[tuple[int, tupl
                 nxt.append((key | (sum(map(mul, a, x)) <= 0), x))
                 continue
             # lift z to y in H_k (n*y: p*z in the other coordinates, -sj*a.z at the pivot), then step
-            # off it by a_k on either side, far enough inside the cell that no earlier row changes sign
+            # off it by a_k on either side, far enough inside the cell that no earlier row changes sign;
+            # no gcd is divided out: on moment curves up to (14, 6) the largest witness has as many bits with it
             ny = [lift * c for c in z]
             ny.insert(j, pivot * sum(map(mul, a_others, z)))
-            up, down = [c + d for c, d in zip(ny, a)], [c - d for c, d in zip(ny, a)]
-            g, h = math.gcd(*up), math.gcd(*down)
-            nxt.append((key, tuple([c // g for c in up]) if g > 1 else tuple(up)))
-            nxt.append((key | 1, tuple([c // h for c in down]) if h > 1 else tuple(down)))
+            nxt.append((key, tuple(map(add, ny, a))))
+            nxt.append((key | 1, tuple(map(sub, ny, a))))
         cells = nxt
     return cells
 
 
 def _planar_chambers(rows: Sequence[tuple[int, ...]]) -> list[tuple[int, tuple[int, ...]]]:
-    """The chambers of nonzero primitive rows in Z^2, which may repeat up to
-    sign, in counterclockwise order: the sectors between the distinct lines,
-    keyed as in ``_chambers``.
+    """The chambers on the + side of row 1 of at least one nonzero primitive
+    row in Z^2, rows that may repeat up to sign, in counterclockwise order:
+    the sectors between the distinct lines, keyed as in ``_chambers``.
 
     Each line's direction is taken in the half-open upper half-plane
     (y > 0, or y = 0 < x), and the directions are sorted by the exact sign of
     the integer cross product d_x e_y - d_y e_x.  With their negations they
     are the 2m rays in angular order; consecutive rays are less than a half
-    turn apart, so the sum of a sector's two boundary rays is inside it.
-    Crossing a ray flips the signs of the rows on its line and no other: one
-    XOR of the key with the line's bits.  With one line the witnesses are a
-    normal of it and its negation; with no rows the one chamber is the plane,
-    witnessed by the origin."""
-    if not rows:
-        return [(0, (0, 0))]
+    turn apart, so the sum of a sector's two boundary rays is inside it.  Row
+    1 = (a_0, a_1) is positive on the half turn counterclockwise of its ray
+    (a_1, -a_0), which holds the m sectors after that ray; their antipodes,
+    the other half, are the negated sums.  Crossing a ray flips the signs of
+    the rows on its line and no other: one XOR of the key with the line's
+    bits.  With one line the chamber is witnessed by row 1 itself."""
     top = len(rows) - 1
     lines: dict[tuple[int, int], int] = {}  # direction -> the key bits of the rows on its line
     for k, (a0, a1) in enumerate(rows):
         d = (-a1, a0) if a0 > 0 or a0 == 0 > a1 else (a1, -a0)
         lines[d] = lines.get(d, 0) | 1 << (top - k)
     dirs = sorted(lines, key=cmp_to_key(lambda d, e: d[1] * e[0] - d[0] * e[1]))
-    if len(dirs) == 1:
-        [(x, y)] = dirs
-        witnesses = [(y, -x), (-y, x)]
-    else:
-        rays = dirs + [(-x, -y) for x, y in dirs]
-        witnesses = [(x + u, y + v) for (x, y), (u, v) in zip(rays, rays[1:] + rays[:1])]
-    # the sector after ray k is entered by crossing ray k; start in the sector after ray 0
+    m = len(dirs)
+    a0, a1 = rows[0]
+    rays = dirs + [(-x, -y) for x, y in dirs]
+    s = rays.index((a1, -a0))  # row 1 is positive on the half turn counterclockwise of this ray
+    rays = rays[s:] + rays[:s]
+    # with one line its two rays would sum to 0
+    witnesses = [(x + u, y + v) for (x, y), (u, v) in zip(rays[:m], rays[1 : m + 1])] if m > 1 else [(a0, a1)]
+    # the sector after ray s + k is entered by crossing ray s + k; start in the sector after ray s
     w0, w1 = witnesses[0]
-    key = int("".join(["0" if a0 * w0 + a1 * w1 > 0 else "1" for a0, a1 in rows]), 2)
+    key = int("".join(["0" if b0 * w0 + b1 * w1 > 0 else "1" for b0, b1 in rows]), 2)
     cells = [(key, witnesses[0])]
-    for k in range(1, len(witnesses)):
-        key ^= lines[dirs[k % len(dirs)]]
+    for k in range(1, m):
+        key ^= lines[dirs[(s + k) % m]]
         cells.append((key, witnesses[k]))
     return cells
 

@@ -94,6 +94,15 @@ def test_primitive_vector():
     assert primitive_vector((0, 0)) == (0, 0)
 
 
+def test_primitive_vector_returns_plain_ints_on_every_route():
+    # a row of ints alone goes straight to the gcd; a bool or a Fraction is read off its numerator
+    for row, expected in [((6, -9), (2, -3)), ((True, 2), (1, 2)), ((Fraction(4), 6), (2, 3)), ((), ())]:
+        got = primitive_vector(row)
+        assert got == expected and set(map(type, got)) <= {int}, row
+    with pytest.raises(TypeError):
+        primitive_vector((1, 0.5))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.one_of(st.integers(-60, 60), st.fractions(min_value=-20, max_value=20, max_denominator=12)), max_size=5))
 def test_primitive_vector_matches_fraction_oracle(row):
@@ -262,14 +271,15 @@ def test_enumerate_topes_matches_deletion_restriction_down_to_dimension_0(family
 
 
 def test_chambers_are_never_entered_below_the_plane(monkeypatch):
-    # every rank-2 restriction comes from the closed form, and a rank-2 arrangement takes one call
-    inner, dims = arrangements._chambers, []
+    # every rank-2 restriction comes from the closed form, a rank-2 arrangement takes one call, and
+    # hyperplane 1 makes its one cell with no call
+    inner, dims = arrangements._half_chambers, []
 
     def counting(rows, dim):
         dims.append(dim)
         return inner(rows, dim)
 
-    monkeypatch.setattr(arrangements, "_chambers", counting)
+    monkeypatch.setattr(arrangements, "_half_chambers", counting)
     for arr in (rank2_fan(1), rank2_fan(6), totally_cyclic_fan(9), Arrangement([(3, -1), (-2, 5)])):
         dims.clear()
         enumerate_topes(arr)
@@ -281,7 +291,52 @@ def test_chambers_are_never_entered_below_the_plane(monkeypatch):
         assert min(dims) == 2 and dims.count(arr.dim) == 1, arr
     dims.clear()
     enumerate_topes(moment_curve(6, 3))
-    assert dims == [3] + [2] * 6
+    assert dims == [3] + [2] * 5
+
+
+@pytest.mark.parametrize("family", ARRANGEMENT_FAMILIES.values(), ids=ARRANGEMENT_FAMILIES.keys())
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_the_recursion_builds_the_chambers_on_the_plus_side_of_row_1(family, data):
+    # the oracle's chambers whose first sign is '+', no two antipodal, each certified by its own point;
+    # the negations make up the rest, so enumerate_topes still lists the oracle's topes in its order
+    arr = Arrangement(data.draw(family))
+    oracle = [sigma for sigma, _ in chambers_by_restriction(arr.rows, arr.dim)]
+    half = _sign_tuples(arrangements._half_chambers(arr.rows, arr.dim), arr.t)
+    signs = [sigma for sigma, _ in half]
+    assert sorted(signs, reverse=True) == [sigma for sigma in oracle if sigma[0] == 1]
+    assert set(signs).isdisjoint(map(negate, signs))
+    assert _raised(certify_by_substitution, arr.rows, half) is None
+    assert enumerate_topes(arr) == oracle
+
+
+@pytest.mark.parametrize(
+    "rows, repeating",
+    [
+        ([(3,)], []),
+        # on H_5 = {x_4 = 0} rows 1 and 2 restrict to one row, parallel or antiparallel, in a 3-dimensional call
+        ([(1, 0, 0, 0), (1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], [[(1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]]),
+        ([(1, 0, 0, 0), (-1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], [[(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)]]),
+    ],
+)
+def test_the_half_on_a_line_and_with_rows_that_repeat_in_a_restriction(monkeypatch, rows, repeating):
+    arr = Arrangement(rows)
+    oracle = [sigma for sigma, _ in chambers_by_restriction(arr.rows, arr.dim)]
+    half = _sign_tuples(arrangements._half_chambers(arr.rows, arr.dim), arr.t)
+    assert sorted((sigma for sigma, _ in half), reverse=True) == [sigma for sigma in oracle if sigma[0] == 1]
+    assert _raised(certify_by_substitution, arr.rows, half) is None
+    inner, repeats = arrangements._half_chambers, []
+
+    def recording(rows, dim):
+        if dim == 3 and len(set(map(_line, rows))) < len(rows):
+            repeats.append(rows)
+        return inner(rows, dim)
+
+    monkeypatch.setattr(arrangements, "_half_chambers", recording)
+    assert enumerate_topes(arr) == oracle
+    assert repeats == repeating
+    if arr.dim == 1:  # row 1 alone is the half, witnessed by itself
+        assert half == [((1,), (1,))] and oracle == [(1,), (-1,)]
 
 
 def test_enumerate_topes_generic_count_law():
