@@ -10,7 +10,6 @@ f-vectors satisfy.  All decisions use exact integer/rational arithmetic."""
 from .arrangements import (
     Arrangement,
     ArrangementError,
-    ccw_half_turn_counts,
     enumerate_topes,
     hypercube_topes,
     moment_curve,
@@ -48,7 +47,6 @@ from .dehn_sommerville import (
     DSReport,
     SpecialCaseNote,
     check_ds,
-    ds_polynomial_sides,
 )
 from .oracles import (
     CensusResult,

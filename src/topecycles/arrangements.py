@@ -102,7 +102,7 @@ def _primitive(v: Sequence[int]) -> tuple[int, ...]:
     return tuple([c // g for c in v]) if g > 1 else tuple(v)
 
 
-def ccw_half_turn_counts(dirs: Sequence[Sequence]) -> list[int]:
+def _half_turn_counts(dirs: Sequence[Sequence]) -> list[int]:
     """For each d in dirs, #{a in dirs : d_x a_y - d_y a_x > 0}: the vectors strictly
     inside the open half-turn counterclockwise of d (parallel and antiparallel
     ones lie on its boundary and do not count)."""
@@ -349,7 +349,7 @@ def totally_cyclic_fan(t: int) -> Arrangement:
         rows.append((round(radius * math.cos(theta)), round(radius * math.sin(theta))))
     arr = Arrangement(rows)
     # the least half-turn count is the least open half-plane count (see oracles.check_halfplane_condition)
-    if min(ccw_half_turn_counts(arr.rows)) < 2:
+    if min(_half_turn_counts(arr.rows)) < 2:
         raise ArrangementError(
             [Violation("halfplane", (), "generated fan leaves an open half-plane with fewer than two vectors")]
         )

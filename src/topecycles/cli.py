@@ -14,10 +14,11 @@ code is 4.
 ``main`` parses an argument list with the parser of the command its leading
 words name, recorded in ``_COMMANDS`` as ``build_parser`` adds it, and only an
 argument list that names no command (``-h``, an unknown command, none at all)
-with the whole tree.  ``_json_text`` writes every document as
-``json.dumps(doc, indent=2)`` does, and raises TypeError for a value no
-document holds.  ``topes`` cuts its strings from the one form in which the
-chambers are certified."""
+with the whole tree.  Each command returns its document and exit code, and
+``main`` writes the document (``_write``, its one call) as
+``json.dumps(doc, indent=2)`` does; ``_json_text`` raises TypeError for a
+value no document holds.  ``topes`` cuts its strings from the one form in
+which the chambers are certified."""
 
 from __future__ import annotations
 
@@ -157,11 +158,10 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
 
 def _json_text(v, pad: str) -> str:
     """``json.dumps(v, indent=2)``, its lines after the first indented by pad, for the values a document
-    holds: dicts with str keys, lists, str, int, bool and None.  Anything else raises TypeError."""
+    holds: dicts with str keys, lists, str, int and bool.  Anything else, None and tuples among it,
+    raises TypeError naming its type."""
     if isinstance(v, str):
         return encode_basestring_ascii(v)
-    if v is None:
-        return "null"
     if v is True:
         return "true"
     if v is False:
@@ -169,7 +169,7 @@ def _json_text(v, pad: str) -> str:
     if isinstance(v, int):
         return int.__repr__(v)
     inner = pad + "  "
-    if isinstance(v, (list, tuple)):
+    if isinstance(v, list):
         if not v:
             return "[]"
         try:  # a list of strings, such as the topes, in one C pass
@@ -186,7 +186,8 @@ def _json_text(v, pad: str) -> str:
 
 
 def _write(args, doc: dict) -> None:
-    """Write the document to stdout, or over the file ``--output`` names.
+    """Write the document a command returned to stdout, or over the file ``--output`` names; ``main``
+    is its one caller.
 
     The file is opened without truncation, which can cost many times the write itself,
     and written from its start; a regular file is then cut at the end of the document,
@@ -221,7 +222,7 @@ def _load_cycle_arg(spec: str, t: int):
     return io.cycle_from_doc(io.load_doc(spec))
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> tuple[dict, int]:
     if (args.r is None) == (args.kind == "moment_curve"):
         raise _UsageError("--r is required by moment_curve and accepted by no other kind")
     if args.kind == "hypercube":
@@ -229,24 +230,21 @@ def _cmd_gen(args) -> int:
     else:
         params = (args.t,) if args.r is None else (args.t, args.r)
         doc = io.arrangement_to_doc(_ARRANGEMENTS[args.kind](*params))
-    _write(args, doc)
-    return EXIT_OK
+    return doc, EXIT_OK
 
 
-def _cmd_topes(args) -> int:
+def _cmd_topes(args) -> tuple[dict, int]:
     # the document io.tope_set_to_doc(arr.t, enumerate_topes(arr)) gives, its strings cut from the
     # form the topes were certified in, so no tope is packed twice
     arr = io.arrangement_from_doc(io.load_doc(args.arrangement))
-    _write(args, {"t": arr.t, "topes": _form_texts(_tope_form(arr), arr.t)})
-    return EXIT_OK
+    return {"t": arr.t, "topes": _form_texts(_tope_form(arr), arr.t)}, EXIT_OK
 
 
-def _cmd_cycle_canonical(args) -> int:
-    _write(args, io.cycle_to_doc(canonical_hypercube_cycle(args.t)))
-    return EXIT_OK
+def _cmd_cycle_canonical(args) -> tuple[dict, int]:
+    return io.cycle_to_doc(canonical_hypercube_cycle(args.t)), EXIT_OK
 
 
-def _cmd_cycle_find(args) -> int:
+def _cmd_cycle_find(args) -> tuple[dict, int]:
     # find_symmetric_cycle's search, on minus masks read straight from the strings; its starts
     # come '+' before '-', which is ascending order for the strings
     t, members = io.tope_masks_from_doc(io.load_doc(args.topes))
@@ -255,11 +253,10 @@ def _cmd_cycle_find(args) -> int:
     else:  # read where find_symmetric_cycle reads start: when the search asks for it, after the pool checks
         starts = (_minus_mask(parse_sign_vector(s), t) for s in [args.start])
     cycle = _find_cycle_masks(members, t, starts, args.seed)
-    _write(args, {"found": False, "t": t} if cycle is None else io.cycle_to_doc(cycle))
-    return EXIT_OK
+    return {"found": False, "t": t} if cycle is None else io.cycle_to_doc(cycle), EXIT_OK
 
 
-def _cmd_cycle_validate(args) -> int:
+def _cmd_cycle_validate(args) -> tuple[dict, int]:
     t, masks = io.cycle_masks_from_doc(io.load_doc(args.cycle))
     members = None
     if args.topes:
@@ -278,39 +275,33 @@ def _cmd_cycle_validate(args) -> int:
             for k, m in enumerate(masks)
             if m not in members
         ]
-    _write(
-        args,
-        {
-            "ok": not violations,
-            "violations": [{"kind": v.kind, "where": list(v.where), "detail": v.detail} for v in violations],
-        },
-    )
-    return EXIT_OK if not violations else EXIT_INVALID
+    doc = {
+        "ok": not violations,
+        "violations": [{"kind": v.kind, "where": list(v.where), "detail": v.detail} for v in violations],
+    }
+    return doc, EXIT_OK if not violations else EXIT_INVALID
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> tuple[dict, int]:
     tope = parse_sign_vector(args.tope)
     cycle = _load_cycle_arg(args.cycle, len(tope))
-    _write(args, io.decomposition_to_doc(decompose(tope, cycle)))
-    return EXIT_OK
+    return io.decomposition_to_doc(decompose(tope, cycle)), EXIT_OK
 
 
-def _cmd_fvector(args) -> int:
+def _cmd_fvector(args) -> tuple[dict, int]:
     # a Lambda/Delta mismatch raises DecompositionError (exit 4)
     tope = parse_sign_vector(args.tope)
     cycle = _load_cycle_arg(args.cycle, len(tope))
-    _write(args, io.fvector_to_doc(lambda_face_masks(tope, cycle).f_vector))
-    return EXIT_OK
+    return io.fvector_to_doc(lambda_face_masks(tope, cycle).f_vector), EXIT_OK
 
 
-def _cmd_verify_ds(args) -> int:
+def _cmd_verify_ds(args) -> tuple[dict, int]:
     _, f = io.fvector_from_doc(io.load_doc(args.fvector))
     report = check_ds(f)
-    _write(args, io.ds_report_to_doc(report))
-    return EXIT_OK if report.passes else EXIT_VERIFY
+    return io.ds_report_to_doc(report), EXIT_OK if report.passes else EXIT_VERIFY
 
 
-def _cmd_census(args) -> int:
+def _cmd_census(args) -> tuple[dict, int]:
     t, topes = io.tope_set_from_doc(io.load_doc(args.topes))
     cycle = _load_cycle_arg(args.cycle, t)
     result = census(topes, cycle, list_topes=args.list_topes)
@@ -320,21 +311,20 @@ def _cmd_census(args) -> int:
     if sum(result.histogram.values()) == 2**result.t:
         expected = {j: 2 * comb(result.t, j) for j in range(1, result.t + 1, 2)}
     doc = io.census_to_doc(result, expected)
-    _write(args, doc)
-    return EXIT_VERIFY if doc.get("match") is False else EXIT_OK
+    return doc, EXIT_VERIFY if doc.get("match") is False else EXIT_OK
 
 
-def _cmd_nu(args) -> int:
+def _cmd_nu(args) -> tuple[dict, int]:
     arr = io.arrangement_from_doc(io.load_doc(args.arrangement))
-    counts = nu_counts(arr)
-    _write(args, {"t": arr.t, "nu": list(counts)})
-    return EXIT_OK
+    return {"t": arr.t, "nu": list(nu_counts(arr))}, EXIT_OK
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
-        return args.func(args)
+        doc, code = args.func(args)
+        _write(args, doc)
+        return code
     except (_UsageError, io.SchemaError, OSError, json.JSONDecodeError) as exc:
         print(f"topecycles: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -67,15 +67,15 @@ def sign_vector_str(v: Sequence[int]) -> str:
     return _form(v, len(v)).translate(_FORM_TEXT).decode()
 
 
-def check_sign_vector(v: Sequence[int], t: int | None = None) -> None:
-    """Raise unless every entry equals 1 or -1 (and, given t, the length is t).
+def check_sign_vector(v: Sequence[int], t: int) -> None:
+    """Raise unless every entry equals 1 or -1 and the length is t.
 
     Entries are compared by value, so 1.0, True and Fraction(1) count as +1:
     results are those for the int signs they equal, but a returned tope keeps
     the entries given.  Only the codec calls it, once a read of v has failed."""
     if None in map(_DIGIT, v):
         raise ValueError(f"not a sign vector: {tuple(v)!r}")
-    if t is not None and len(v) != t:
+    if len(v) != t:
         raise DimensionError(f"sign vector has length {len(v)}, expected {t}")
 
 
@@ -146,10 +146,9 @@ def _text_forms(texts: list, t: int) -> bytes:
 
 
 def _texts(vs: Collection[Sequence[int]], t: int) -> list[str]:
-    """The '+'/'-' strings of the sign vectors vs, from their joined forms (``_form_texts``).  The
-    first v that is not t signs raises what ``check_sign_vector`` raises."""
-    form = _forms(vs, t)
-    return _form_texts(form, t) if t else [""] * len(vs)
+    """The '+'/'-' strings of the sign vectors vs of length t >= 1, from their joined forms
+    (``_form_texts``).  The first v that is not t signs raises what ``check_sign_vector`` raises."""
+    return _form_texts(_forms(vs, t), t)
 
 
 def _form_texts(form: bytes, t: int) -> list[str]:
@@ -183,12 +182,12 @@ def _mask_form(m: int, t: int) -> bytes:
     return format(m, f"0{t}b")[::-1].encode()
 
 
-def _minus_mask(v: Sequence[int], t: int | None = None) -> int:
-    """The elements where the sign vector v is -: bit e-1 is set iff v(e) = -1.
+def _minus_mask(v: Sequence[int], t: int) -> int:
+    """The elements where the sign vector v of length t is -: bit e-1 is set iff v(e) = -1.
 
     Entries are read by value, as ``check_sign_vector`` reads them, and anything else (an entry
-    other than +1 or -1, or a length other than t, when t is given) raises what it raises."""
-    return int(_form(v, len(v) if t is None else t)[::-1], 2)
+    other than +1 or -1, or a length other than t) raises what it raises."""
+    return int(_form(v, t)[::-1], 2)
 
 
 def _minus_masks(vs: Sequence[Sequence[int]], t: int) -> list[int]:

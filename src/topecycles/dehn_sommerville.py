@@ -1,7 +1,7 @@
 """Exact verification of the Dehn-Sommerville type identities satisfied by
 long f-vectors: boundary rows, a palindromic polynomial identity checked at
-the coefficient level, the row recurrence read off that identity's
-residual, an alternating sum, and closed-form spot checks for t in {5, 6, 7}."""
+the coefficient level by one Horner pass, the row recurrence read off that
+identity's residual, an alternating sum, and closed-form spot checks for t in {5, 6, 7}."""
 
 from __future__ import annotations
 
@@ -43,52 +43,38 @@ def _t_of(f: Sequence[int]) -> int:
     return len(f) - 1
 
 
-def ds_polynomial_sides(f: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Degree-ascending coefficients of both sides of the polynomial identity
-
-        sum_{j=3..t} (C(t,j) - f_j) (x-1)^(t-j)
-            ==  - sum_{j=3..t} (-1)^j (C(t,j) - f_j) x^(t-j).
-
-    Both sides have degree at most t-3, hence t-2 coefficients.  The left
-    side is built by Horner steps, lhs <- lhs * (x-1) + d_j for j = 3..t.
-    """
-    t = _t_of(f)
-    lhs: list[int] = []
-    rhs = [0] * max(t - 2, 0)
-    for j in range(3, t + 1):
-        d = comb(t, j) - f[j]
-        lhs = [xl - l for xl, l in zip([0] + lhs, lhs + [0])]  # x * lhs - lhs
-        lhs[0] += d
-        rhs[t - j] -= d * (-1) ** j
-    return tuple(lhs), tuple(rhs)
-
-
 def check_ds(f: Sequence[int]) -> DSReport:
     """Full report on one long f-vector: boundary rows f_j = C(t,j) for j <= 2
     and f_{t-1} = f_t = 0, the coefficient-level polynomial residual, the row
     recurrence, the alternating sum, and any special-case notes.
 
-    The row recurrence for 3 <= j <= t-2,
+    With d_j = C(t,j) - f_j, the residual is the t-2 degree-ascending
+    coefficients of left minus right in the polynomial identity
 
-        C(t,j) - f_j  ==  - sum_{i=3..j} (-1)^i C(t-i, j-i) (C(t,i) - f_i),
+        sum_{j=3..t} d_j (x-1)^(t-j)  ==  - sum_{j=3..t} (-1)^j d_j x^(t-j),
 
-    is the coefficient of x^(t-j) in the polynomial identity, multiplied by
-    (-1)^j, so row j holds exactly when that residual coefficient is zero.
-    It is empty (vacuously true) when t < 5.
+    built by Horner steps residual <- residual * (x-1) + d_j for j = 3..t,
+    then (-1)^j d_j added at x^(t-j).  Row j of the recurrence (3 <= j <= t-2,
+    none when t < 5), d_j == - sum_{i=3..j} (-1)^i C(t-i, j-i) d_i, is (-1)^j
+    times the coefficient of x^(t-j), so it holds exactly when that is zero.
 
     The report passes exactly when the boundary rows hold and the residual
     is zero.  The alternating sum cannot fail on its own: at x = 1 the
-    identity reads d_t == -sum_{j=3..t} (-1)^j d_j with d_j = C(t,j) - f_j,
-    and once f_0..f_2 are binomial and f_{t-1} = f_t = 0, that equation is
-    the alternating sum being zero."""
+    identity reads d_t == -sum_{j=3..t} (-1)^j d_j, which, once f_0..f_2 are
+    binomial and f_{t-1} = f_t = 0, is the alternating sum being zero."""
     t = _t_of(f)
     boundary = all(f[j] == comb(t, j) for j in range(min(2, t) + 1)) and f[t - 1] == f[t] == 0
-    lhs, rhs = ds_polynomial_sides(f)
-    residual = tuple(a - b for a, b in zip(lhs, rhs))
+    d = [comb(t, j) - f[j] for j in range(3, t + 1)]
+    residual: list[int] = []
+    for dj in d:
+        residual = [xr - r for xr, r in zip([0] + residual, residual + [0])]  # x * residual - residual
+        residual[0] += dj
+    for j, dj in enumerate(d, 3):
+        residual[t - j] += -dj if j % 2 else dj
     return DSReport(
         t=t,
         boundary_ok=boundary,
-        polynomial_residual=residual,
+        polynomial_residual=tuple(residual),
         alternating_sum=sum(f[2 : t - 1 : 2]) - sum(f[1 : t - 1 : 2]),  # sum of (-1)^j f_j, 1 <= j <= t-2
         special_case_notes=_special_cases(f, t),
     )

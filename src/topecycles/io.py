@@ -120,7 +120,12 @@ def arrangement_from_doc(doc: dict) -> Arrangement:
 
 
 def tope_set_to_doc(t: int, topes: list[SignVector]) -> dict:
-    """The topes as '+'/'-' strings; a tope that is not t signs raises what ``check_sign_vector`` raises."""
+    """The topes as '+'/'-' strings; a tope that is not t signs raises what ``check_sign_vector`` raises,
+    and t < 1 or no topes, which ``tope_set_from_doc`` rejects, raise ValueError."""
+    if t < 1:
+        raise ValueError(f"a tope set needs t >= 1, got t={t}")
+    if not topes:
+        raise ValueError(f"t={t} but no topes given")
     return {"t": t, "topes": _texts(topes, t)}
 
 
@@ -181,7 +186,9 @@ def decomposition_to_doc(d: Decomposition) -> dict:
 
 
 def fvector_to_doc(f: tuple[int, ...]) -> dict:
-    """The long f-vector f_0..f_t, with t = len(f) - 1."""
+    """The long f-vector f_0..f_t, t = len(f) - 1; t < 1, which ``fvector_from_doc`` rejects, raises ValueError."""
+    if len(f) < 2:
+        raise ValueError(f"an f-vector needs t >= 1, got t={len(f) - 1} from {list(f)}")
     return {"t": len(f) - 1, "f": list(f)}
 
 

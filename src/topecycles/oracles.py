@@ -11,7 +11,7 @@ from itertools import compress
 from operator import xor
 from typing import Iterable, Sequence
 
-from .arrangements import Arrangement, ccw_half_turn_counts, primitive_vector
+from .arrangements import Arrangement, _half_turn_counts, primitive_vector
 from .complexes import _face_counts
 from .core import DimensionError, SignVector, _first_offender, _minus_columns, _selectors
 from .cycles import SymmetricCycle
@@ -52,7 +52,7 @@ def nu_counts(vectors: Arrangement | Sequence[Sequence]) -> tuple[int, ...]:
     arr = vectors if isinstance(vectors, Arrangement) else Arrangement(vectors)
     if arr.dim != 2:
         raise ValueError("subsystem counts are defined for rank-2 (dim 2) systems")
-    counts = ccw_half_turn_counts(arr.rows)
+    counts = _half_turn_counts(arr.rows)
     nu = _face_counts(counts, arr.t)
     if nu[-1]:
         raise FullSystemFeasibleError("the full system is feasible; counts apply to infeasible systems")
@@ -78,7 +78,7 @@ def check_halfplane_condition(vectors: Sequence[Sequence]) -> HalfplaneCheck:
         dirs.append(d)
     if not dirs:
         return HalfplaneCheck(False, 0, (Fraction(1), Fraction(0)))
-    best_count, (x, y) = min(zip(ccw_half_turn_counts(dirs), dirs))
+    best_count, (x, y) = min(zip(_half_turn_counts(dirs), dirs))
     holds = best_count >= 2
     witness = None if holds else (Fraction(-y), Fraction(x))
     return HalfplaneCheck(holds, best_count, witness)

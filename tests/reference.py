@@ -1,13 +1,14 @@
 """Reference implementations that the tests compare the package against,
 kept out of the package: the decomposition by enumerating all 2^(2t) vertex
 subsets, the decomposition of all-plus by maximal positive parts, rank-2
-feasibility by the half-turn count of the distinct directions, strict
+feasibility by the half-turn count of the distinct directions, the half-turn
+counts of planar vectors by one determinant per unordered pair, strict
 feasibility in any dimension by Fourier-Motzkin elimination, the chambers of
 an arrangement by deletion-restriction down to dimension 0, the chamber
 certificate by substituting each witness into every row, primitive rows
 through Fraction arithmetic, (anti)parallel normals by 2x2 minors, the
 chamber count of a rank-3 arrangement by Zaslavsky's theorem, the
-Dehn-Sommerville row recurrence summed row by row, the left side of the
+Dehn-Sommerville row recurrence summed row by row, both sides of the
 Dehn-Sommerville polynomial identity expanded by binomials, long f-vectors
 by counting listed faces and by summing binomials, the faces of a complex
 listed from its facets, the depth-first search for a symmetric cycle by
@@ -28,7 +29,7 @@ from math import comb
 from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
-from topecycles.arrangements import _primitive, ccw_half_turn_counts, primitive_vector
+from topecycles.arrangements import _primitive, primitive_vector
 from topecycles.core import (
     DimensionError,
     SignVector,
@@ -54,7 +55,7 @@ def all_plus(t: int) -> SignVector:
 
 def text_mask(text: str) -> int:
     """The minus mask of a '+'/'-' string; raises as ``parse_sign_vector`` does."""
-    return _minus_mask(parse_sign_vector(text))
+    return _minus_mask(parse_sign_vector(text), len(text))
 
 
 def flip(v: Sequence[int], e: int) -> SignVector:
@@ -136,7 +137,21 @@ def rank2_feasible(vectors: Sequence[Sequence]) -> bool:
         if not any(d):
             raise ValueError("zero vector in rank-2 feasibility test")
         dirs.add(d)
-    return len(dirs) <= 1 or len(dirs) - 1 in ccw_half_turn_counts(list(dirs))
+    return len(dirs) <= 1 or len(dirs) - 1 in half_turn_counts_by_pairs(list(dirs))
+
+
+def half_turn_counts_by_pairs(vectors: Sequence[Sequence]) -> list[int]:
+    """For each planar vector d, how many of the vectors lie strictly inside the open half-turn
+    counterclockwise of d.  Each unordered pair is compared once: the sign of its 2x2 determinant says
+    which of the two sees the other, and a zero one (parallel, antiparallel or equal) counts for neither."""
+    counts = [0] * len(vectors)
+    for (i, (dx, dy)), (k, (ax, ay)) in combinations(enumerate(vectors), 2):
+        det = dx * ay - dy * ax
+        if det > 0:
+            counts[i] += 1
+        elif det < 0:
+            counts[k] += 1
+    return counts
 
 
 def strict_feasible(vectors: Sequence[Sequence[int | Fraction]]) -> bool:

@@ -24,6 +24,7 @@ from topecycles.oracles import check_halfplane_condition
 from reference import (
     certify_by_substitution,
     chambers_by_restriction,
+    half_turn_counts_by_pairs,
     primitive_vector_by_fractions,
     rank2_feasible,
     strict_feasible,
@@ -188,6 +189,22 @@ def test_rank2_agrees_with_fourier_motzkin():
     for size in range(1, len(pool) + 1):
         for sub in combinations(pool, size):
             assert rank2_feasible(sub) == strict_feasible(sub), sub
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any), min_size=1, max_size=8),
+    st.lists(st.tuples(st.integers(0, 7), st.sampled_from((-3, -2, -1, 1, 2, 3))), max_size=8),
+)
+@example([(1, 0), (0, 1)], [(0, -1), (0, 2), (1, -1), (1, 1)])
+def test_half_turn_counts_match_the_pairwise_oracle_element_by_element(base, copies):
+    # the base vectors and multiples of them: repeats (k > 0) and antiparallel copies (k < 0), which lie on
+    # the boundary of each other's half-turn and count for neither
+    vectors = base + [tuple(k * c for c in base[i % len(base)]) for i, k in copies]
+    counts, expected = arrangements._half_turn_counts(vectors), half_turn_counts_by_pairs(vectors)
+    assert len(counts) == len(expected) == len(vectors)
+    for d, got, want in zip(vectors, counts, expected):
+        assert got == want, (d, vectors)
 
 
 def test_enumerate_topes_rank2_fan():

@@ -185,7 +185,7 @@ def test_broken_decomposition_raises_not_asserts(monkeypatch):
 
     cycle = canonical_hypercube_cycle(3)
     tope = (1, 1, 1)
-    monkeypatch.setattr(complexes, "_coefficients", lambda T, c: (tuple(T), _minus_mask(T), (1, 1, 0)))
+    monkeypatch.setattr(complexes, "_coefficients", lambda T, c: (tuple(T), _minus_mask(T, c.t), (1, 1, 0)))
     with pytest.raises(DecompositionError):
         lambda_face_masks(tope, cycle)
 
@@ -199,7 +199,7 @@ def test_lambda_facets_other_than_delta_facets_raise(monkeypatch):
     coeffs = tuple(c if i in kept else 0 for i, c in enumerate(coeffs))
     members = tuple(C5.vertices[i if coeffs[i] > 0 else i + 5] for i in kept)
     assert sorted(agreement_mask(T5, q) for q in members) != list(delta_face_masks(T5, C5).facets)
-    monkeypatch.setattr(complexes, "_coefficients", lambda T, c: (tuple(T), _minus_mask(T), coeffs))
+    monkeypatch.setattr(complexes, "_coefficients", lambda T, c: (tuple(T), _minus_mask(T, c.t), coeffs))
     with pytest.raises(DecompositionError):
         lambda_face_masks(T5, C5)
 

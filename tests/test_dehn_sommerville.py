@@ -6,14 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from topecycles.arrangements import ccw_half_turn_counts, enumerate_topes, hypercube_topes, moment_curve, rank2_fan
+from topecycles.arrangements import enumerate_topes, hypercube_topes, moment_curve, rank2_fan
 from topecycles.complexes import lambda_face_masks
 from topecycles.cycles import canonical_hypercube_cycle, find_symmetric_cycle
 from topecycles.decomposition import decompose
-from topecycles.dehn_sommerville import check_ds, ds_polynomial_sides
+from topecycles.dehn_sommerville import check_ds
 from topecycles.oracles import FullSystemFeasibleError, nu_counts
 
-from reference import check_recurrence, ds_polynomial_sides_by_binomials
+from reference import check_recurrence, ds_polynomial_sides_by_binomials, half_turn_counts_by_pairs
 
 F5 = (1, 5, 10, 5, 0, 0)
 F6 = (1, 6, 15, 12, 3, 0, 0)
@@ -21,6 +21,12 @@ F6 = (1, 6, 15, 12, 3, 0, 0)
 
 def poly_eval(coeffs, x):
     return sum(c * x**i for i, c in enumerate(coeffs))
+
+
+def side_difference(f):
+    """lhs - rhs of the polynomial identity, coefficient by coefficient, from the binomial expansion."""
+    lhs, rhs = ds_polynomial_sides_by_binomials(f)
+    return tuple(a - b for a, b in zip(lhs, rhs))
 
 
 def test_t5_passes():
@@ -34,15 +40,17 @@ def test_t5_passes():
 
 
 def test_t5_polynomial_sides_are_5x2_minus_5x_plus_1():
-    lhs, rhs = ds_polynomial_sides(F5)
+    lhs, rhs = ds_polynomial_sides_by_binomials(F5)
     assert lhs == rhs == (1, -5, 5)
+    assert check_ds(F5).polynomial_residual == side_difference(F5) == (0, 0, 0)
 
 
 def test_t6_passes_with_sides_8x3_minus_12x2_plus_6x_minus_1():
     report = check_ds(F6)
     assert report.passes
-    lhs, rhs = ds_polynomial_sides(F6)
+    lhs, rhs = ds_polynomial_sides_by_binomials(F6)
     assert lhs == rhs == (-1, 6, -12, 8)
+    assert report.polynomial_residual == side_difference(F6) == (0, 0, 0, 0)
 
 
 def test_t5_perturbed_f3_fails_with_nonzero_residual():
@@ -53,7 +61,7 @@ def test_t5_perturbed_f3_fails_with_nonzero_residual():
 
 def test_residual_symmetric_under_side_exchange():
     for f in (F5, F6, (1, 5, 10, 6, 0, 0)):
-        lhs, rhs = ds_polynomial_sides(f)
+        lhs, rhs = ds_polynomial_sides_by_binomials(f)
         report = check_ds(f)
         assert report.polynomial_residual == tuple(a - b for a, b in zip(lhs, rhs))
         assert tuple(-(b - a) for a, b in zip(lhs, rhs)) == report.polynomial_residual
@@ -63,12 +71,15 @@ def test_coefficient_expansion_agrees_with_pointwise_evaluation():
     # evaluate both sides directly at t-2 distinct integer points
     for f in (F5, F6, (1, 5, 10, 6, 0, 0), (1, 7, 21, 24, 13, 3, 0, 0)):
         t = len(f) - 1
-        lhs, rhs = ds_polynomial_sides(f)
+        lhs, rhs = ds_polynomial_sides_by_binomials(f)
+        residual = check_ds(f).polynomial_residual
+        assert residual == side_difference(f)
         for x in range(2, t):
             direct_lhs = sum((comb(t, j) - f[j]) * (x - 1) ** (t - j) for j in range(3, t + 1))
             direct_rhs = -sum((-1) ** j * (comb(t, j) - f[j]) * x ** (t - j) for j in range(3, t + 1))
             assert poly_eval(lhs, x) == direct_lhs
             assert poly_eval(rhs, x) == direct_rhs
+            assert poly_eval(residual, x) == direct_lhs - direct_rhs
 
 
 @settings(max_examples=300, deadline=None)
@@ -78,7 +89,8 @@ def test_coefficient_expansion_agrees_with_pointwise_evaluation():
 @example([1, 3, 3, 5])
 @example([1, 3, 3, 1])
 def test_horner_sides_match_binomial_expansion(f):
-    assert ds_polynomial_sides(f) == ds_polynomial_sides_by_binomials(f)
+    # check_ds's one Horner pass gives lhs - rhs of the binomially expanded sides
+    assert check_ds(f).polynomial_residual == side_difference(f)
 
 
 def test_recurrence_t5_j3():
@@ -303,7 +315,7 @@ def test_the_law_is_the_two_per_half_plane_condition_on_the_reoriented_fan():
         cycle = canonical_hypercube_cycle(t)
         for tope in hypercube_topes(t):
             size, f, V = len(decompose(tope, cycle).members), lambda_face_masks(tope, cycle).f_vector, reoriented_fan(tope)
-            assert check_ds(f).passes == (min(ccw_half_turn_counts(V)) >= 2), tope
+            assert check_ds(f).passes == (min(half_turn_counts_by_pairs(V)) >= 2), tope
             if size >= 3:
                 assert f == nu_counts(V), tope
             else:  # V lies in one open half-plane: every subset is a face
@@ -323,7 +335,7 @@ def test_the_law_is_the_two_per_half_plane_condition_up_to_t200(tope):
     # and a palindromic n with n_0 = [|Q| = 1]
     cycle = cached_canonical_cycle(len(tope))
     size, f, V = len(decompose(tope, cycle).members), lambda_face_masks(tope, cycle).f_vector, reoriented_fan(tope)
-    assert check_ds(f).passes == (min(ccw_half_turn_counts(V)) >= 2)
+    assert check_ds(f).passes == (min(half_turn_counts_by_pairs(V)) >= 2)
     if size >= 3:
         assert f == nu_counts(V)
     n = growing_mask_sizes(tope, cycle)

@@ -97,7 +97,7 @@ def test_tope_writers_write_only_what_the_reader_reads():
     assert doc["topes"] == {"1": ["++", "--"], "3": ["+-"]}
 
 
-@given(st.integers(1, 12).flatmap(lambda t: st.tuples(st.just(t), st.lists(st.tuples(*[st.sampled_from((1, -1))] * t)))))
+@given(st.integers(1, 12).flatmap(lambda t: st.tuples(st.just(t), st.lists(st.tuples(*[st.sampled_from((1, -1))] * t), min_size=1))))
 def test_tope_set_doc_writes_each_tope_as_sign_vector_str_does(t_topes):
     t, topes = t_topes
     assert io.tope_set_to_doc(t, topes) == {"t": t, "topes": [sign_vector_str(v) for v in topes]}
@@ -185,9 +185,9 @@ def test_mask_readers_read_what_the_tuple_readers_read(doc):
         masks = read_masks(d)
         if read_masks is io.tope_masks_from_doc:
             t, vs = expected
-            assert masks == (t, {_minus_mask(v): sign_vector_str(v) for v in vs})
+            assert masks == (t, {_minus_mask(v, t): sign_vector_str(v) for v in vs})
         else:
-            assert masks == (d["t"], [_minus_mask(parse_sign_vector(s)) for s in d["vertices"]])
+            assert masks == (d["t"], [_minus_mask(parse_sign_vector(s), d["t"]) for s in d["vertices"]])
             assert expected in (None, tuple(masks[1]))
 
 
@@ -244,6 +244,45 @@ def test_decomposition_doc():
 def test_readers_reject_nonpositive_t(read, fields, t):
     with pytest.raises(io.SchemaError, match="'t' must be >= 1"):
         read({"t": t, **fields})
+
+
+@pytest.mark.parametrize(
+    "write, message",
+    [
+        (lambda: io.tope_set_to_doc(0, [()]), "a tope set needs t >= 1, got t=0"),
+        (lambda: io.tope_set_to_doc(3, []), "t=3 but no topes given"),
+        (lambda: io.fvector_to_doc((1,)), "an f-vector needs t >= 1, got t=0 from [1]"),
+        (lambda: io.fvector_to_doc(()), "an f-vector needs t >= 1, got t=-1 from []"),
+    ],
+    ids=["tope-set-t0", "tope-set-empty", "fvector-t0", "fvector-empty"],
+)
+def test_the_writers_raise_for_what_their_readers_reject(write, message):
+    # a document with t < 1 or no topes would be a SchemaError when read back, so none is written
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as excinfo:
+        write()
+    assert type(excinfo.value) is ValueError
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(-1, 8).flatmap(
+        lambda t: st.tuples(st.just(t), st.lists(st.tuples(*[st.sampled_from((1, -1))] * max(t, 0)), max_size=5))
+    ),
+    st.lists(st.integers(-(10**30), 10**30), max_size=8).map(tuple),
+)
+def test_every_tope_set_and_fvector_document_written_reads_back_equal(t_topes, f):
+    # through its JSON text; an input whose document the reader would reject raises instead
+    t, topes = t_topes
+    if t >= 1 and topes:
+        assert io.tope_set_from_doc(json.loads(json.dumps(io.tope_set_to_doc(t, topes)))) == (t, topes)
+    else:
+        with pytest.raises(ValueError, match="t >= 1|no topes"):
+            io.tope_set_to_doc(t, topes)
+    if len(f) >= 2:
+        assert io.fvector_from_doc(json.loads(json.dumps(io.fvector_to_doc(f)))) == (len(f) - 1, f)
+    else:
+        with pytest.raises(ValueError, match="t >= 1"):
+            io.fvector_to_doc(f)
 
 
 def test_fvector_doc_round_trip_and_length_check():
