@@ -129,14 +129,16 @@ def enumerate_topes(arr: Arrangement) -> list[SignVector]:
     arrangement is central, so C is a chamber with interior point x exactly
     when -C is one with interior point -x, and every restriction of a central
     arrangement is central too: the same half is all the recursion needs at
-    every level, and the other half is the negations of the first, keys and
-    points (``_chambers``).  The certificate still checks every chamber's
-    point, the negated ones included.
+    every level (``_half_chambers``), and the other half is the complements of
+    its keys, in reverse order (``_tope_form``), no negated point built.  The
+    certificate still checks every chamber against an exact point, the
+    negated ones against -x, whose signs it reads off x's slots.
 
     The certificate runs one pass per row over all n chambers at once
-    (``_certify``), in exact integer arithmetic.  Coordinate i of the points
-    is one big integer X_i with one slot of W bits per chamber, holding
-    x_i + M_i, where M_i is the largest |x_i|, so no slot is negative.  For a
+    (``_certify``), in exact integer arithmetic.  Coordinate i of the m = n/2
+    points x of the half is one big integer X_i with one slot of W bits per
+    point, holding x_i + M_i, where M_i is the largest |x_i|, so no slot is
+    negative.  For a
     row a, S = sum_i a_i X_i holds a.x + c in each slot, c = sum_i a_i M_i.
     Every |a.x| is at most B - 1, with the bound B = max_a sum_i |a_i| M_i + 1,
     and W is the least multiple of 8 with 2^(W-1) > B.  Then
@@ -145,77 +147,75 @@ def enumerate_topes(arr: Arrangement) -> list[SignVector]:
     borrows from or carries into its neighbour, and a slot's top (guard) bit
     is set iff a.x >= 1.  Subtracted from (2^W - 2) * ones it leaves
     2^(W-1) - a.x - 1, also in [0, 2^W), whose guard bit is set iff a.x <= -1.
+    Since a.(-x) = -a.x exactly, the two guard bits of x's slot are also the
+    signs of a.(-x) the other way round, so the m slots decide all n chambers.
     """
     return _signs(_tope_form(arr), arr.t)
 
 
 def _tope_form(arr: Arrangement) -> bytes:
     """The codec's joined form of the certified topes ``enumerate_topes`` lists, in its order: the
-    sorted keys are read into the form once, and the certificate and every output cut from it.
-    ``_chambers`` lists the cells in key order already, so the sort is one pass over them."""
-    cells = sorted(_chambers(arr.rows, arr.dim), key=itemgetter(0))
-    form = _key_form([key for key, _ in cells], arr.t)
-    _certify(arr.rows, form, [x for _, x in cells])
+    keys of the half, sorted, then their complements in reverse, read into the form once, and the
+    certificate and every output cut from it.  Above the plane ``_half_chambers`` lists the cells in
+    key order already, so the sort is one pass over them."""
+    half = sorted(_half_chambers(arr.rows, arr.dim), key=itemgetter(0))
+    keys = [key for key, _ in half]
+    everyone = (1 << arr.t) - 1
+    form = _key_form(keys + [key ^ everyone for key in reversed(keys)], arr.t)
+    _certify(arr.rows, form, [x for _, x in half])
     return form
 
 
 _GUARD_DIGIT = bytes(49 if b & 128 else 48 for b in range(256))  # a byte's top bit as the digit "0" or "1"
 
 
-def _certify(rows: Sequence[tuple[int, ...]], form: bytes, points: Sequence[tuple[int, ...]]) -> None:
-    """Raise RuntimeError naming the first tope of the joined form, with its point, in list order, whose
-    point x is not strictly on its sign's side of every row, or return: the bit-sliced certificate
-    ``enumerate_topes`` describes.  Each row's guard bits for all cells are read at once, as the top bits
-    of the slots' top bytes, and compared with the row's column of minus signs, cut from the form; the
-    lowest bit of the rows' ORed mismatches is the first bad cell."""
-    n = len(points)
-    columns = list(zip(*points))
+def _certify(rows: Sequence[tuple[int, ...]], form: bytes, half_points: Sequence[tuple[int, ...]]) -> None:
+    """Raise RuntimeError naming the first tope of the joined form of n = 2m topes, with its point, in
+    list order, whose point is not strictly on its sign's side of every row, or return: the bit-sliced
+    certificate ``enumerate_topes`` describes.  Tope k < m has the point x_k of half_points, and tope
+    n-1-k its negation -x_k, so slots are built for the m half points alone.  Each row's guard bits are
+    read at once, as the top bits of the slots' top bytes: P (a.x_k >= 1) and Q (a.x_k <= -1), slot
+    m-1 first.  Since a.(-x) = -a.x, Q is where -x_k is on the + side and P where it is on the - side,
+    so the n-bit words are Q reversed then P, and P reversed then Q; they are compared with the row's
+    column of minus signs, cut from the form, and the lowest bit of the rows' ORed mismatches is the
+    first bad tope."""
+    m = len(half_points)
+    columns = list(zip(*half_points))
     bounds = [max(map(abs, column)) for column in columns]
     w = (max(sum(map(mul, map(abs, a), bounds)) for a in rows) + 1).bit_length() // 8 + 1  # least with 2^(8w-1) > B
     slots = [
-        int.from_bytes(b"".join(map(int.to_bytes, map(add, column, repeat(m)), repeat(w), repeat("little"))), "little")
-        for column, m in zip(columns, bounds)
+        int.from_bytes(b"".join(map(int.to_bytes, map(add, column, repeat(bound)), repeat(w), repeat("little"))), "little")
+        for column, bound in zip(columns, bounds)
     ]
-    ones = int.from_bytes(b"\1".ljust(w, b"\0") * n, "little")
-    half, size, everyone = 1 << (8 * w - 1), n * w, (1 << n) - 1
-    mirror = (2 * half - 2) * ones  # 2^W - 2 in every slot
+    ones = int.from_bytes(b"\1".ljust(w, b"\0") * m, "little")
+    guard, size, everyone = 1 << (8 * w - 1), m * w, (1 << 2 * m) - 1
+    mirror = (2 * guard - 2) * ones  # 2^W - 2 in every slot
     bad = 0
     for a, minus in zip(rows, _form_columns(form, len(rows))):
-        plus_side = sum(map(mul, a, slots)) + (half - 1 - sum(map(mul, a, bounds))) * ones  # 2^(W-1) + a.x - 1
-        minus_side = mirror - plus_side  # 2^(W-1) - a.x - 1
-        plus_ok, minus_ok = _guard_bits(plus_side, size, w), _guard_bits(minus_side, size, w)
+        plus_side = sum(map(mul, a, slots)) + (guard - 1 - sum(map(mul, a, bounds))) * ones  # 2^(W-1) + a.x - 1
+        p, q = _guard_digits(plus_side, size, w), _guard_digits(mirror - plus_side, size, w)
+        plus_ok, minus_ok = int(q[::-1] + p, 2), int(p[::-1] + q, 2)
         bad |= (plus_ok ^ minus ^ everyone) | (minus_ok ^ minus)
     if bad:
         k = (bad & -bad).bit_length() - 1
-        raise RuntimeError(f"witness {points[k]} does not certify tope {_form_texts(form, len(rows))[k]}")
+        x = half_points[k] if k < m else tuple(map(neg, half_points[2 * m - 1 - k]))
+        raise RuntimeError(f"witness {x} does not certify tope {_form_texts(form, len(rows))[k]}")
 
 
-def _guard_bits(v: int, size: int, w: int) -> int:
-    """The top bit of each w-byte slot of the size-byte integer v, slot k as bit k."""
-    return int(v.to_bytes(size, "big")[::w].translate(_GUARD_DIGIT), 2)
-
-
-def _chambers(rows: Sequence[tuple[int, ...]], dim: int) -> list[tuple[int, tuple[int, ...]]]:
-    """Each chamber of the central arrangement of at least one nonzero
-    primitive integer row in Z^dim, as (key, integer interior point), sorted
-    by key (the order ``enumerate_topes`` lists).  The key is the sign vector
-    over the rows: row 1 is its top bit and a set bit means -.  Rows may
-    repeat up to sign: a repeat takes the sign of its first occurrence
-    (negated if antiparallel) and splits nothing.
-
-    The arrangement is central, so x is inside a chamber C exactly when -x is
-    inside -C: the chambers come in antipodal pairs, one of each on the +
-    side of row 1.  ``_half_chambers`` builds that side alone; sorted, its
-    keys all lie below 2^(t-1), and the complements of the keys, taken in
-    reverse, are the other side in order, each witnessed by the negated point."""
-    half = sorted(_half_chambers(rows, dim), key=itemgetter(0))
-    everyone = (1 << len(rows)) - 1
-    return half + [(key ^ everyone, tuple(map(neg, x))) for key, x in reversed(half)]
+def _guard_digits(v: int, size: int, w: int) -> bytes:
+    """The top bit of each w-byte slot of the size-byte integer v as a binary digit, the top slot first."""
+    return v.to_bytes(size, "big")[::w].translate(_GUARD_DIGIT)
 
 
 def _half_chambers(rows: Sequence[tuple[int, ...]], dim: int) -> list[tuple[int, tuple[int, ...]]]:
-    """The chambers of ``_chambers`` on the + side of row 1 (their keys' top
-    bit clear), for at least one row, in no promised order.
+    """The chambers on the + side of row 1 of the central arrangement of at
+    least one nonzero primitive integer row in Z^dim, as (key, integer
+    interior point), in no promised order.  The key is the sign vector over
+    the rows: row 1 is its top bit (clear on this side) and a set bit means
+    -.  Rows may repeat up to sign: a repeat takes the sign of its first
+    occurrence (negated if antiparallel) and splits nothing.  The
+    arrangement is central, so x is inside a chamber C exactly when -x is
+    inside -C: these chambers and their antipodes are all of them.
 
     In dimension 2 the chambers come in closed form (``_planar_chambers``), so
     the recursion stops there; in every other dimension (above 2, or the 1 of
@@ -273,7 +273,7 @@ def _half_chambers(rows: Sequence[tuple[int, ...]], dim: int) -> list[tuple[int,
 def _planar_chambers(rows: Sequence[tuple[int, ...]]) -> list[tuple[int, tuple[int, ...]]]:
     """The chambers on the + side of row 1 of at least one nonzero primitive
     row in Z^2, rows that may repeat up to sign, in counterclockwise order:
-    the sectors between the distinct lines, keyed as in ``_chambers``.
+    the sectors between the distinct lines, keyed as in ``_half_chambers``.
 
     Each line's direction is taken in the half-open upper half-plane
     (y > 0, or y = 0 < x), and the directions are sorted by the exact sign of

@@ -18,17 +18,18 @@ with the whole tree.  Each command returns its document and exit code, and
 ``main`` writes the document (``_write``, its one call) as
 ``json.dumps(doc, indent=2)`` does; ``_json_text`` raises TypeError for a
 value no document holds.  ``topes`` cuts its strings from the one form in
-which the chambers are certified."""
+which the chambers are certified, and ``census`` cuts its columns from the
+form of the strings it reads and lists those strings."""
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import stat
 import sys
 import traceback
+from itertools import compress
 from json.encoder import encode_basestring_ascii
 from math import comb
 from typing import Sequence
@@ -36,11 +37,11 @@ from typing import Sequence
 from . import io
 from .arrangements import _tope_form, hypercube_topes, moment_curve, rank2_fan, totally_cyclic_fan
 from .complexes import lambda_face_masks
-from .core import DimensionError, Violation, _form_texts, _mask_text, _minus_mask, parse_sign_vector
+from .core import DimensionError, Violation, _form_columns, _form_texts, _mask_text, _minus_mask, _selectors, parse_sign_vector
 from .cycles import CycleError, SymmetricCycle, _find_cycle_masks, canonical_hypercube_cycle
 from .decomposition import decompose
 from .dehn_sommerville import check_ds
-from .oracles import census, nu_counts
+from .oracles import _size_classes, nu_counts
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -302,15 +303,24 @@ def _cmd_verify_ds(args) -> tuple[dict, int]:
 
 
 def _cmd_census(args) -> tuple[dict, int]:
-    t, topes = io.tope_set_from_doc(io.load_doc(args.topes))
+    """The document of ``io.census_to_doc(census(topes, cycle, list_topes))``, built from the strings as
+    read with no tuple: the distinct strings' form is cut into the t minus columns for census's planes
+    and adders (``_size_classes``), and a listed class is its strings in ascending order, census's
+    order, since '+' < '-'."""
+    t, strings, form = io._distinct_tope_texts(io.load_doc(args.topes))
     cycle = _load_cycle_arg(args.cycle, t)
-    result = census(topes, cycle, list_topes=args.list_topes)
+    if cycle.t != t:
+        raise DimensionError(f"tope length {t} does not match cycle ground set t={cycle.t}")
+    n = len(strings)
+    classes = _size_classes(_form_columns(form, t), n, cycle)
+    histogram = {s: m.bit_count() for s, m in classes}
     expected = None
-    # census counts distinct topes of the cycle's length, so 2^t of them are the whole hypercube;
-    # the cycle's t, unlike the document's, is bounded by the data, so 2^t stays cheap
-    if sum(result.histogram.values()) == 2**result.t:
-        expected = {j: 2 * comb(result.t, j) for j in range(1, result.t + 1, 2)}
-    doc = io.census_to_doc(result, expected)
+    # the topes are distinct and of the cycle's length, so 2^t of them are the whole hypercube;
+    # t is the length of the strings read, so 2^t stays cheap
+    if n == 2**t:
+        expected = {j: 2 * comb(t, j) for j in range(1, t + 1, 2)}
+    listed = {s: sorted(compress(strings, _selectors(m, n))) for s, m in classes} if args.list_topes else None
+    doc = io._census_doc(t, histogram, expected, listed)
     return doc, EXIT_VERIFY if doc.get("match") is False else EXIT_OK
 
 
@@ -325,7 +335,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         doc, code = args.func(args)
         _write(args, doc)
         return code
-    except (_UsageError, io.SchemaError, OSError, json.JSONDecodeError) as exc:
+    except (_UsageError, io.SchemaError, OSError) as exc:
         print(f"topecycles: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:

@@ -7,6 +7,7 @@ codec in ``core`` reads and writes; cycles are serialized in normalized order.""
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -51,22 +52,39 @@ def rational_from_str(text: Any) -> int | Fraction:
         ) from None
 
 
+_READ_CHUNK = 1 << 16  # bytes asked of each os.read
+
+
 def load_doc(path: str) -> dict:
-    """The JSON object in the file at path.  A file that is not UTF-8 text, nests deeper than the
-    decoder reads, holds an integer past the interpreter's digit limit or holds no object raises
-    SchemaError naming the path; text that is not JSON raises json.JSONDecodeError."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError:
-            raise
-        except UnicodeDecodeError as exc:  # a ValueError, which would read as invalid input (exit 2)
-            raise SchemaError(f"{path}: not UTF-8 text: {exc}") from None
-        except RecursionError:  # not a bug in the package (exit 4), but a document the decoder cannot read
-            raise SchemaError(f"{path}: nested deeper than the JSON decoder reads") from None
-        except ValueError:  # the decoder's int() past sys.get_int_max_str_digits, its one other ValueError
-            limit = sys.get_int_max_str_digits()
-            raise SchemaError(f"{path}: an integer has more than the {limit} digits this interpreter reads") from None
+    """The JSON object in the file at path, read by os.read calls until end of file, decoded once and
+    parsed once.  A file that is not UTF-8 text or not JSON, nests deeper than the decoder reads, holds
+    an integer past the interpreter's digit limit or holds no object raises SchemaError naming the
+    path; a file that cannot be read raises OSError naming it.  Line ends are read as a text file
+    reads them, so an error's position counts a CR LF pair as one character."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, _READ_CHUNK):
+            chunks.append(chunk)
+    except OSError as exc:  # a directory opens, and its read names no file
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+    finally:
+        os.close(fd)
+    try:
+        text = b"".join(chunks).decode("utf-8")
+    except UnicodeDecodeError as exc:  # a ValueError, which would read as invalid input (exit 2)
+        raise SchemaError(f"{path}: not UTF-8 text: {exc}") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: not JSON: {exc}") from None
+    except RecursionError:  # not a bug in the package (exit 4), but a document the decoder cannot read
+        raise SchemaError(f"{path}: nested deeper than the JSON decoder reads") from None
+    except ValueError:  # the decoder's int() past sys.get_int_max_str_digits, its one other ValueError
+        limit = sys.get_int_max_str_digits()
+        raise SchemaError(f"{path}: an integer has more than the {limit} digits this interpreter reads") from None
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: expected a JSON object")
     return doc
@@ -142,6 +160,15 @@ def tope_masks_from_doc(doc: dict) -> tuple[int, dict[int, str]]:
     return t, dict(zip(_masks(_read_forms(strings, t), t), strings))
 
 
+def _distinct_tope_texts(doc: dict) -> tuple[int, list[str], bytes]:
+    """t, the distinct listed topes as '+'/'-' strings in the order first listed, and their joined
+    form, read with no tuple in between; errors as ``tope_set_from_doc``."""
+    t, strings = _tope_strings(doc)
+    form = _read_forms(strings, t)  # every entry is a valid string from here on, so it hashes
+    distinct = list(dict.fromkeys(strings))
+    return t, distinct, form if len(distinct) == len(strings) else _text_forms(distinct, t)
+
+
 def _tope_strings(doc: dict) -> tuple[int, list]:
     t = _ground_set_size(doc)
     strings = _field(doc, "topes", list)
@@ -214,13 +241,16 @@ def ds_report_to_doc(report: DSReport) -> dict:
 
 def census_to_doc(result: CensusResult, expected: dict[int, int] | None = None) -> dict:
     """The census; given the expected histogram, also that and whether the census matches it."""
-    doc: dict[str, Any] = {
-        "t": result.t,
-        "histogram": {str(j): n for j, n in result.histogram.items()},
-    }
+    listed = None if result.by_size is None else {j: _texts(vs, result.t) for j, vs in result.by_size.items()}
+    return _census_doc(result.t, result.histogram, expected, listed)
+
+
+def _census_doc(t: int, histogram: dict[int, int], expected: dict[int, int] | None, listed: dict[int, list[str]] | None) -> dict:
+    """The document ``census_to_doc`` writes, each listed class given as its '+'/'-' strings."""
+    doc: dict[str, Any] = {"t": t, "histogram": {str(j): n for j, n in histogram.items()}}
     if expected is not None:
         doc["expected"] = {str(j): n for j, n in sorted(expected.items())}
-        doc["match"] = result.histogram == expected
-    if result.by_size is not None:
-        doc["topes"] = {str(j): _texts(vs, result.t) for j, vs in result.by_size.items()}
+        doc["match"] = histogram == expected
+    if listed is not None:
+        doc["topes"] = {str(j): texts for j, texts in listed.items()}
     return doc

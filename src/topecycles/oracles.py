@@ -104,7 +104,9 @@ def census(
 
     Topes are checked in the order given, so an invalid input names its first offender (an
     entry that is not iterable or not hashable raises TypeError before any is checked).
-    Each listed class is in lexicographic order, '+' before '-' (descending tuples)."""
+    Each listed class is in lexicographic order, '+' before '-' (descending tuples).  The planes
+    and adders are ``_size_classes``, which the CLI ``census`` runs on the columns of the strings
+    it reads, with no tuple."""
     t = cycle.t
     unique = dict.fromkeys(map(tuple, topes))
     n = len(unique)
@@ -115,6 +117,17 @@ def census(
     except DimensionError:  # the first offender is signs of another length: say so in decompose's words
         _checked_tope(_first_offender(unique, t)[1], cycle)
         raise
+    classes = _size_classes(columns, n, cycle)
+    listed = None
+    if list_topes:
+        listed = {s: sorted(compress(unique, _selectors(m, n)), reverse=True) for s, m in classes}
+    return CensusResult(t, {s: m.bit_count() for s, m in classes}, listed)
+
+
+def _size_classes(columns: Sequence[int], n: int, cycle: SymmetricCycle) -> list[tuple[int, int]]:
+    """(|Q|, the n-bit mask of the topes of that size) for each size that occurs, by size: the change
+    planes and full adders ``census`` describes, on the minus columns of n >= 1 distinct topes of the
+    cycle's length, bit i of column e - 1 set iff tope i is - on e."""
     full, r0 = (1 << n) - 1, cycle.masks[0]
     x = [columns[e - 1] ^ (full if r0 >> (e - 1) & 1 else 0) for e in cycle.flips]  # X_1..X_t
     planes = [full ^ x[0] ^ x[-1], *map(xor, x, x[1:])]  # bit i set iff tope i gains a member at j
@@ -133,7 +146,4 @@ def census(
     for k, c in enumerate(counts):
         classes = [(size, m) for s, mask in classes for size, m in ((s, mask & ~c), (s | 1 << k, mask & c)) if m]
     classes.sort()
-    listed = None
-    if list_topes:
-        listed = {s: sorted(compress(unique, _selectors(m, n)), reverse=True) for s, m in classes}
-    return CensusResult(t, {s: m.bit_count() for s, m in classes}, listed)
+    return classes

@@ -366,7 +366,7 @@ def test_enumerate_topes_generic_count_law():
 def test_enumerate_topes_witness_failure_is_an_internal_error(monkeypatch):
     # a witness on a hyperplane certifies no chamber; that is a bug in the enumeration, not bad input
     arr = rank2_fan(2)
-    monkeypatch.setattr(arrangements, "_chambers", lambda rows, dim: [(0b00, (1, 0)), (0b01, (1, -1))])
+    monkeypatch.setattr(arrangements, "_half_chambers", lambda rows, dim: [(0b00, (1, -1))])
     with pytest.raises(RuntimeError) as excinfo:
         enumerate_topes(arr)
     assert not isinstance(excinfo.value, ValueError)
@@ -378,9 +378,24 @@ def _sign_tuples(cells, t):
     return [(tuple(-1 if key >> (t - 1 - e) & 1 else 1 for e in range(t)), x) for key, x in cells]
 
 
-def _certify_cells(rows, cells):
-    """``_certify`` on int-key cells, their keys read into the joined form as ``_tope_form`` reads them."""
-    arrangements._certify(rows, _key_form([key for key, _ in cells], len(rows)), [x for _, x in cells])
+def _expanded(half, t):
+    """The 2m int-key cells over t elements that m half cells stand for, in the form's order: the half,
+    then the antipode of each cell (key complemented, point negated) in reverse order."""
+    everyone = (1 << t) - 1
+    return half + [(key ^ everyone, negate(x)) for key, x in reversed(half)]
+
+
+def _certify_half(rows, keys, half):
+    """``_certify`` on the form of the 2m int keys, read as ``_tope_form`` reads them, and the m points
+    of the half cells."""
+    arrangements._certify(rows, _key_form(keys, len(rows)), [x for _, x in half])
+
+
+def _substituted(rows, keys, half):
+    """What ``certify_by_substitution`` raises, or None, on the 2m int keys with the points they stand
+    for: the half's, then their negations in reverse order."""
+    points = [x for _, x in _expanded(half, len(rows))]
+    return _raised(certify_by_substitution, rows, _sign_tuples(list(zip(keys, points)), len(rows)))
 
 
 def _raised(check, *args):
@@ -392,18 +407,21 @@ def _raised(check, *args):
     return None
 
 
-def _mutated(cells, data, t):
-    """int-key cells over t elements with one drawn change that may or may not break their certificate:
-    none, a sign flipped, a witness zeroed, scaled by a power of 2, negated, shifted, or swapped with
-    another cell's."""
-    cells = list(cells)
-    k = data.draw(st.integers(0, len(cells) - 1))
-    key, x = cells[k]
-    kind = data.draw(st.sampled_from(["none", "flip", "zero", "scale", "negate", "shift", "swap"]))
-    if kind == "flip":
-        e = data.draw(st.integers(0, t - 1))
-        key ^= 1 << (t - 1 - e)
-    elif kind == "zero":
+def _mutated(keys, half, data, t):
+    """The 2m int keys over t elements and the m half cells with one drawn change that may or may not
+    break their certificate: none, a sign flipped in the half or in the negated half of the keys, or a
+    half cell's point zeroed, scaled by a power of 2, negated, shifted, or swapped with another half
+    cell's (which changes the point of its antipode too)."""
+    keys, half = list(keys), list(half)
+    m = len(half)
+    kind = data.draw(st.sampled_from(["none", "flip", "flip_negated", "zero", "scale", "negate", "shift", "swap"]))
+    if kind in ("flip", "flip_negated"):
+        k = data.draw(st.integers(0, m - 1)) + (m if kind == "flip_negated" else 0)
+        keys[k] ^= 1 << (t - 1 - data.draw(st.integers(0, t - 1)))
+        return keys, half
+    k = data.draw(st.integers(0, m - 1))
+    key, x = half[k]
+    if kind == "zero":
         x = (0,) * len(x)
     elif kind == "scale":
         x = tuple(c << data.draw(st.integers(1, 300)) for c in x)
@@ -412,21 +430,23 @@ def _mutated(cells, data, t):
     elif kind == "shift":
         x = tuple(c + d for c, d in zip(x, data.draw(st.tuples(*[st.integers(-2, 2)] * len(x)))))
     elif kind == "swap":
-        x = cells[data.draw(st.integers(0, len(cells) - 1))][1]
-    cells[k] = (key, x)
-    return cells
+        x = half[data.draw(st.integers(0, m - 1))][1]
+    half[k] = (key, x)
+    return keys, half
 
 
 @pytest.mark.parametrize("family", ARRANGEMENT_FAMILIES.values(), ids=ARRANGEMENT_FAMILIES.keys())
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_the_certificate_accepts_exactly_what_substitution_accepts(family, data):
-    # on the enumerated chambers in output order, as they are, or with one drawn change
+    # on the enumerated half and the keys of all chambers in output order, as they are, or with one drawn
+    # change; the oracle substitutes every chamber's point, the negations of the half's included
     arr = Arrangement(data.draw(family))
-    cells = sorted(arrangements._chambers(arr.rows, arr.dim), key=itemgetter(0))
-    assert _raised(_certify_cells, arr.rows, cells) is None
-    cells = _mutated(cells, data, arr.t)
-    assert _raised(_certify_cells, arr.rows, cells) == _raised(certify_by_substitution, arr.rows, _sign_tuples(cells, arr.t))
+    half = sorted(arrangements._half_chambers(arr.rows, arr.dim), key=itemgetter(0))
+    keys = [key for key, _ in _expanded(half, arr.t)]
+    assert _raised(_certify_half, arr.rows, keys, half) is None
+    keys, half = _mutated(keys, half, data, arr.t)
+    assert _raised(_certify_half, arr.rows, keys, half) == _substituted(arr.rows, keys, half)
 
 
 def _flip(cells, k, e, t):
@@ -435,51 +455,75 @@ def _flip(cells, k, e, t):
     return cells[:k] + [(key ^ 1 << (t - 1 - e), x)] + cells[k + 1 :]
 
 
+def _flip_key(keys, k, e, t):
+    """int keys over t elements with the sign of element e (0-based) of key k flipped."""
+    return keys[:k] + [keys[k] ^ 1 << (t - 1 - e)] + keys[k + 1 :]
+
+
 def _rewitness(cells, k, x):
     return cells[:k] + [(cells[k][0], x)] + cells[k + 1 :]
 
 
 def _certificate_cases():
-    """(arrangement, cells, whether they certify): the chambers of a moment curve, a fan and a line,
-    changed the ways a bug could change them."""
+    """(arrangement, half cells, the 2m keys of the form or None, whether they certify): the half of a
+    moment curve, a fan and a line, changed the ways a bug could change it, and the keys of the form
+    it stands for, changed in the negated half.  With keys None the form is the one ``_tope_form``
+    reads off the half."""
     cases = []
     for arr in (moment_curve(7, 4), totally_cyclic_fan(9), Arrangement([(3,)])):
-        cells = sorted(arrangements._chambers(arr.rows, arr.dim), key=itemgetter(0))
-        n, t, last = len(cells), arr.t, len(cells) - 1
-        huge = [(key, tuple(c << 300 for c in x)) for key, x in cells]
+        half = sorted(arrangements._half_chambers(arr.rows, arr.dim), key=itemgetter(0))
+        m, t, last = len(half), arr.t, len(half) - 1
+        huge = [(key, tuple(c << 300 for c in x)) for key, x in half]
+        keys = [key for key, _ in _expanded(half, t)]
+        n = len(keys)
         cases += [
-            (arr, cells, True),
-            (arr, huge, True),  # 300 bits wider slots, every sign still right
-            (arr, _rewitness(cells, last, huge[last][1]), True),  # one huge witness among small ones
-            (arr, cells[:1], True),
-            (arr, cells[last:], True),
-            (arr, _flip(cells, 0, 0, t), False),
-            (arr, _flip(cells, 0, t - 1, t), False),
-            (arr, _flip(cells, last, 0, t), False),
-            (arr, _flip(cells, last, t - 1, t), False),
-            (arr, _flip(cells, n // 2, t // 2, t), False),
-            (arr, _flip(_flip(cells, last, 0, t), last // 2, t - 1, t), False),  # the first bad cell is named
-            (arr, _flip(huge, last, t - 1, t), False),
-            (arr, _flip(cells[:1], 0, t - 1, t), False),
-            (arr, _rewitness(cells, 0, (0,) * arr.dim), False),  # a point on every hyperplane
-            (arr, _rewitness(cells, last, (0,) * arr.dim), False),
-            (arr, _rewitness(cells[last:], 0, (0,) * arr.dim), False),
-            (arr, _rewitness(cells, 0, negate(cells[0][1])), False),
-            (arr, [(key, x) for (key, _), (_, x) in zip(cells, cells[1:] + cells[:1])], False),
+            (arr, half, None, True),
+            (arr, huge, None, True),  # 300 bits wider slots, every sign still right
+            (arr, _rewitness(half, last, huge[last][1]), None, True),  # one huge witness among small ones
+            (arr, half[:1], None, True),  # one half cell: two chambers
+            (arr, half[last:], None, True),
+            (arr, _flip(half, 0, 0, t), None, False),
+            (arr, _flip(half, 0, t - 1, t), None, False),
+            (arr, _flip(half, last, 0, t), None, False),
+            (arr, _flip(half, last, t - 1, t), None, False),
+            (arr, _flip(half, m // 2, t // 2, t), None, False),
+            # the first bad cell is named; the line's one half cell flips back
+            (arr, _flip(_flip(half, last, 0, t), last // 2, t - 1, t), None, m == 1),
+            (arr, _flip(huge, last, t - 1, t), None, False),
+            (arr, _flip(half[:1], 0, t - 1, t), None, False),
+            (arr, _rewitness(half, 0, (0,) * arr.dim), None, False),  # a point on every hyperplane
+            (arr, _rewitness(half, last, (0,) * arr.dim), None, False),
+            (arr, _rewitness(half[last:], 0, (0,) * arr.dim), None, False),
+            (arr, _rewitness(half, 0, negate(half[0][1])), None, False),
+            # every point moved to the next half cell; the line's one cell stays where it is
+            (arr, [(key, x) for (key, _), (_, x) in zip(half, half[1:] + half[:1])], None, m == 1),
+            # a key of the negated half of the form, where the witness is a negated point
+            (arr, half, _flip_key(keys, m, 0, t), False),
+            (arr, half, _flip_key(keys, n - 1, t - 1, t), False),
+            (arr, huge, _flip_key(keys, m + last // 2, t // 2, t), False),
+            (arr, half, _flip_key(_flip_key(keys, n - 1, 0, t), last // 2, t - 1, t), False),  # the half's is named
+            # the first bad negated cell is named; the line's one negated key flips back
+            (arr, half, _flip_key(_flip_key(keys, n - 1, 0, t), m + last // 2, t - 1, t), m == 1),
         ]
     return cases
 
 
-@pytest.mark.parametrize("arr, cells, certified", _certificate_cases())
-def test_the_certificate_names_the_tope_and_witness_substitution_names(monkeypatch, arr, cells, certified):
-    # through enumerate_topes, which sorts the cells, against the oracle on the sorted cells
-    monkeypatch.setattr(arrangements, "_chambers", lambda rows, dim: list(cells))
-    ordered = sorted(_sign_tuples(cells, arr.t), key=itemgetter(0), reverse=True)
-    expected = _raised(certify_by_substitution, arr.rows, ordered)
+@pytest.mark.parametrize("arr, cells, keys, certified", _certificate_cases())
+def test_the_certificate_names_the_tope_and_witness_substitution_names(monkeypatch, arr, cells, keys, certified):
+    # the half through enumerate_topes, which sorts it and reads the form's keys off it, and keys changed
+    # past the half straight through _certify, each against the oracle on the expanded list
+    half, through_enumeration = cells, keys is None
+    if through_enumeration:
+        monkeypatch.setattr(arrangements, "_half_chambers", lambda rows, dim: list(cells))
+        half = sorted(cells, key=itemgetter(0))
+        keys = [key for key, _ in _expanded(half, arr.t)]
+    expected = _substituted(arr.rows, keys, half)
     assert (expected is None) == certified
-    assert _raised(enumerate_topes, arr) == expected
-    if certified:
-        assert enumerate_topes(arr) == [sigma for sigma, _ in ordered]
+    assert _raised(_certify_half, arr.rows, keys, half) == expected
+    if through_enumeration:
+        assert _raised(enumerate_topes, arr) == expected
+        if certified:
+            assert enumerate_topes(arr) == [sigma for sigma, _ in _sign_tuples(_expanded(half, arr.t), arr.t)]
 
 
 @settings(max_examples=150, deadline=None)

@@ -2,8 +2,10 @@ import json
 import os
 import re
 import sys
+import tempfile
 import threading
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
@@ -14,7 +16,8 @@ from topecycles import cli, io
 from topecycles.arrangements import Arrangement, enumerate_topes, hypercube_topes, moment_curve, rank2_fan, totally_cyclic_fan
 from topecycles.cli import main
 from topecycles.core import DimensionError, _minus_mask, parse_sign_vector, sign_vector_str
-from topecycles.cycles import find_symmetric_cycle
+from topecycles.cycles import SymmetricCycle, canonical_hypercube_cycle, find_symmetric_cycle
+from topecycles.oracles import census
 
 
 def run(capsys, *argv):
@@ -381,11 +384,11 @@ def test_census_of_a_partial_tope_set_has_no_expectation(capsys, tmp_path):
 def test_census_mismatch_exits_3(monkeypatch, capsys, tmp_path):
     # a census of the whole hypercube is checked against 2*C(t,j); a wrong size is reported, not hidden
     import topecycles.cli as cli
-    from topecycles.oracles import CensusResult
 
     topes = tmp_path / "topes.json"
     run(capsys, "gen", "hypercube", "--t", "3", "--output", str(topes))
-    monkeypatch.setattr(cli, "census", lambda topes, cycle, list_topes=False: CensusResult(3, {1: 8}))
+    # every one of the n topes in the class of size 1
+    monkeypatch.setattr(cli, "_size_classes", lambda columns, n, cycle: [(1, (1 << n) - 1)])
     code, doc = run_json(capsys, "census", "--topes", str(topes), "--cycle", "canonical")
     assert code == 3
     assert doc["match"] is False
@@ -401,6 +404,55 @@ def test_census_list_topes(capsys, tmp_path):
     )
     assert code == 0
     assert doc["topes"]["5"] == ["+-+-+", "-+-+-"]
+
+
+def test_census_names_a_document_that_is_not_json(capsys, tmp_path):
+    # an empty tope set or an empty cycle: exit 1, and the message names the file that is not JSON
+    topes, cycle = tmp_path / "topes.json", tmp_path / "cycle.json"
+    empty_topes, empty_cycle = tmp_path / "empty_topes.json", tmp_path / "empty_cycle.json"
+    run(capsys, "gen", "hypercube", "--t", "3", "--output", str(topes))
+    run(capsys, "cycle", "canonical", "--t", "3", "--output", str(cycle))
+    empty_topes.write_text("")
+    empty_cycle.write_text("")
+    for bad, argv in ((empty_topes, [empty_topes, cycle]), (empty_cycle, [topes, empty_cycle])):
+        assert main(["census", "--topes", str(argv[0]), "--cycle", str(argv[1])]) == 1
+        message = f"{bad}: not JSON: Expecting value: line 1 column 1 (char 0)"
+        assert capsys.readouterr() == ("", f"topecycles: error: {message}\n")
+
+
+@st.composite
+def _census_inputs(draw):
+    """The strings of a tope-set document over t elements, some of them repeated and in any order, and
+    a symmetric cycle of the t-cube: a start and an order of the t flips, taken twice."""
+    t = draw(st.integers(2, 7))
+    cube = ["".join(s) for s in product("+-", repeat=t)]
+    strings = cube if draw(st.booleans()) else draw(st.lists(st.sampled_from(cube), min_size=1, max_size=40))
+    strings = draw(st.permutations(strings + draw(st.lists(st.sampled_from(strings), max_size=10))))
+    masks, order = [draw(st.integers(0, 2**t - 1))], draw(st.permutations(range(t)))
+    for k in range(2 * t - 1):
+        masks.append(masks[-1] ^ 1 << order[k % t])
+    return t, strings, SymmetricCycle(masks)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_census_inputs(), st.booleans(), st.booleans())
+def test_census_writes_the_library_census_document(inputs, list_topes, canonical):
+    # the command reads the strings into columns with no tuple; the library census reads the tuples
+    t, strings, cycle = inputs
+    if canonical:
+        cycle = canonical_hypercube_cycle(t)
+    result = census(map(parse_sign_vector, strings), cycle, list_topes)
+    expected = {j: 2 * comb(t, j) for j in range(1, t + 1, 2)} if sum(result.histogram.values()) == 2**t else None
+    with tempfile.TemporaryDirectory() as tmp:
+        topes, cyc, out = (os.path.join(tmp, name) for name in ("topes.json", "cycle.json", "census.json"))
+        with open(topes, "w") as fh:
+            json.dump({"t": t, "topes": strings}, fh)
+        with open(cyc, "w") as fh:
+            json.dump(io.cycle_to_doc(cycle), fh)
+        argv = ["census", "--topes", topes, "--cycle", "canonical" if canonical else cyc, "--output", out]
+        assert main(argv + ["--list-topes"] * list_topes) == 0
+        with open(out) as fh:
+            assert fh.read() == json.dumps(io.census_to_doc(result, expected), indent=2) + "\n"
 
 
 def test_nu_command(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 import pytest
 
 from topecycles import io
-from topecycles.arrangements import moment_curve, rank2_fan, totally_cyclic_fan
+from topecycles.arrangements import hypercube_topes, moment_curve, rank2_fan, totally_cyclic_fan
+from topecycles.cli import main
 from topecycles.core import DimensionError, _minus_mask, parse_sign_vector, sign_vector_str
 from topecycles.cycles import CycleError, canonical_hypercube_cycle, find_symmetric_cycle
 from topecycles.decomposition import decompose
@@ -196,6 +198,74 @@ def test_load_doc_requires_an_object(tmp_path):
     path.write_text("[]")
     with pytest.raises(io.SchemaError, match="expected a JSON object"):
         io.load_doc(str(path))
+
+
+def _load_by_text_file(path):
+    """``json.load`` of the file opened as UTF-8 text: what ``load_doc`` read through before it read bytes,
+    with its error messages."""
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_load_doc_reads_a_document_larger_than_one_read(monkeypatch, tmp_path):
+    path = tmp_path / "topes.json"
+    text = json.dumps(io.tope_set_to_doc(13, hypercube_topes(13)), indent=2) + "\r\n"
+    path.write_bytes(text.encode())
+    assert len(text) > 2 * io._READ_CHUNK
+    reads, read = [], os.read
+    monkeypatch.setattr(os, "read", lambda fd, n: reads.append(n) or read(fd, n))
+    assert io.load_doc(str(path)) == _load_by_text_file(path)
+    assert len(reads) == len(text) // io._READ_CHUNK + 2  # the last one reads the end of the file
+
+
+def _unreadable(tmp_path):
+    """(path, how it fails to read through a text file, the SchemaError message load_doc gives or None for
+    the text file's own error) for each way a document can fail to load."""
+    deep, digits, bad = tmp_path / "deep.json", tmp_path / "digits.json", tmp_path / "latin.json"
+    deep.write_text('{"t": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    digits.write_text('{"t": 5, "f": [1, ' + "9" * (sys.get_int_max_str_digits() + 1) + "]}")
+    bad.write_bytes(b'{"t": 3, "topes": ["+\xff+"]}')
+    limit = sys.get_int_max_str_digits()
+    return [
+        (tmp_path, None),  # a directory
+        (tmp_path / "missing.json", None),
+        (bad, f"{bad}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 21: invalid start byte"),
+        (deep, f"{deep}: nested deeper than the JSON decoder reads"),
+        (digits, f"{digits}: an integer has more than the {limit} digits this interpreter reads"),
+    ]
+
+
+def test_load_doc_keeps_the_message_of_each_unreadable_document(capsys, tmp_path):
+    for path, message in _unreadable(tmp_path):
+        if message is None:  # the OSError the text file raises, naming the path
+            with pytest.raises(OSError) as expected:
+                _load_by_text_file(path)
+            with pytest.raises(OSError) as excinfo:
+                io.load_doc(str(path))
+            assert type(excinfo.value) is type(expected.value) and str(excinfo.value) == str(expected.value), path
+            assert f"'{path}'" in str(excinfo.value)
+        else:
+            with pytest.raises(io.SchemaError) as excinfo:
+                io.load_doc(str(path))
+            assert str(excinfo.value) == message
+        assert main(["verify-ds", "--fvector", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"topecycles: error: {excinfo.value}\n")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "{not json", '{"t": 3,\r\n "topes": ["+++"],\r\n oops}', '{"t": 3}\r\r{', '{"t": "+\r-"}', "﻿{}"],
+    ids=["empty", "brace", "crlf", "cr", "control", "bom"],
+)
+def test_load_doc_names_a_document_that_is_not_json(text, tmp_path):
+    # the decoder's message as a text file reads it, line ends and all, after the path
+    path = tmp_path / "doc.json"
+    path.write_bytes(text.encode())
+    with pytest.raises(json.JSONDecodeError) as expected:
+        _load_by_text_file(path)
+    with pytest.raises(io.SchemaError) as excinfo:
+        io.load_doc(str(path))
+    assert str(excinfo.value) == f"{path}: not JSON: {expected.value}"
 
 
 def test_cycle_doc_is_normalized_and_round_trips():
