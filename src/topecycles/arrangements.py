@@ -121,7 +121,8 @@ def enumerate_topes(arr: Arrangement) -> list[SignVector]:
     -, so growing the prefix by one sign is ``(key << 1) | bit``, and the
     sorted keys are the topes in this order.  Every cell carries an exact
     integer interior point x, and at the end each tope sigma is certified by
-    checking sigma(e) * a_e.x >= 1 for every row a_e of ``arr.rows``; a
+    checking sigma(e) * a_e.x >= 1 for every row a_e of ``arr.rows``, in one
+    bit-sliced pass per row over all chambers at once (``_certify``); a
     failure (a bug, not bad input) raises RuntimeError naming the first
     failing tope.  No feasibility test is run.
 
@@ -132,23 +133,7 @@ def enumerate_topes(arr: Arrangement) -> list[SignVector]:
     every level (``_half_chambers``), and the other half is the complements of
     its keys, in reverse order (``_tope_form``), no negated point built.  The
     certificate still checks every chamber against an exact point, the
-    negated ones against -x, whose signs it reads off x's slots.
-
-    The certificate runs one pass per row over all n chambers at once
-    (``_certify``), in exact integer arithmetic.  Coordinate i of the m = n/2
-    points x of the half is one big integer X_i with one slot of W bits per
-    point, holding x_i + M_i, where M_i is the largest |x_i|, so no slot is
-    negative.  For a
-    row a, S = sum_i a_i X_i holds a.x + c in each slot, c = sum_i a_i M_i.
-    Every |a.x| is at most B - 1, with the bound B = max_a sum_i |a_i| M_i + 1,
-    and W is the least multiple of 8 with 2^(W-1) > B.  Then
-    S + (2^(W-1) - 1 - c) * ones holds 2^(W-1) + a.x - 1 in every slot, which
-    lies in [0, 2^W): the integer is exactly these base-2^W digits, so no slot
-    borrows from or carries into its neighbour, and a slot's top (guard) bit
-    is set iff a.x >= 1.  Subtracted from (2^W - 2) * ones it leaves
-    2^(W-1) - a.x - 1, also in [0, 2^W), whose guard bit is set iff a.x <= -1.
-    Since a.(-x) = -a.x exactly, the two guard bits of x's slot are also the
-    signs of a.(-x) the other way round, so the m slots decide all n chambers.
+    negated ones against -x.
     """
     return _signs(_tope_form(arr), arr.t)
 
@@ -171,14 +156,22 @@ _GUARD_DIGIT = bytes(49 if b & 128 else 48 for b in range(256))  # a byte's top 
 
 def _certify(rows: Sequence[tuple[int, ...]], form: bytes, half_points: Sequence[tuple[int, ...]]) -> None:
     """Raise RuntimeError naming the first tope of the joined form of n = 2m topes, with its point, in
-    list order, whose point is not strictly on its sign's side of every row, or return: the bit-sliced
-    certificate ``enumerate_topes`` describes.  Tope k < m has the point x_k of half_points, and tope
-    n-1-k its negation -x_k, so slots are built for the m half points alone.  Each row's guard bits are
-    read at once, as the top bits of the slots' top bytes: P (a.x_k >= 1) and Q (a.x_k <= -1), slot
-    m-1 first.  Since a.(-x) = -a.x, Q is where -x_k is on the + side and P where it is on the - side,
-    so the n-bit words are Q reversed then P, and P reversed then Q; they are compared with the row's
-    column of minus signs, cut from the form, and the lowest bit of the rows' ORed mismatches is the
-    first bad tope."""
+    list order, whose point is not strictly on its sign's side of every row, or return.  Tope k < m
+    has the point x_k of half_points, and tope n-1-k its negation -x_k.
+
+    The check is bit-sliced, in exact integer arithmetic.  Coordinate i of the m half points is one
+    big integer X_i with one w-byte slot of W = 8w bits per point, holding x_i + M_i, where M_i is
+    the largest |x_i|, so no slot is negative.  For a row a, S = sum_i a_i X_i holds a.x + c in each
+    slot, c = sum_i a_i M_i.  Every |a.x| is at most B - 1, with the bound B = max_a sum_i |a_i| M_i
+    + 1, and W is the least multiple of 8 with 2^(W-1) > B.  Then S + (2^(W-1) - 1 - c) * ones holds
+    2^(W-1) + a.x - 1 in every slot, which lies in [0, 2^W): no slot borrows from or carries into
+    its neighbour, and a slot's top (guard) bit is set iff a.x >= 1.  Subtracted from
+    (2^W - 2) * ones it leaves 2^(W-1) - a.x - 1, whose guard bit is set iff a.x <= -1.  Each row's
+    guard bits are read at once, as the top bits of the slots' top bytes: P (a.x_k >= 1) and Q
+    (a.x_k <= -1), slot m-1 first.  Since a.(-x) = -a.x exactly, Q is where -x_k is on the + side
+    and P where it is on the - side, so the m slots decide all n topes: the n-bit words are Q
+    reversed then P, and P reversed then Q.  They are compared with the row's column of minus
+    signs, cut from the form, and the lowest bit of the rows' ORed mismatches is the first bad tope."""
     m = len(half_points)
     columns = list(zip(*half_points))
     bounds = [max(map(abs, column)) for column in columns]

@@ -18,8 +18,9 @@ with the whole tree.  Each command returns its document and exit code, and
 ``main`` writes the document (``_write``, its one call) as
 ``json.dumps(doc, indent=2)`` does; ``_json_text`` raises TypeError for a
 value no document holds.  ``topes`` cuts its strings from the one form in
-which the chambers are certified, and ``census`` cuts its columns from the
-form of the strings it reads and lists those strings."""
+which the chambers are certified.  Every command that reads a tope list
+reads it with ``io.tope_set_from_doc``, as distinct strings and their form,
+so ``census`` cuts its columns from that form and lists those strings."""
 
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from typing import Sequence
 from . import io
 from .arrangements import _tope_form, hypercube_topes, moment_curve, rank2_fan, totally_cyclic_fan
 from .complexes import lambda_face_masks
-from .core import DimensionError, Violation, _form_columns, _form_texts, _mask_text, _minus_mask, _selectors, parse_sign_vector
+from .core import DimensionError, Violation, _form_columns, _form_texts, _mask_text, _masks, _minus_mask, _selectors, parse_sign_vector
 from .cycles import CycleError, SymmetricCycle, _find_cycle_masks, canonical_hypercube_cycle
 from .decomposition import decompose
 from .dehn_sommerville import check_ds
@@ -246,9 +247,10 @@ def _cmd_cycle_canonical(args) -> tuple[dict, int]:
 
 
 def _cmd_cycle_find(args) -> tuple[dict, int]:
-    # find_symmetric_cycle's search, on minus masks read straight from the strings; its starts
-    # come '+' before '-', which is ascending order for the strings
-    t, members = io.tope_masks_from_doc(io.load_doc(args.topes))
+    """``find_symmetric_cycle``'s search on the minus masks of the distinct listed strings, each mask
+    keyed to its string; with no --start the starts come '+' before '-', ascending order for the strings."""
+    t, strings, form = io.tope_set_from_doc(io.load_doc(args.topes))
+    members = dict(zip(_masks(form, t), strings))
     if args.start is None:
         starts = sorted(members, key=members.__getitem__)
     else:  # read where find_symmetric_cycle reads start: when the search asks for it, after the pool checks
@@ -261,9 +263,10 @@ def _cmd_cycle_validate(args) -> tuple[dict, int]:
     t, masks = io.cycle_masks_from_doc(io.load_doc(args.cycle))
     members = None
     if args.topes:
-        tope_t, members = io.tope_masks_from_doc(io.load_doc(args.topes))
+        tope_t, _, form = io.tope_set_from_doc(io.load_doc(args.topes))
         if tope_t != t:
             raise DimensionError(f"tope set t={tope_t} does not match cycle ground set t={t}")
+        members = set(_masks(form, t))
     try:
         SymmetricCycle(masks)
         violations = []
@@ -303,11 +306,10 @@ def _cmd_verify_ds(args) -> tuple[dict, int]:
 
 
 def _cmd_census(args) -> tuple[dict, int]:
-    """The document of ``io.census_to_doc(census(topes, cycle, list_topes))``, built from the strings as
-    read with no tuple: the distinct strings' form is cut into the t minus columns for census's planes
-    and adders (``_size_classes``), and a listed class is its strings in ascending order, census's
-    order, since '+' < '-'."""
-    t, strings, form = io._distinct_tope_texts(io.load_doc(args.topes))
+    """The document of the library ``census`` of the listed topes, written by ``io.census_to_doc``, with
+    no tuple made: ``_size_classes`` runs on the columns of the distinct strings' form, and a listed
+    class is its strings in ascending order, census's order, since '+' < '-'."""
+    t, strings, form = io.tope_set_from_doc(io.load_doc(args.topes))
     cycle = _load_cycle_arg(args.cycle, t)
     if cycle.t != t:
         raise DimensionError(f"tope length {t} does not match cycle ground set t={cycle.t}")
@@ -320,7 +322,7 @@ def _cmd_census(args) -> tuple[dict, int]:
     if n == 2**t:
         expected = {j: 2 * comb(t, j) for j in range(1, t + 1, 2)}
     listed = {s: sorted(compress(strings, _selectors(m, n))) for s, m in classes} if args.list_topes else None
-    doc = io._census_doc(t, histogram, expected, listed)
+    doc = io.census_to_doc(t, histogram, expected, listed)
     return doc, EXIT_VERIFY if doc.get("match") is False else EXIT_OK
 
 

@@ -128,9 +128,9 @@ def _text_form(text: str) -> bytes:
     return form
 
 
-def _text_forms(texts: list, t: int) -> bytes:
-    """The forms of a list of '+'/'-' strings of length t, joined, in a few C passes over their joined text.
-    Any other list raises ValueError for its first offender: a non-string, a bad string or a wrong length."""
+def _text_forms(texts: Collection, t: int) -> bytes:
+    """The forms of '+'/'-' strings of length t, joined, in a few C passes over their joined text.
+    Any other input raises ValueError for its first offender: a non-string, a bad string or a wrong length."""
     try:
         form = "".join(texts).encode().translate(_TEXT_FORM)
         if _REJECT not in form and {t}.issuperset(map(len, texts)):

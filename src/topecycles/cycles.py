@@ -117,21 +117,16 @@ def find_symmetric_cycle(
     start: Sequence[int] | None = None,
     seed: int = 0,
 ) -> SymmetricCycle | None:
-    """Depth-first search for a symmetric cycle inside a negation-closed tope set.
+    """Depth-first search for a symmetric cycle inside a negation-closed tope set, or None when
+    the search is exhausted -- a result, not an error.
 
-    Walks half a cycle: t steps, each flipping a previously untouched element
-    and staying inside the tope set; the antipodal half then closes the cycle
-    automatically.  The seed only shuffles the element order tried at each
-    step, so equal seeds give equal cycles.  Returns None when the search is
-    exhausted -- a result, not an error.
-
-    The pool is keyed by minus mask (bit e-1 set where a tope is - on element
-    e), so a flip is one XOR and a membership test one int lookup: a start
-    takes at most (2n+1)*t lookups on n topes, and on a tope set the walk
-    never backs up.  Every tope is made a tuple, then one codec pass reads and
-    checks the pool: the first tope that is not t signs (t the first tope's
-    length) raises.  Without a start, the starts are the topes in
-    lexicographic order, '+' before '-'.
+    The seed only shuffles the element order tried at each step, so equal
+    seeds give equal cycles.  Without a start, the starts are the topes in
+    lexicographic order, '+' before '-'.  Every tope is made a tuple, then
+    one codec pass reads and checks the pool, keyed by minus mask: the first
+    tope that is not t signs (t the first tope's length) raises.  A start
+    costs at most (2n+1)*t membership tests on n topes (``_half_cycle``),
+    and no negation pair is walked twice (``_find_cycle_masks``).
     """
     pool = list(map(tuple, topes))
     if not pool:

@@ -1,8 +1,10 @@
 """JSON document formats shared by the CLI and test fixtures.
 
-Rationals travel as strings "p" or "p/q" (JSON numbers cannot carry exact
-rationals); sign vectors as '+'/'-' strings with index 1 leftmost, which the
-codec in ``core`` reads and writes; cycles are serialized in normalized order."""
+Rationals travel as strings "p" or "p/q" of ASCII digits (JSON numbers cannot carry exact
+rationals); sign vectors as '+'/'-' strings with index 1 leftmost, which the codec in ``core``
+reads and writes.  A tope-set document has one reader, ``tope_set_from_doc``, which every command
+that reads a tope list uses, and a census one writer, ``census_to_doc``.  Cycles are serialized
+in normalized order."""
 
 from __future__ import annotations
 
@@ -11,21 +13,20 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import Any
+from typing import Any, Collection
 
 from .arrangements import Arrangement
-from .core import SignVector, _mask_text, _masks, _signs, _text_forms, _texts, sign_vector_str
+from .core import SignVector, _mask_text, _masks, _text_forms, _texts, sign_vector_str
 from .cycles import SymmetricCycle
 from .decomposition import Decomposition
 from .dehn_sommerville import DSReport
-from .oracles import CensusResult
 
 
 class SchemaError(ValueError):
     """A document is structurally not the expected format."""
 
 
-_RATIONAL_RE = re.compile(r"-?\d+(/\d+)?")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def rational_to_str(q: int | Fraction) -> str:
@@ -107,8 +108,8 @@ def _ground_set_size(doc: dict) -> int:
     return t
 
 
-def _read_forms(strings: list, t: int) -> bytes:
-    """The codec's form of a list of '+'/'-' strings of length t; its first offender raises SchemaError."""
+def _read_forms(strings: Collection, t: int) -> bytes:
+    """The codec's form of '+'/'-' strings of length t, joined; the first offender raises SchemaError."""
     try:
         return _text_forms(strings, t)
     except ValueError as exc:
@@ -147,34 +148,20 @@ def tope_set_to_doc(t: int, topes: list[SignVector]) -> dict:
     return {"t": t, "topes": _texts(topes, t)}
 
 
-def tope_set_from_doc(doc: dict) -> tuple[int, list[SignVector]]:
-    """The listed topes; an empty list raises SchemaError, since no tope backs its t."""
-    t, strings = _tope_strings(doc)
-    return t, _signs(_read_forms(strings, t), t)
-
-
-def tope_masks_from_doc(doc: dict) -> tuple[int, dict[int, str]]:
-    """The distinct listed topes as {minus mask: '+'/'-' string}, read straight
-    from the strings with no tuple in between; errors as ``tope_set_from_doc``."""
-    t, strings = _tope_strings(doc)
-    return t, dict(zip(_masks(_read_forms(strings, t), t), strings))
-
-
-def _distinct_tope_texts(doc: dict) -> tuple[int, list[str], bytes]:
+def tope_set_from_doc(doc: dict) -> tuple[int, Collection[str], bytes]:
     """t, the distinct listed topes as '+'/'-' strings in the order first listed, and their joined
-    form, read with no tuple in between; errors as ``tope_set_from_doc``."""
-    t, strings = _tope_strings(doc)
-    form = _read_forms(strings, t)  # every entry is a valid string from here on, so it hashes
-    distinct = list(dict.fromkeys(strings))
-    return t, distinct, form if len(distinct) == len(strings) else _text_forms(distinct, t)
-
-
-def _tope_strings(doc: dict) -> tuple[int, list]:
+    form, read with no tuple.  Repeats are dropped before the one checked pass, so a repeated tope
+    is checked once; the first listing of an entry is where an error names it, so the first
+    offender is the list's.  An empty list raises SchemaError, since no tope backs its t."""
     t = _ground_set_size(doc)
     strings = _field(doc, "topes", list)
     if not strings:
         raise SchemaError(f"t={t} but no topes given")
-    return t, strings
+    try:
+        distinct: Collection = dict.fromkeys(strings).keys()
+    except TypeError:  # an unhashable entry, so not a string: the pass over the whole list names the first offender
+        distinct = strings
+    return t, distinct, _read_forms(distinct, t)
 
 
 def cycle_to_doc(cycle: SymmetricCycle) -> dict:
@@ -239,14 +226,10 @@ def ds_report_to_doc(report: DSReport) -> dict:
     }
 
 
-def census_to_doc(result: CensusResult, expected: dict[int, int] | None = None) -> dict:
-    """The census; given the expected histogram, also that and whether the census matches it."""
-    listed = None if result.by_size is None else {j: _texts(vs, result.t) for j, vs in result.by_size.items()}
-    return _census_doc(result.t, result.histogram, expected, listed)
-
-
-def _census_doc(t: int, histogram: dict[int, int], expected: dict[int, int] | None, listed: dict[int, list[str]] | None) -> dict:
-    """The document ``census_to_doc`` writes, each listed class given as its '+'/'-' strings."""
+def census_to_doc(t: int, histogram: dict[int, int], expected: dict[int, int] | None, listed: dict[int, list[str]] | None) -> dict:
+    """The census of a tope set on t elements: its histogram of decomposition sizes; given the
+    expected histogram, also that and whether the census matches it; given the listed classes,
+    each as its '+'/'-' strings."""
     doc: dict[str, Any] = {"t": t, "histogram": {str(j): n for j, n in histogram.items()}}
     if expected is not None:
         doc["expected"] = {str(j): n for j, n in sorted(expected.items())}

@@ -91,22 +91,16 @@ def census(
 ) -> CensusResult:
     """Tally the distinct topes by decomposition size, all topes at once, one column per element.
 
-    With x_j = T(e_j) * R^0(e_j), |Q| counts x's sign changes: one where x_1 = x_t and one per j
-    with x_(j+1) != x_j.  Each element's column of the n distinct topes is read in C into an n-bit
-    minus mask (bit i set iff tope i is - on e).  XOR with R^0's sign gives X_j (bit i set iff
-    x_j = -1 on tope i), and the t change planes not(X_1 ^ X_t) and X_j ^ X_(j+1) mark the topes
-    that have a member there.  Full adders on whole planes sum them into about log2(t) count
-    planes (bit i of plane k is bit k of tope i's |Q|), and splitting the topes on those gives one
-    n-bit mask per size class: bit-slicing (Biham, FSE 1997).  That is O(t) operations on n-bit
-    integers and no interpreted step per tope, so a tope set (n >= 2t) costs little more than
-    reading it; but a few topes on a long ground set pay for all t columns (5 topes at t = 1100:
-    about 0.6 ms, where reading them one at a time took 0.3 ms).
+    Each element's column of the n distinct topes is read in C into an n-bit minus mask, and
+    ``_size_classes`` splits the topes into size classes on those columns.  That is O(t) operations
+    on n-bit integers and no interpreted step per tope, so a tope set (n >= 2t) costs little more
+    than reading it; but a few topes on a long ground set pay for all t columns (5 topes at
+    t = 1100: about 0.6 ms, where reading them one at a time took 0.3 ms).
 
     Topes are checked in the order given, so an invalid input names its first offender (an
     entry that is not iterable or not hashable raises TypeError before any is checked).
-    Each listed class is in lexicographic order, '+' before '-' (descending tuples).  The planes
-    and adders are ``_size_classes``, which the CLI ``census`` runs on the columns of the strings
-    it reads, with no tuple."""
+    Each listed class is in lexicographic order, '+' before '-' (descending tuples).  The CLI
+    ``census`` runs ``_size_classes`` on the columns of the strings it reads, with no tuple."""
     t = cycle.t
     unique = dict.fromkeys(map(tuple, topes))
     n = len(unique)
@@ -125,9 +119,16 @@ def census(
 
 
 def _size_classes(columns: Sequence[int], n: int, cycle: SymmetricCycle) -> list[tuple[int, int]]:
-    """(|Q|, the n-bit mask of the topes of that size) for each size that occurs, by size: the change
-    planes and full adders ``census`` describes, on the minus columns of n >= 1 distinct topes of the
-    cycle's length, bit i of column e - 1 set iff tope i is - on e."""
+    """(|Q|, the n-bit mask of the topes of that size) for each size that occurs, by size, for the n >= 1
+    distinct topes of the cycle's length whose minus columns are columns: bit i of column e - 1 is
+    set iff tope i is - on e.
+
+    With x_j = T(e_j) * R^0(e_j), |Q| counts x's sign changes: one where x_1 = x_t and one per j
+    with x_(j+1) != x_j.  XOR of column e_j with R^0's sign gives X_j (bit i set iff x_j = -1 on
+    tope i), and the t change planes not(X_1 ^ X_t) and X_j ^ X_(j+1) mark the topes that have a
+    member there.  Full adders on whole planes sum them into about log2(t) count planes (bit i of
+    plane k is bit k of tope i's |Q|), and splitting the topes on those gives one n-bit mask per
+    size class: bit-slicing (Biham, FSE 1997)."""
     full, r0 = (1 << n) - 1, cycle.masks[0]
     x = [columns[e - 1] ^ (full if r0 >> (e - 1) & 1 else 0) for e in cycle.flips]  # X_1..X_t
     planes = [full ^ x[0] ^ x[-1], *map(xor, x, x[1:])]  # bit i set iff tope i gains a member at j

@@ -11,10 +11,9 @@ import pytest
 from topecycles import io
 from topecycles.arrangements import hypercube_topes, moment_curve, rank2_fan, totally_cyclic_fan
 from topecycles.cli import main
-from topecycles.core import DimensionError, _minus_mask, parse_sign_vector, sign_vector_str
+from topecycles.core import DimensionError, _masks, _minus_mask, parse_sign_vector, sign_vector_str
 from topecycles.cycles import CycleError, canonical_hypercube_cycle, find_symmetric_cycle
 from topecycles.decomposition import decompose
-from topecycles.oracles import CensusResult
 
 from reference import text_mask
 
@@ -33,6 +32,17 @@ def test_rational_rejects_garbage():
     for bad in ("1/0", "x", "", 3, "3.5"):
         with pytest.raises(io.SchemaError):
             io.rational_from_str(bad)
+
+
+@pytest.mark.parametrize("text", ["１", "٣/٢", "1/２", "-𝟕"])
+def test_rationals_are_ascii_digits(text, capsys, tmp_path):
+    # a digit outside ASCII (fullwidth, Arabic-Indic, mathematical) is no rational, in the reader and the CLI
+    with pytest.raises(io.SchemaError, match=f"^rationals must be strings 'p' or 'p/q', got {re.escape(repr(text))}$"):
+        io.rational_from_str(text)
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps({"t": 2, "dim": 2, "normals": [[text, "0"], ["0", "1"]]}))
+    assert main(["topes", "--arrangement", str(path)]) == 1
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("form", ["{}", "-1/{}", "{}/7"])
@@ -68,8 +78,9 @@ def test_arrangement_doc_schema_errors():
 
 def test_tope_set_doc_round_trip():
     topes = [parse_sign_vector(s) for s in ("+++", "++-", "---", "--+")]
-    t, back = io.tope_set_from_doc(io.tope_set_to_doc(3, topes))
-    assert t == 3 and back == topes
+    t, strings, form = io.tope_set_from_doc(io.tope_set_to_doc(3, topes))
+    assert t == 3 and list(map(parse_sign_vector, strings)) == topes
+    assert _masks(form, t) == [_minus_mask(v, t) for v in topes]
 
 
 def test_tope_set_doc_rejects_wrong_length():
@@ -89,14 +100,8 @@ def test_tope_writers_write_only_what_the_reader_reads():
         io.tope_set_to_doc(3, [(1, -1, 1), (1, 1, 1, 1)])
     with pytest.raises(ValueError, match="not a sign vector"):
         io.tope_set_to_doc(3, [(1, -1, 1), (1, 0, 1)])
-    with pytest.raises(DimensionError, match="has length 2, expected 3"):
-        io.census_to_doc(CensusResult(3, {1: 2}, {1: [(1, 1, 1), (1, -1)]}))
-    with pytest.raises(ValueError, match="not a sign vector"):
-        io.census_to_doc(CensusResult(3, {1: 1, 3: 1}, {1: [(1, 1, 1)], 3: [(1, 2, 1)]}))
     # entries are read by value, as the reader reads them
     assert io.tope_set_to_doc(2, [(1.0, Fraction(-1)), (True, -1), (-1, 1)]) == {"t": 2, "topes": ["+-", "+-", "-+"]}
-    doc = io.census_to_doc(CensusResult(2, {1: 2, 3: 1}, {1: [(1, 1), (-1, -1)], 3: [(1.0, -1)]}))
-    assert doc["topes"] == {"1": ["++", "--"], "3": ["+-"]}
 
 
 @given(st.integers(1, 12).flatmap(lambda t: st.tuples(st.just(t), st.lists(st.tuples(*[st.sampled_from((1, -1))] * t), min_size=1))))
@@ -122,15 +127,23 @@ FIRST_OFFENDERS = [
     (["+++", "+é+"], "invalid sign character 'é' in '+é+'"),
     (["+++", "+＋+"], "invalid sign character '＋' in '+＋+'"),  # a fullwidth plus
     (["+++", "é+"], "invalid sign character 'é' in 'é+'"),  # t = 3 bytes in 2 characters: the character is named
+    # repeats: of the offender, and of a good string before it
+    (["+x+", "+++", "+x+"], BAD_CHARACTER),
+    (["+++", 123, "---", 123], NOT_A_STRING),
+    (["+++", "---", "+++", "++", "+x+"], WRONG_LENGTH),
+    (["---", "---", "+x+", "---", "++"], BAD_CHARACTER),
+    # an unhashable entry, which is no string, wherever it is listed
+    ([["+", "+"], "++"], "sign vectors must be strings, got ['+', '+']"),
+    (["+++", "+++", "++", ["+"]], WRONG_LENGTH),
 ]
 
 
 @pytest.mark.parametrize("strings, message", FIRST_OFFENDERS)
 def test_tope_readers_report_the_first_offender(strings, message):
-    # the batched read fails as a whole, and the per-string read names the first offender
-    for read in (io.tope_set_from_doc, io.tope_masks_from_doc):
-        with pytest.raises(io.SchemaError, match=f"^{re.escape(message)}$"):
-            read({"t": 3, "topes": strings})
+    # the batched read fails as a whole, and the per-string read names the first offender: repeats
+    # are dropped first, and the first listing of an entry comes before its repeats
+    with pytest.raises(io.SchemaError, match=f"^{re.escape(message)}$"):
+        io.tope_set_from_doc({"t": 3, "topes": strings})
 
 
 @pytest.mark.parametrize("strings, message", FIRST_OFFENDERS)
@@ -144,10 +157,23 @@ def test_the_vertex_reader_reports_the_first_offender(strings, message):
 @given(st.integers(1, 70).flatmap(lambda t: st.tuples(st.just(t), st.lists(st.text("+-", min_size=t, max_size=t), min_size=1))))
 def test_tope_readers_read_each_string_as_the_codec_does(t_strings):
     t, strings = t_strings
-    assert io.tope_set_from_doc({"t": t, "topes": strings}) == (t, [parse_sign_vector(s) for s in strings])
-    assert io.tope_masks_from_doc({"t": t, "topes": strings}) == (t, {text_mask(s): s for s in strings})
+    read_t, distinct, form = io.tope_set_from_doc({"t": t, "topes": strings})
+    assert read_t == t and list(distinct) == list(dict.fromkeys(strings))
+    assert _masks(form, t) == [text_mask(s) for s in distinct]
     vertices = (strings * 2 * t)[: 2 * t]
     assert io.cycle_masks_from_doc({"t": t, "vertices": vertices}) == (t, [text_mask(s) for s in vertices])
+
+
+def test_a_tope_list_with_repeats_is_checked_once(monkeypatch, tmp_path):
+    # one checked codec pass over the distinct strings, in the reader and in the census command
+    strings = ["+++", "---", "+++", "-+-", "---"]
+    calls, text_forms = [], io._text_forms
+    monkeypatch.setattr(io, "_text_forms", lambda texts, t: calls.append(list(texts)) or text_forms(texts, t))
+    io.tope_set_from_doc({"t": 3, "topes": strings})
+    path = tmp_path / "topes.json"
+    path.write_text(json.dumps({"t": 3, "topes": strings}))
+    assert main(["census", "--topes", str(path), "--cycle", "canonical", "--output", str(tmp_path / "census.json")]) == 0
+    assert calls == [["+++", "---", "-+-"]] * 2
 
 
 @pytest.mark.parametrize(
@@ -161,12 +187,24 @@ def test_tope_readers_read_each_string_as_the_codec_does(t_strings):
         {"t": 3, "topes": ["+++", 123]},
         {"t": 3, "topes": []},
         {"t": 0, "topes": ["+"]},
+        {"t": 3, "topes": ["---", "+++", "---", "+x+", "+x+"]},
+        {"t": 3, "topes": ["+++", "+++", ["+++"]]},
     ],
 )
 def test_mask_readers_read_what_the_tuple_readers_read(doc):
-    # tope_masks_from_doc reads strings straight into minus masks, and cycle_masks_from_doc reads
-    # what cycle_from_doc reads before it checks the invariants; the errors are the same
+    # tope_set_from_doc reads the distinct strings straight into their form, and cycle_masks_from_doc
+    # reads what cycle_from_doc reads before it checks the invariants; the errors are the same
     vertices = {"t": doc["t"], "vertices": (doc["topes"] * 6)[: 2 * doc["t"]]}
+
+    def read_every_listing(d):
+        """t, then every listed string as a tuple, repeats and all, checked in one pass over the whole list."""
+        t, _, _ = io.tope_set_from_doc({"t": d["t"], "topes": d["topes"][:1]})
+        io._read_forms(d["topes"], t)
+        return t, [parse_sign_vector(s) for s in d["topes"]]
+
+    def read_distinct(d):
+        t, strings, form = io.tope_set_from_doc(d)
+        return t, {_minus_mask(parse_sign_vector(s), t): s for s in strings}, _masks(form, t)
 
     def read_cycle(d):
         try:
@@ -175,7 +213,7 @@ def test_mask_readers_read_what_the_tuple_readers_read(doc):
             return None
 
     for read_tuples, read_masks, d in (
-        (io.tope_set_from_doc, io.tope_masks_from_doc, doc),
+        (read_every_listing, read_distinct, doc),
         (read_cycle, io.cycle_masks_from_doc, vertices),
     ):
         try:
@@ -185,9 +223,10 @@ def test_mask_readers_read_what_the_tuple_readers_read(doc):
                 read_masks(d)
             continue
         masks = read_masks(d)
-        if read_masks is io.tope_masks_from_doc:
+        if read_masks is read_distinct:
             t, vs = expected
-            assert masks == (t, {_minus_mask(v, t): sign_vector_str(v) for v in vs})
+            assert masks[:2] == (t, {_minus_mask(v, t): sign_vector_str(v) for v in vs})
+            assert masks[2] == list(masks[1])
         else:
             assert masks == (d["t"], [_minus_mask(parse_sign_vector(s), d["t"]) for s in d["vertices"]])
             assert expected in (None, tuple(masks[1]))
@@ -344,7 +383,10 @@ def test_every_tope_set_and_fvector_document_written_reads_back_equal(t_topes, f
     # through its JSON text; an input whose document the reader would reject raises instead
     t, topes = t_topes
     if t >= 1 and topes:
-        assert io.tope_set_from_doc(json.loads(json.dumps(io.tope_set_to_doc(t, topes)))) == (t, topes)
+        read_t, strings, form = io.tope_set_from_doc(json.loads(json.dumps(io.tope_set_to_doc(t, topes))))
+        distinct = list(dict.fromkeys(topes))
+        assert read_t == t and list(map(parse_sign_vector, strings)) == distinct
+        assert _masks(form, t) == [_minus_mask(v, t) for v in distinct]
     else:
         with pytest.raises(ValueError, match="t >= 1|no topes"):
             io.tope_set_to_doc(t, topes)
