@@ -4,13 +4,16 @@ Delta complex of acyclic subsets, and long f-vectors.  A face is a bitmask
 over {1..t}: bit e-1 represents element e.
 
 A complex is a plain value: its facet antichain and its long f-vector, read
-off the cycle's masks in closed form: O(t) integer steps for the walk, then
-O(t) big-integer steps for the face counts.  It answers whether a mask is a
-face and how many faces there are; nothing here lists faces."""
+off the first half of the cycle's masks in closed form: t integer steps for
+the walk, then O(t) big-integer steps for the face counts.  It answers
+whether a mask is a face and how many faces there are; nothing here lists
+faces."""
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 from .core import DimensionError
@@ -72,18 +75,45 @@ def delta_face_masks(tope: Sequence[int], cycle: SymmetricCycle) -> FaceComplex:
     A grown mask M is the t-window ending at the element e it added, and the
     faces whose last element is e are e with any subset of the other |M| - 1
     elements of M: f_m = sum over the t grown masks M of C(|M| - 1, m - 1).
+
+    ``_delta_complex`` reads both off the first t masks of the walk: the
+    antipodal map R^(k+t) = -R^k makes the second half the complements of
+    the first.
     """
     _, mask = _checked_tope(tope, cycle)
     return _delta_complex(((1 << cycle.t) - 1) ^ mask, cycle)
 
 
 def _delta_complex(P: int, cycle: SymmetricCycle) -> FaceComplex:
-    """The delta complex of the tope whose plus mask is P (see ``delta_face_masks``)."""
-    walk = [P ^ m for m in cycle.masks]
-    before = walk[-1:] + walk[:-1]
-    facets = tuple(sorted(m for b, m, a in zip(before, walk, walk[1:] + walk[:1]) if (b | a) & ~m == 0))
-    ks = [m.bit_count() - 1 for b, m in zip(before, walk) if m & ~b]
-    return FaceComplex(cycle.t, facets, _face_counts(ks, cycle.t))
+    """The delta complex of the tope whose plus mask is P (see ``delta_face_masks``),
+    read off the agreement masks M_0..M_(t-1) of R^0..R^(t-1) in one pass.
+
+    The agreement mask of R^(k+t) is the complement of M_k, so the second
+    half of the walk is the complement of the first, and M_(t-1) -> M_t and
+    M_(2t-1) -> M_0 are steps to a complement.  A facet of the second half
+    is the complement of a trough of the first (a mask that is a submask of
+    both its neighbours), and its step into R^(k+t) grows the mask exactly
+    when the step into R^k shrinks M_k: a down-step from s to s - 1 elements
+    in the first half is an up-step from t - s to t - s + 1 in the second.
+    So each of the t first-half steps gives one ``ks`` entry: |M_k| - 1 if
+    it grows M_k, else t - 1 - |M_k|."""
+    t = cycle.t
+    full = (1 << t) - 1
+    walk = [P ^ m for m in cycle.masks[:t]]
+    facets = []
+    ks = []
+    for b, m, a in zip([full ^ walk[-1], *walk[:-1]], walk, [*walk[1:], full ^ walk[0]]):
+        s = m.bit_count()
+        if m & ~b:  # an up-step into m: m is a facet if the next step drops an element
+            ks.append(s - 1)
+            if a & ~m == 0:
+                facets.append(m)
+        else:  # a down-step into m, so an up-step into full ^ m: a facet if the next step adds an element
+            ks.append(t - 1 - s)
+            if m & ~a == 0:
+                facets.append(full ^ m)
+    facets.sort()
+    return FaceComplex(t, tuple(facets), _face_counts(ks, t))
 
 
 def long_f_vector(face_masks: FaceComplex, t: int) -> tuple[int, ...]:
@@ -101,7 +131,8 @@ def _face_counts(ks: Sequence[int], t: int) -> tuple[int, ...]:
     f_(i+1) is the coefficient of x^i in sum_k n_k (1 + x)^k, where n_k
     counts k in ks.  Horner's rule evaluates it at x = 2^(8w) in one integer
     (Kronecker substitution): every f_m <= len(ks) * 2^(t-1) fits in a w-byte
-    slot, so the t coefficients are its t little-endian w-byte slots."""
+    slot, so the t coefficients are its t little-endian w-byte slots, cut
+    apart by one ``struct.unpack`` and read by one ``map`` of ``int.from_bytes``."""
     n = [0] * t
     for k in ks:
         n[k] += 1
@@ -110,5 +141,5 @@ def _face_counts(ks: Sequence[int], t: int) -> tuple[int, ...]:
     acc = 0
     for c in reversed(n):
         acc += (acc << b) + c
-    data = acc.to_bytes(t * w, "little")
-    return (1, *[int.from_bytes(data[i : i + w], "little") for i in range(0, t * w, w)])
+    slots = struct.unpack(f"{w}s" * t, acc.to_bytes(t * w, "little"))
+    return (1, *map(int.from_bytes, slots, repeat("little")))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 from typing import Sequence
 
 from .core import DimensionError, SignVector, _minus_mask
@@ -45,7 +46,7 @@ def _coefficients(tope: Sequence[int], cycle: SymmetricCycle) -> tuple[SignVecto
     T, mask = _checked_tope(tope, cycle)
     d = mask ^ cycle.masks[0]
     b = [d >> (e - 1) & 1 for e in cycle.flips]
-    return T, mask, (1 - b[0] - b[-1],) + tuple(p - q for p, q in zip(b, b[1:]))
+    return T, mask, (1 - b[0] - b[-1], *map(sub, b, b[1:]))
 
 
 def _checked_tope(tope: Sequence[int], cycle: SymmetricCycle) -> tuple[SignVector, int]:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import sub
 from typing import Sequence
 
 
@@ -38,8 +39,9 @@ class DSReport:
 def _t_of(f: Sequence[int]) -> int:
     if len(f) < 2:
         raise ValueError("an f-vector needs at least entries f_0, f_1")
-    if bad := [j for j, x in enumerate(f) if not isinstance(x, int) or isinstance(x, bool)]:  # keeps the verdict exact
-        raise TypeError(f"f-vector entry f_{bad[0]} = {f[bad[0]]!r} is not an int")
+    if not {int}.issuperset(map(type, f)):  # keeps the verdict exact
+        if bad := [j for j, x in enumerate(f) if not isinstance(x, int) or isinstance(x, bool)]:
+            raise TypeError(f"f-vector entry f_{bad[0]} = {f[bad[0]]!r} is not an int")
     return len(f) - 1
 
 
@@ -54,21 +56,25 @@ def check_ds(f: Sequence[int]) -> DSReport:
         sum_{j=3..t} d_j (x-1)^(t-j)  ==  - sum_{j=3..t} (-1)^j d_j x^(t-j),
 
     built by Horner steps residual <- residual * (x-1) + d_j for j = 3..t,
-    then (-1)^j d_j added at x^(t-j).  Row j of the recurrence (3 <= j <= t-2,
+    each one ``map(sub, ...)`` over the residual's coefficients, then
+    (-1)^j d_j added at x^(t-j).  Row j of the recurrence (3 <= j <= t-2,
     none when t < 5), d_j == - sum_{i=3..j} (-1)^i C(t-i, j-i) d_i, is (-1)^j
     times the coefficient of x^(t-j), so it holds exactly when that is zero.
 
     The report passes exactly when the boundary rows hold and the residual
     is zero.  The alternating sum cannot fail on its own: at x = 1 the
     identity reads d_t == -sum_{j=3..t} (-1)^j d_j, which, once f_0..f_2 are
-    binomial and f_{t-1} = f_t = 0, is the alternating sum being zero."""
+    binomial and f_{t-1} = f_t = 0, is the alternating sum being zero.
+
+    Every entry must be an int (not a bool): an f-vector of plain ints is
+    cleared by one pass over the entries' types, and any other one is
+    scanned for its first offender, which raises TypeError."""
     t = _t_of(f)
     boundary = all(f[j] == comb(t, j) for j in range(min(2, t) + 1)) and f[t - 1] == f[t] == 0
     d = [comb(t, j) - f[j] for j in range(3, t + 1)]
     residual: list[int] = []
     for dj in d:
-        residual = [xr - r for xr, r in zip([0] + residual, residual + [0])]  # x * residual - residual
-        residual[0] += dj
+        residual = list(map(sub, [dj, *residual], [*residual, 0]))  # x * residual - residual + d_j
     for j, dj in enumerate(d, 3):
         residual[t - j] += -dj if j % 2 else dj
     return DSReport(

@@ -10,7 +10,8 @@ through Fraction arithmetic, (anti)parallel normals by 2x2 minors, the
 chamber count of a rank-3 arrangement by Zaslavsky's theorem, the
 Dehn-Sommerville row recurrence summed row by row, both sides of the
 Dehn-Sommerville polynomial identity expanded by binomials, long f-vectors
-by counting listed faces and by summing binomials, the faces of a complex
+by counting listed faces and by summing binomials, the delta complex read
+off the closed walk of all 2t agreement masks, the faces of a complex
 listed from its facets, the depth-first search for a symmetric cycle by
 recursion, the symmetric-cycle checks by separation sets of sign tuples, and
 the decomposition census read one tope mask at a time.
@@ -30,6 +31,7 @@ from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
 from topecycles.arrangements import _primitive, primitive_vector
+from topecycles.complexes import FaceComplex
 from topecycles.core import (
     DimensionError,
     SignVector,
@@ -347,6 +349,18 @@ def face_counts_by_binomials(ks: Iterable[int], t: int) -> tuple[int, ...]:
         for i in range(k + 1):
             f[i + 1] += n * comb(k, i)
     return tuple(f)
+
+
+def delta_complex_by_full_walk(P: int, cycle: SymmetricCycle) -> FaceComplex:
+    """The delta complex of the tope whose plus mask is P, read off the closed walk of all 2t
+    agreement masks P ^ masks[k]: a facet is a mask that both of its neighbours are submasks of,
+    and every step that grows a mask M gives k = |M| - 1 to the binomial sums."""
+    walk = [P ^ m for m in cycle.masks]
+    before = walk[-1:] + walk[:-1]
+    after = walk[1:] + walk[:1]
+    facets = tuple(sorted(m for b, m, a in zip(before, walk, after) if (b | a) & ~m == 0))
+    ks = [m.bit_count() - 1 for b, m in zip(before, walk) if m & ~b]
+    return FaceComplex(cycle.t, facets, face_counts_by_binomials(ks, cycle.t))
 
 
 def downward_closure(facets: Iterable[int]) -> set[int]:

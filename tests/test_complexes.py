@@ -1,10 +1,13 @@
 import functools
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import topecycles.complexes as complexes
 from topecycles.arrangements import (
     enumerate_topes,
     hypercube_topes,
@@ -14,6 +17,7 @@ from topecycles.arrangements import (
 )
 from topecycles.complexes import (
     FaceComplex,
+    _delta_complex,
     _face_counts,
     delta_face_masks,
     lambda_face_masks,
@@ -23,7 +27,14 @@ from topecycles.core import DimensionError, _minus_mask, negate, parse_sign_vect
 from topecycles.cycles import canonical_hypercube_cycle, find_symmetric_cycle
 from topecycles.decomposition import DecompositionError, decompose
 
-from reference import all_plus, count_faces_by_size, downward_closure, face_counts_by_binomials, rank2_feasible
+from reference import (
+    all_plus,
+    count_faces_by_size,
+    delta_complex_by_full_walk,
+    downward_closure,
+    face_counts_by_binomials,
+    rank2_feasible,
+)
 
 T5 = parse_sign_vector("+-+-+")
 C5 = canonical_hypercube_cycle(5)
@@ -113,10 +124,94 @@ def face_count_inputs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(face_count_inputs())
+# the slot width w = (t + len(ks).bit_length() + 7) // 8 on both sides of its steps from 1 to 2 bytes
+# and from 8 to 9, each with all ks = t - 1, which gives the largest entries
+@example(([6], 7))  # w = 1
+@example(([6] * 2, 7))  # w = 2
+@example(([5] * 3, 6))  # w = 1
+@example(([5] * 4, 6))  # w = 2
+@example(([62], 63))  # w = 8
+@example(([63], 64))  # w = 9
+@example(([59] * 15, 60))  # w = 8
+@example(([59] * 16, 60))  # w = 9
 def test_face_counts_match_the_binomial_sums(case):
     # every f_m of the Kronecker-substituted integer must come out of its own slot, at any t and any list length
     ks, t = case
     assert _face_counts(ks, t) == face_counts_by_binomials(ks, t)
+
+
+@functools.cache
+def cached_hypercube_topes(t):
+    return hypercube_topes(t)
+
+
+@st.composite
+def topes_on_small_cycles(draw):
+    """A random tope over the canonical cycle or a DFS cycle of the t-cube, t = 2..12."""
+    t = draw(st.integers(2, 12))
+    if draw(st.booleans()):
+        cycle = canonical_hypercube_cycle(t)
+    else:
+        cycle = find_symmetric_cycle(cached_hypercube_topes(t), seed=draw(st.integers(0, 10**6)))
+    return tuple(draw(st.sampled_from((1, -1))) for _ in range(t)), cycle
+
+
+@st.composite
+def topes_on_canonical_cycles(draw):
+    """A random tope over the canonical cycle, t = 2..200."""
+    t = draw(st.integers(2, 200))
+    return tuple(draw(st.sampled_from((1, -1))) for _ in range(t)), canonical_hypercube_cycle(t)
+
+
+C6_DFS = find_symmetric_cycle(hypercube_topes(6), seed=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(topes_on_small_cycles(), topes_on_canonical_cycles()))
+# cycle vertices and their negations, the topes with |Q| = 1, whose walk has one peak and one trough
+@example((C5.vertices[0], C5))
+@example((C5.vertices[2], C5))
+@example((C5.vertices[5], C5))
+@example((C5.vertices[9], C5))
+@example((C6_DFS.vertices[1], C6_DFS))
+@example((C6_DFS.vertices[7], C6_DFS))
+@example((canonical_hypercube_cycle(2).vertices[3], canonical_hypercube_cycle(2)))
+def test_half_walk_matches_the_full_walk(case):
+    # the first half of the walk and the antipodal map give the facets and f-vector of the whole closed walk
+    tope, cycle = case
+    P = ((1 << cycle.t) - 1) ^ _minus_mask(tope, cycle.t)
+    assert _delta_complex(P, cycle) == delta_complex_by_full_walk(P, cycle)
+
+
+def up_step_histograms(cases):
+    """For each (tope, cycle), n_0..n_(t-1): how many of the ks that ``delta_face_masks`` passes to
+    ``_face_counts`` equal each m, that is, how many up-steps of the walk go from m to m + 1 elements."""
+    passed = []
+    with mock.patch.object(complexes, "_face_counts", lambda ks, t: passed.append((ks, t)) or _face_counts(ks, t)):
+        for tope, cycle in cases:
+            delta_face_masks(tope, cycle)
+    return [list(map(Counter(ks).__getitem__, range(t))) for ks, t in passed]
+
+
+def assert_palindromic(histograms, t):
+    # R^(k+t) = -R^k sends each up-step from m to a down-step from t - m, and a closed walk has as many
+    # down-steps from t - m as up-steps to it, from t - 1 - m: n_m = n_(t-1-m), over exactly t up-steps
+    for n in histograms:
+        assert n == n[::-1] and sum(n) == t, n
+
+
+def test_up_step_histogram_is_palindromic_on_every_canonical_cycle_tope():
+    for t in range(3, 13):
+        cycle = canonical_hypercube_cycle(t)
+        histograms = up_step_histograms((tope, cycle) for tope in hypercube_topes(t))
+        assert len(histograms) == 2**t
+        assert_palindromic(histograms, t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(topes_on_small_cycles(), topes_on_canonical_cycles()))
+def test_up_step_histogram_is_palindromic(case):
+    assert_palindromic(up_step_histograms([case]), case[1].t)
 
 
 def test_long_f_vector_t5_fixture():
